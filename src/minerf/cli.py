@@ -1,34 +1,22 @@
 """Command-line entry point.
 
 Exit codes: 0 ok, 2 config/usage error, 3 numeric divergence, 4 verification
-failure. All subcommands are deterministic for a fixed seed; --deterministic
-additionally caps BLAS pools at one thread when threadpoolctl is available.
+failure. All subcommands are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import metrics, ppm, trainer, verify
 from .config import load_config
 from .errors import ConfigError, DivergenceError, NumericError, UsageError
 from .synthscene import (GT_FRAME_STRIDE, dataset_from_config, dataset_checksum,
                          load_dataset, save_dataset)
-
-
-def _thread_cap(n):
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=n)
-    except ImportError:
-        return contextlib.nullcontext()
 
 
 def _parse_frames(expr, n_frames):
@@ -119,27 +107,14 @@ def cmd_transfer(args):
 def cmd_personalize(args):
     state = trainer.load_checkpoint(args.ckpt)
     clip = load_dataset(args.data)
-    before = _clip_psnr(state, clip, args.identity)
+    # steps=0 only gives an unseen identity its fresh code, so it can render
+    start = trainer.personalize(state, clip, args.identity, steps=0)
+    before = metrics.transfer_eval(start, clip, args.identity, args.identity)
     new_state = trainer.personalize(state, clip, args.identity, args.steps, lr=args.lr)
-    after = _clip_psnr(new_state, clip, args.identity)
+    after = metrics.transfer_eval(new_state, clip, args.identity, args.identity)
     trainer.save_checkpoint(args.out, new_state)
     print(f"psnr_before={before:.3f} psnr_after={after:.3f}")
     return 0
-
-
-def _clip_psnr(state, clip, identity_name):
-    idn = clip.by_name(identity_name)
-    if f"identity.{identity_name}" not in state.params:
-        state = state.copy()
-        state = trainer.personalize(state, clip, identity_name, steps=0)
-    k = clip.identity_names().index(identity_name)
-    vals = []
-    for fidx in idn.test_idx:
-        fr = idn.frames[fidx]
-        img = trainer.render_model_frame(state, clip, identity_name, fr.e, fr.pose,
-                                         frame_id=k * GT_FRAME_STRIDE + fidx)
-        vals.append(metrics.psnr(img, fr.image))
-    return float(np.mean(vals))
 
 
 def cmd_verify(args):
@@ -193,9 +168,6 @@ def cmd_inspect(args):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="minerf",
                                 description="multi-identity radiance field toolkit")
-    p.add_argument("--threads", type=int, default=None, help="cap worker/BLAS threads")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded math for byte-stable outputs")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -264,10 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cap = 1 if args.deterministic else args.threads
     try:
-        with _thread_cap(cap) if cap else contextlib.nullcontext():
-            return args.fn(args)
+        return args.fn(args)
     except (ConfigError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

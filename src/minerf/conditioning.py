@@ -8,7 +8,8 @@ the module) are all dispatched through variant_forward.
 
 All forwards are built from autodiff primitives so they are differentiable
 w.r.t. every parameter and input; pass numpy arrays for plain evaluation
-(a throwaway tape is created) or Vars bound to a training tape.
+(a throwaway tape is created; variant_value's records nothing) or Vars bound
+to a training tape.
 """
 
 from __future__ import annotations
@@ -270,5 +271,5 @@ def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> V
 
 
 def variant_value(variant: str, params: Mapping, e, i, l=None) -> np.ndarray:
-    """Plain-numpy evaluation of a variant (fresh throwaway tape)."""
-    return variant_forward(variant, params, e, i, l, tape=Tape()).value
+    """Plain-numpy evaluation of a variant (on a tape that records nothing)."""
+    return variant_forward(variant, params, e, i, l, tape=Tape(record=False)).value

@@ -5,11 +5,11 @@ Maps (conditioning vector, latent code, point x, view direction v) to
 enters, so sigma is view-independent by construction; softplus keeps it
 nonnegative and sigmoid bounds rgb to [0,1].
 
-The forward pass is written once against a tiny op table and runs either on
-the autodiff tape (training) or on raw numpy (rendering); both paths use the
-identical arithmetic (first-layer weights applied blockwise: encoded points
-as a matmul, the shared conditioning/latent vectors folded into the bias), so
-a test can pin them bit-equal.
+The forward pass is written once against autodiff primitives (first-layer
+weights applied blockwise: encoded points as a matmul, the shared
+conditioning/latent vectors folded into the bias). Training runs it on a
+recording tape; rendering runs it on a tape that records nothing, with the
+weights as raw arrays so their row blocks stay numpy views.
 """
 
 from __future__ import annotations
@@ -108,133 +108,52 @@ def init_field_params(arch: FieldArch, rng: np.random.Generator) -> dict[str, np
     return p
 
 
-class _NpOps:
-    @staticmethod
-    def matmul(A, B):
-        return A @ B
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def relu(X):
-        return np.maximum(X, 0.0)
-
-    @staticmethod
-    def sigmoid(X):
-        out = np.empty_like(X)
-        pos = X >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-X[pos]))
-        ev = np.exp(X[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        return out
-
-    @staticmethod
-    def softplus(X):
-        return np.maximum(X, 0.0) + np.log1p(np.exp(-np.abs(X)))
-
-    @staticmethod
-    def concat_cols(parts):
-        return np.concatenate(parts, axis=1)
-
-    @staticmethod
-    def tile_rows(v, n):
-        return np.broadcast_to(v, (n, v.shape[0]))
-
-    @staticmethod
-    def rows(X, a, b):
-        return X[a:b]
-
-    @staticmethod
-    def column(X, j):
-        return X[:, j]
-
-    @staticmethod
-    def as_row(v):
-        return v.reshape(1, -1)
-
-    @staticmethod
-    def as_vec(X):
-        return X.reshape(-1)
-
-
-class _TapeOps:
-    matmul = staticmethod(ad.matmul)
-    add = staticmethod(ad.add)
-    relu = staticmethod(ad.relu)
-    sigmoid = staticmethod(ad.sigmoid)
-    softplus = staticmethod(ad.softplus)
-    tile_rows = staticmethod(ad.tile_rows)
-
-    @staticmethod
-    def concat_cols(parts):
-        return ad.concat(parts, axis=1)
-
-    @staticmethod
-    def rows(X, a, b):
-        return X[a:b]
-
-    @staticmethod
-    def column(X, j):
-        return X[:, j]
-
-    @staticmethod
-    def as_row(v):
-        return ad.reshape(v, (1, -1))
-
-    @staticmethod
-    def as_vec(X):
-        return ad.reshape(X, (-1,))
-
-
-def _split_linear(ops, X_mat, shared_vecs, W, b):
+def _split_linear(X_mat, shared_vecs, W, b):
     """X_mat @ W[:k] + sum_j vec_j @ W[block_j] + b, with the vector terms
     folded into a single broadcast bias row (vectors are shared across rows)."""
     k = X_mat.shape[1]
-    out = ops.matmul(X_mat, ops.rows(W, 0, k))
+    out = ad.matmul(X_mat, W[0:k])
     bias = b
     off = k
     for vec in shared_vecs:
         dv = vec.shape[0]
-        z = ops.as_vec(ops.matmul(ops.as_row(vec), ops.rows(W, off, off + dv)))
-        bias = ops.add(bias, z)
+        z = ad.reshape(ad.matmul(ad.reshape(vec, (1, -1)), W[off:off + dv]), (-1,))
+        bias = ad.add(bias, z)
         off += dv
-    return ops.add(out, bias)
+    return ad.add(out, bias)
 
 
-def _forward(ops, arch: FieldArch, w, cond, latent, enc_x, enc_v):
+def _forward(arch: FieldArch, w, cond, latent, enc_x, enc_v):
     n = enc_x.shape[0]
     shared = [cond] if arch.d_latent == 0 else [cond, latent]
     if arch.has_skip:
-        x_in = ops.concat_cols(
-            [enc_x] + [ops.tile_rows(v, n) for v in shared])
-        h = ops.relu(ops.add(ops.matmul(x_in, w["W0"]), w["b0"]))
+        x_in = ad.concat([enc_x] + [ad.tile_rows(v, n) for v in shared], axis=1)
+        h = ad.relu(ad.add(ad.matmul(x_in, w["W0"]), w["b0"]))
     else:
-        h = ops.relu(_split_linear(ops, enc_x, shared, w["W0"], w["b0"]))
+        h = ad.relu(_split_linear(enc_x, shared, w["W0"], w["b0"]))
     for j in range(1, arch.layers):
         if arch.has_skip and j == _SKIP_LAYER:
-            h = ops.concat_cols([h, x_in])
-        h = ops.relu(ops.add(ops.matmul(h, w[f"W{j}"]), w[f"b{j}"]))
-    sigma = ops.softplus(ops.column(ops.add(ops.matmul(h, w["Wsig"]), w["bsig"]), 0))
+            h = ad.concat([h, x_in], axis=1)
+        h = ad.relu(ad.add(ad.matmul(h, w[f"W{j}"]), w[f"b{j}"]))
+    sigma = ad.softplus(ad.add(ad.matmul(h, w["Wsig"]), w["bsig"])[:, 0])
     if arch.color_layers:
-        c = ops.relu(_split_linear_mat(ops, h, enc_v, w["Wc0"], w["bc0"]))
+        c = ad.relu(_split_linear_mat(h, enc_v, w["Wc0"], w["bc0"]))
         for j in range(1, arch.color_layers):
-            c = ops.relu(ops.add(ops.matmul(c, w[f"Wc{j}"]), w[f"bc{j}"]))
-        rgb = ops.sigmoid(ops.add(ops.matmul(c, w["Wrgb"]), w["brgb"]))
+            c = ad.relu(ad.add(ad.matmul(c, w[f"Wc{j}"]), w[f"bc{j}"]))
+        rgb = ad.sigmoid(ad.add(ad.matmul(c, w["Wrgb"]), w["brgb"]))
     else:
-        rgb = ops.sigmoid(_split_linear_mat(ops, h, enc_v, w["Wrgb"], w["brgb"]))
+        rgb = ad.sigmoid(_split_linear_mat(h, enc_v, w["Wrgb"], w["brgb"]))
     return rgb, sigma
 
 
-def _split_linear_mat(ops, A, B, W, b):
+def _split_linear_mat(A, B, W, b):
     """[A | B] @ W + b without materializing the concatenation."""
     ka = A.shape[1]
     kb = B.shape[1]
-    out = ops.matmul(A, ops.rows(W, 0, ka))
+    out = ad.matmul(A, W[0:ka])
     if kb:
-        out = ops.add(out, ops.matmul(B, ops.rows(W, ka, ka + kb)))
-    return ops.add(out, b)
+        out = ad.add(out, ad.matmul(B, W[ka:ka + kb]))
+    return ad.add(out, b)
 
 
 def _normalize_dirs(V: np.ndarray) -> np.ndarray:
@@ -242,27 +161,21 @@ def _normalize_dirs(V: np.ndarray) -> np.ndarray:
 
 
 def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x: np.ndarray,
-                    enc_v: np.ndarray, tape: bool):
-    """Entry point over precomputed encodings; tape=True for the Var path."""
-    return _forward(_TapeOps if tape else _NpOps, arch, weights, cond, latent,
-                    enc_x, enc_v)
+                    enc_v: np.ndarray):
+    """Entry point over precomputed encodings; runs on the tape of the Vars passed in."""
+    return _forward(arch, weights, cond, latent, enc_x, enc_v)
 
 
 def field_forward_np(arch: FieldArch, weights, cond: np.ndarray, latent, X: np.ndarray,
                      V: np.ndarray):
     """Batched numpy evaluation: X, V are (n, 3); returns (rgb (n,3), sigma (n,))."""
-    enc_x = positional_encode(X, arch.Lx)
-    enc_v = positional_encode(_normalize_dirs(V), arch.Lv)
-    return _forward(_NpOps, arch, weights, np.asarray(cond, dtype=np.float64),
-                    None if latent is None else np.asarray(latent, dtype=np.float64),
-                    enc_x, enc_v)
-
-
-def field_forward_tape(arch: FieldArch, weights, cond, latent, X: np.ndarray, V: np.ndarray):
-    """Differentiable evaluation; weights/cond/latent are Vars, X/V plain arrays."""
-    enc_x = positional_encode(X, arch.Lx)
-    enc_v = positional_encode(_normalize_dirs(V), arch.Lv)
-    return _forward(_TapeOps, arch, weights, cond, latent, enc_x, enc_v)
+    tape = ad.Tape(record=False)
+    enc_x = ad.const(tape, positional_encode(X, arch.Lx))
+    enc_v = ad.const(tape, positional_encode(_normalize_dirs(V), arch.Lv))
+    rgb, sigma = _forward(arch, weights, ad.const(tape, cond),
+                          None if latent is None else ad.const(tape, latent),
+                          enc_x, enc_v)
+    return rgb.value, sigma.value
 
 
 def field_forward(arch: FieldArch, weights, cond, latent, x, v):

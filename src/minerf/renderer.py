@@ -88,12 +88,13 @@ class SampleSet:
         return d
 
 
-def _pixel_dir_cam(pose: CameraPose, row, col):
-    u = np.asarray(col, dtype=np.float64) + 0.5
-    v = np.asarray(row, dtype=np.float64) + 0.5
-    x = (u - pose.cx) / pose.focal
-    y = -(v - pose.cy) / pose.focal
-    return np.stack([x, y, -np.ones_like(x)], axis=-1)
+def pixel_dirs(pose: CameraPose, rows, cols) -> np.ndarray:
+    """Unit world-space directions (n, 3) through the centers of pixels (rows, cols)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    d = np.stack([(np.asarray(cols, dtype=np.float64) + 0.5 - pose.cx) / pose.focal,
+                  -(rows + 0.5 - pose.cy) / pose.focal,
+                  -np.ones_like(rows)], axis=1) @ pose.R.T
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
 def rays_from_camera(pose: CameraPose, pixel, t_near: float = 0.05,
@@ -102,17 +103,14 @@ def rays_from_camera(pose: CameraPose, pixel, t_near: float = 0.05,
     row, col = pixel
     if not (0 <= row < pose.height and 0 <= col < pose.width):
         raise UsageError(f"pixel {pixel} outside {pose.height}x{pose.width} image")
-    d = pose.R @ _pixel_dir_cam(pose, row, col)
-    d = d / np.linalg.norm(d)
-    return Ray(origin=np.array(pose.t, dtype=np.float64), direction=d,
-               t_near=t_near, t_far=t_far)
+    return Ray(origin=np.array(pose.t, dtype=np.float64),
+               direction=pixel_dirs(pose, [row], [col])[0], t_near=t_near, t_far=t_far)
 
 
 def ray_grid(pose: CameraPose):
     """Directions for every pixel, row-major (H*W, 3), unit length."""
     rows, cols = np.meshgrid(np.arange(pose.height), np.arange(pose.width), indexing="ij")
-    d = _pixel_dir_cam(pose, rows.reshape(-1), cols.reshape(-1)) @ pose.R.T
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
+    return pixel_dirs(pose, rows.reshape(-1), cols.reshape(-1))
 
 
 def stratified_samples(ray: Ray, n: int, jitter: bool, rng=None) -> np.ndarray:

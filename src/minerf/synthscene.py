@@ -304,6 +304,8 @@ def save_dataset(ds: Dataset, out_dir):
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a saved dataset. ConfigError names the file when a meta.json is not
+    JSON or lacks a key, or when a frame it lists has no PPM."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
@@ -312,31 +314,38 @@ def load_dataset(in_dir) -> Dataset:
     scene = None
     top = None
     for idir in idirs:
-        meta = json.loads((idir / "meta.json").read_text())
-        mm = meta["modes"]
-        modes = ModeBank(centers=np.array(mm["centers"]), widths=np.array(mm["widths"]),
-                         directions=np.array(mm["directions"]),
-                         amplitudes=np.array(mm["amplitudes"]), tints=np.array(mm["tints"]))
-        idp = IdentityParams(semi_axes=np.array(meta["identity"]["semi_axes"]),
-                             base_color=np.array(meta["identity"]["base_color"]),
-                             density_scale=meta["identity"]["density_scale"])
-        frames = []
-        for fj in meta["frames"]:
-            img_path = idir / f"frame_{fj['index']:04d}.ppm"
-            frames.append(Frame(index=fj["index"], pose=_pose_from_json(fj["pose"]),
-                                e=np.array(fj["e"], dtype=np.float64),
-                                image=ppm.read_ppm(img_path) if img_path.exists() else None,
-                                box=tuple(fj["box"])))
-        identities.append(IdentityData(name=meta["name"], params=idp, frames=frames,
-                                       train_idx=list(meta["split"]["train"]),
-                                       test_idx=list(meta["split"]["test"])))
+        meta_path = idir / "meta.json"
+        try:
+            meta = json.loads(meta_path.read_text())
+            mm = meta["modes"]
+            modes = ModeBank(centers=np.array(mm["centers"]), widths=np.array(mm["widths"]),
+                             directions=np.array(mm["directions"]),
+                             amplitudes=np.array(mm["amplitudes"]),
+                             tints=np.array(mm["tints"]))
+            idp = IdentityParams(semi_axes=np.array(meta["identity"]["semi_axes"]),
+                                 base_color=np.array(meta["identity"]["base_color"]),
+                                 density_scale=meta["identity"]["density_scale"])
+            frames = [Frame(index=fj["index"], pose=_pose_from_json(fj["pose"]),
+                            e=np.array(fj["e"], dtype=np.float64), image=None,
+                            box=tuple(fj["box"])) for fj in meta["frames"]]
+            img_paths = [idir / f"frame_{fr.index:04d}.ppm" for fr in frames]
+            idn = IdentityData(name=meta["name"], params=idp, frames=frames,
+                               train_idx=list(meta["split"]["train"]),
+                               test_idx=list(meta["split"]["test"]))
+            background, bounds = np.array(meta["background"]), meta["bounds"]
+            top = {k: meta[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad dataset metadata {meta_path} "
+                              f"({type(exc).__name__}: {exc})") from None
+        for fr, img_path in zip(frames, img_paths):
+            if not img_path.exists():
+                raise ConfigError(f"missing frame image {img_path} (listed in {meta_path})")
+            fr.image = ppm.read_ppm(img_path)
+        identities.append(idn)
         scene_ids = scene.identities if scene else []
         scene = SceneSpec(modes=modes, identities=scene_ids + [idp],
-                          background=np.array(meta["background"]), bounds=meta["bounds"])
-        top = meta
-    return Dataset(scene=scene, identities=identities, resolution=top["resolution"],
-                   t_near=top["t_near"], t_far=top["t_far"], seed=top["seed"],
-                   gt_samples=top["gt_samples"])
+                          background=background, bounds=bounds)
+    return Dataset(scene=scene, identities=identities, **top)
 
 
 def dataset_checksum(dir_path) -> str:

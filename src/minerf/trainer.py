@@ -28,8 +28,8 @@ from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
 from .field import (FieldArch, field_forward_np, forward_encoded, init_field_params,
                     positional_encode)
-from .renderer import (hierarchical_resample, philox_key, pixel_rng, render_image,
-                       step_rng, stratified_t)
+from .renderer import (hierarchical_resample, philox_key, pixel_dirs, pixel_rng,
+                       render_image, step_rng, stratified_t)
 from .synthscene import Dataset, GT_FRAME_STRIDE
 
 CKPT_FORMAT = "minerf-ckpt-v1"
@@ -187,21 +187,36 @@ def save_checkpoint(path, state: TrainState):
 
 
 def load_checkpoint(path) -> TrainState:
+    """Read a checkpoint; ConfigError when the header is unreadable, an entry runs
+    past the payload, or a name lacks any of its param/m/v entries or Adam count."""
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        first = f.readline()
         payload = f.read()
-    if header.get("format") != CKPT_FORMAT:
-        raise ConfigError(f"not a checkpoint file: {path}")
-    state = TrainState(cfg=header["config"], params={}, step=header["step"],
-                       identities=header["identities"],
-                       adam_t={k: int(v) for k, v in header["adam_t"].items()})
-    stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
-    for e in header["entries"]:
-        shape = tuple(e["shape"])
+    try:
+        header = json.loads(first.decode("utf-8"))
+        if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
+            raise ValueError(f"no {CKPT_FORMAT} format tag")
+        state = TrainState(cfg=header["config"], params={}, step=int(header["step"]),
+                           identities=list(header["identities"]),
+                           adam_t={k: int(v) for k, v in header["adam_t"].items()})
+        stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
+        entries = [(stores[e["kind"]], e["name"], tuple(int(n) for n in e["shape"]),
+                    int(e["offset"])) for e in header["entries"]]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"not a readable checkpoint: {path} "
+                          f"({type(exc).__name__}: {exc})") from None
+    for store, name, shape, offset in entries:
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count,
-                            offset=e["offset"]).reshape(shape).copy()
-        stores[e["kind"]][e["name"]] = arr
+        if offset < 0 or min(shape, default=0) < 0 or offset + 8 * count > len(payload):
+            raise ConfigError(f"checkpoint {path}: entry {name!r} runs past the "
+                              f"{len(payload)}-byte payload")
+        store[name] = np.frombuffer(payload, dtype="<f8", count=count,
+                                    offset=offset).reshape(shape).copy()
+    names = set(state.params)
+    for store in (state.adam_m, state.adam_v, state.adam_t):
+        if set(store) != names:
+            missing = sorted(names ^ set(store), key=str)[0]
+            raise ConfigError(f"checkpoint {path}: incomplete entries for {missing!r}")
     return state
 
 
@@ -247,13 +262,6 @@ def _bind(tape: Tape, params: dict, names) -> dict:
     return {n: ad.leaf(tape, params[n]) for n in names}
 
 
-def _pixel_dirs(pose, rows, cols):
-    d = np.stack([(cols + 0.5 - pose.cx) / pose.focal,
-                  -(rows + 0.5 - pose.cy) / pose.focal,
-                  -np.ones_like(rows, dtype=np.float64)], axis=1) @ pose.R.T
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
 def _sample_pixels(rng, box, H, W, n_in, n_out):
     """n_in pixels uniform in the box, n_out uniform outside (with replacement)."""
     r0, r1, c0, c1 = box
@@ -292,7 +300,7 @@ def _batch_loss(tape, state: TrainState, ds: Dataset, frame,
     pose = frame.pose
     n_rays = rows.size
     gt = frame.image[rows, cols]
-    dirs = _pixel_dirs(pose, rows, cols)
+    dirs = pixel_dirs(pose, rows, cols)
     origin = np.asarray(pose.t, dtype=np.float64)
     t_near, t_far = ds.t_near, ds.t_far
     if fixed_ts is None:
@@ -315,8 +323,7 @@ def _batch_loss(tape, state: TrainState, ds: Dataset, frame,
         enc_v = np.repeat(enc_v_ray, S, axis=0)
         w = {k[len(prefix) + 1:]: v for k, v in field_vars.items()
              if k.startswith(prefix + ".")}
-        return forward_encoded(arch, w, cond_var, latent_for_field, enc_x, enc_v,
-                               tape=True)
+        return forward_encoded(arch, w, cond_var, latent_for_field, enc_x, enc_v)
 
     rgb_c, sig_c = field_pass("coarse", tc)
     pred_c, w = composite_rays_tape(sig_c, rgb_c, tc, t_far, bg)
@@ -336,13 +343,16 @@ def _batch_loss(tape, state: TrainState, ds: Dataset, frame,
     return total, resid, (tc, merged)
 
 
-def _step_updates(state: TrainState, dataset: Dataset, step: int, key):
-    """One gradient step on a random (identity, frame); returns logged scalars."""
-    cfg = state.cfg
-    tr = cfg["train"]
-    rng = step_rng(key, step)
-    pairs = [(k, f) for k, idn in enumerate(dataset.identities) for f in idn.train_idx]
-    id_idx, fidx = pairs[rng.integers(len(pairs))]
+def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
+                lat_name: str, trainable: list, key, step: int, rng, lr: float) -> float:
+    """One Adam step on frame fidx of identity id_idx; returns the color loss.
+
+    rng has already drawn the frame; the pixels come next from the same
+    generator. `trainable`, the identity code and lat_name are bound as tape
+    leaves and updated in place in state; cond.* names outside `trainable`
+    enter as constants.
+    """
+    tr = state.cfg["train"]
     idn = dataset.identities[id_idx]
     frame = idn.frames[fidx]
     H, W = frame.pose.height, frame.pose.width
@@ -355,17 +365,13 @@ def _step_updates(state: TrainState, dataset: Dataset, step: int, key):
     rngs_pixels = [pixel_rng(key, step + 1, gfid, int(p)) for p in rows * W + cols]
 
     tape = Tape()
-    cond_names = [k for k in state.params if k.startswith("cond.")]
-    field_names = [k for k in state.params if k.startswith(("coarse.", "fine."))]
     id_name = f"identity.{idn.name}"
-    lat_name = f"latent.{idn.name}.{fidx:04d}"
-    bound = _bind(tape, state.params, cond_names + field_names + [id_name, lat_name])
-    cond_params = {k[len("cond."):]: bound[k] for k in cond_names}
-    field_vars = {k: bound[k] for k in field_names}
-
+    bound = _bind(tape, state.params, trainable + [id_name, lat_name])
+    cond_params = {k[len("cond."):]: bound.get(k, v) for k, v in state.params.items()
+                   if k.startswith("cond.")}
     total, resid, _ = _batch_loss(tape, state, dataset, frame, bound[id_name],
-                                  bound[lat_name], field_vars, rngs_pixels,
-                                  rows, cols, cond_params)
+                                  bound[lat_name], bound, rngs_pixels, rows, cols,
+                                  cond_params)
     loss_c = float(resid.value)
     if not np.isfinite(float(total.value)):
         raise NumericError(
@@ -374,14 +380,11 @@ def _step_updates(state: TrainState, dataset: Dataset, step: int, key):
 
     wrt_names = list(bound)
     grads = ad.grad(tape, total, [bound[n] for n in wrt_names])
-    lr = lr_schedule(step, tr["steps"], tr["lr0"], tr["lr1"])
     for name, g in zip(wrt_names, grads):
         state.adam_t[name] += 1
         adam_step(state.params[name], g, state.adam_m[name], state.adam_v[name],
                   state.adam_t[name], lr, tr["beta1"], tr["beta2"], tr["eps"])
-    l_norm = float(np.linalg.norm(state.params[lat_name]))
-    i_norm = float(np.linalg.norm(state.params[id_name]))
-    return loss_c, l_norm, i_norm, lr
+    return loss_c
 
 
 def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
@@ -405,8 +408,19 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
     guard = None
     baseline_window: list = []
     recent: list = []
+    pairs = [(k, f) for k, idn in enumerate(dataset.identities) for f in idn.train_idx]
+    trainable = ([k for k in state.params if k.startswith("cond.")]
+                 + [k for k in state.params if k.startswith(("coarse.", "fine."))])
     for _ in range(tr["steps"]):
-        loss_c, l_norm, i_norm, lr = _step_updates(state, dataset, state.step, key)
+        rng = step_rng(key, state.step)
+        id_idx, fidx = pairs[rng.integers(len(pairs))]
+        name = dataset.identities[id_idx].name
+        lat_name = f"latent.{name}.{fidx:04d}"
+        lr = lr_schedule(state.step, tr["steps"], tr["lr0"], tr["lr1"])
+        loss_c = _train_step(state, dataset, id_idx, fidx, lat_name, trainable, key,
+                             state.step, rng, lr)
+        l_norm = float(np.linalg.norm(state.params[lat_name]))
+        i_norm = float(np.linalg.norm(state.params[f"identity.{name}"]))
         recent.append(loss_c)
         del recent[:-5]
         if 90 <= state.step < 110:
@@ -496,7 +510,7 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
         raise UsageError("personalization clip has no training frames")
     out = state.copy()
     cfg = out.cfg
-    cc, tr = cfg["conditioning"], cfg["train"]
+    cc = cfg["conditioning"]
     seed = cfg["seed"]
     id_key = f"identity.{identity_name}"
     if id_key not in out.params:
@@ -509,45 +523,17 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
             out.params[k] = 0.01 * _code_rng(
                 seed, f"pl/{identity_name}/{fidx}").standard_normal(cc["d_latent"])
         lat_keys[fidx] = k
-    trainable = ([k for k in out.params if k.startswith(("coarse.", "fine."))]
-                 + [id_key] + list(lat_keys.values()))
-    opt_m = {k: np.zeros_like(out.params[k]) for k in trainable}
-    opt_v = {k: np.zeros_like(out.params[k]) for k in trainable}
-    opt_t = {k: 0 for k in trainable}
+    field_names = [k for k in out.params if k.startswith(("coarse.", "fine."))]
+    for k in field_names + [id_key] + list(lat_keys.values()):
+        out.adam_m[k] = np.zeros_like(out.params[k])
+        out.adam_v[k] = np.zeros_like(out.params[k])
+        out.adam_t[k] = 0
 
     key = philox_key(seed ^ 0x5045)
-    cond_frozen = out.cond_params()
     clip_id_idx = clip.identity_names().index(identity_name)
-    field_names = [k for k in out.params if k.startswith(("coarse.", "fine."))]
     for step in range(steps):
         rng = step_rng(key, step)
         fidx = clip_idn.train_idx[rng.integers(len(clip_idn.train_idx))]
-        frame = clip_idn.frames[fidx]
-        H, W = frame.pose.height, frame.pose.width
-        n_rays = tr["rays_per_step"]
-        n_in = int(round(tr["in_box_fraction"] * n_rays))
-        rows, cols = _sample_pixels(rng, frame.box, H, W, n_in, n_rays - n_in)
-        gfid = clip_id_idx * GT_FRAME_STRIDE + fidx
-        rngs_pixels = [pixel_rng(key, step + 1, gfid, int(p)) for p in rows * W + cols]
-
-        tape = Tape()
-        lat_key = lat_keys[fidx]
-        bound = _bind(tape, out.params, field_names + [id_key, lat_key])
-        field_vars = {k: bound[k] for k in field_names}
-        total, _, _ = _batch_loss(tape, out, clip, frame, bound[id_key],
-                                  bound[lat_key], field_vars, rngs_pixels,
-                                  rows, cols, cond_frozen)
-        if not np.isfinite(float(total.value)):
-            raise NumericError(f"non-finite personalization loss at step {step}")
-        names = list(bound)
-        grads = ad.grad(tape, total, [bound[n] for n in names])
-        for name, g in zip(names, grads):
-            opt_t[name] += 1
-            adam_step(out.params[name], g, opt_m[name], opt_v[name], opt_t[name], lr,
-                      tr["beta1"], tr["beta2"], tr["eps"])
-    # persist this episode's optimizer state so the checkpoint stays complete
-    for k in trainable:
-        out.adam_m[k] = opt_m[k]
-        out.adam_v[k] = opt_v[k]
-        out.adam_t[k] = opt_t[k]
+        _train_step(out, clip, clip_id_idx, fidx, lat_keys[fidx], field_names, key, step,
+                    rng, lr)
     return out

@@ -153,3 +153,13 @@ def test_tape_topological_by_construction():
     for idx, node in enumerate(t.nodes):
         assert all(p < idx for p in node.parents)
     assert out.idx == len(t.nodes) - 1
+
+
+def test_non_recording_tape_keeps_values_not_nodes():
+    t = ad.Tape(record=False)
+    x = ad.leaf(t, np.array([-1.0, 2.0]))
+    y = ad.sum_(ad.relu(ad.mul(x, 3.0)))
+    assert float(y.value) == 6.0
+    assert len(t.nodes) == 0 and not t.values and not y.requires_grad
+    with pytest.raises(UsageError):
+        ad.grad(t, y, [x])

@@ -131,7 +131,7 @@ def test_train_deterministic_flag_checkpoint_bytes(tiny_cfg_file, tmp_path, caps
     blobs = []
     for tag in ("a", "b"):
         ckpt = tmp_path / f"{tag}.ckpt"
-        assert cli.main(["--deterministic", "train", "--config", str(tiny_cfg_file),
+        assert cli.main(["train", "--config", str(tiny_cfg_file),
                          "--out", str(ckpt)]) == 0
         blobs.append(ckpt.read_bytes())
     assert blobs[0] == blobs[1]
@@ -236,3 +236,65 @@ def test_personalize_cli(tiny_cfg_file, tmp_path, capsys):
     for k in a.params:
         if k.startswith("cond."):
             assert np.array_equal(a.params[k], b.params[k])
+
+
+def _one_line_error(capsys, *needles):
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, err
+
+
+def test_inspect_rejects_truncated_and_garbage_checkpoints(tiny_cfg_file, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--set", "train.steps=0",
+                     "--out", str(ckpt)]) == 0
+    blob = ckpt.read_bytes()
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(blob[:blob.index(b"\n") + 101])
+    garbage = tmp_path / "garbage.ckpt"
+    garbage.write_bytes(bytes(range(256)) * 4)
+    capsys.readouterr()
+    for bad in (truncated, garbage):
+        assert cli.main(["inspect", "--ckpt", str(bad), "--matrix", "W2"]) == 2
+        _one_line_error(capsys, str(bad))
+
+
+def test_train_rejects_incomplete_dataset(tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(data)]) == 0
+    meta = json.loads((data / "id00" / "meta.json").read_text())
+    missing = data / "id00" / f"frame_{meta['split']['train'][0]:04d}.ppm"
+    image = missing.read_bytes()
+    missing.unlink()
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(missing))
+    missing.write_bytes(image)
+
+    meta_path = data / "id01" / "meta.json"
+    meta_path.write_text(meta_path.read_text()[:50])
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path))
+    del meta["t_far"]
+    meta_path.write_text(json.dumps(meta))
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path), "t_far")
+
+
+def test_eval_rejects_missing_test_frame(tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--out", str(ckpt)]) == 0
+    meta = json.loads((data / "id01" / "meta.json").read_text())
+    missing = data / "id01" / f"frame_{meta['split']['test'][0]:04d}.ppm"
+    missing.unlink()
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    _one_line_error(capsys, str(missing))

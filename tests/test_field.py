@@ -114,7 +114,7 @@ def test_tape_and_numpy_paths_agree():
         enc_x = positional_encode(X, arch.Lx)
         enc_v = positional_encode(V, arch.Lv)
         rgb_t, sig_t = forward_encoded(arch, wv, ad.leaf(tape, cond),
-                                       ad.leaf(tape, lat), enc_x, enc_v, tape=True)
+                                       ad.leaf(tape, lat), enc_x, enc_v)
         assert np.allclose(rgb_np, rgb_t.value, atol=1e-14, rtol=0)
         assert np.allclose(sig_np, sig_t.value, atol=1e-14, rtol=0)
 
@@ -140,7 +140,7 @@ def test_gradient_wrt_conditioning_through_pixel_loss():
     def f(cond):
         wv = {k: ad.const(cond.tape, v) for k, v in w.items()}
         rgb, sigma = forward_encoded(arch, wv, cond, ad.const(cond.tape, lat),
-                                     enc_x, enc_v, tape=True)
+                                     enc_x, enc_v)
         sd = ad.mul(sigma, deltas)
         T = ad.exp(ad.neg(ad.reshape(
             ad.matmul(ad.reshape(sd, (1, 6)), np.triu(np.ones((6, 6)), k=1)), (6,))))
@@ -155,3 +155,20 @@ def test_gradient_wrt_conditioning_through_pixel_loss():
 
     rep = ad.finite_diff_check(f, [rng.standard_normal(4)], step=1e-5, tol=1e-4)
     assert rep.passed, rep.max_rel_err
+
+
+def test_field_forward_np_records_nothing(monkeypatch):
+    tapes = []
+
+    class SpyTape(ad.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", SpyTape)
+    arch = _arch()
+    w = init_field_params(arch, np.random.default_rng(6))
+    rgb, sigma = field_forward_np(arch, w, np.zeros(4), np.zeros(3),
+                                  np.zeros((5, 3)), np.tile([0.0, 0.0, -1.0], (5, 1)))
+    assert rgb.shape == (5, 3) and sigma.shape == (5,)
+    assert tapes and all(not t.record and not t.nodes and not t.values for t in tapes)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from minerf import config as cfg_mod
 from minerf import synthscene as sc
 from minerf import trainer as tr
-from minerf.errors import DivergenceError, NumericError, UsageError
+from minerf.errors import ConfigError, DivergenceError, NumericError, UsageError
 
 TINY_SETS = [
     "scene.n_frames=8", "scene.resolution=12", "scene.gt_samples=48",
@@ -182,6 +184,70 @@ def test_personalize_freeze_and_locality(tiny_ds, tmp_path):
             assert np.array_equal(out.params[k], state.params[k]), k
     assert "identity.id02" in out.params
     assert not np.array_equal(out.params["coarse.W0"], state.params["coarse.W0"])
+
+
+def test_personalize_writes_adam_state(tiny_ds):
+    cfg = tiny_config("train.steps=2")
+    state, _ = tr.train(tiny_ds, cfg)
+    clip_full = sc.dataset_from_config(tiny_config("scene.n_identities=3"))
+    clip = sc.Dataset(scene=clip_full.scene, identities=clip_full.identities[2:],
+                      resolution=clip_full.resolution, t_near=clip_full.t_near,
+                      t_far=clip_full.t_far, seed=clip_full.seed,
+                      gt_samples=clip_full.gt_samples)
+    n = 3
+    out = tr.personalize(state, clip, "id02", steps=n, lr=1e-3)
+    for k in out.params:
+        if k.startswith(("coarse.", "fine.")) or k == "identity.id02":
+            assert out.adam_t[k] == n, k
+        if k.startswith("cond."):
+            assert out.adam_t[k] == state.adam_t[k]
+            assert out.adam_m[k].tobytes() == state.adam_m[k].tobytes()
+            assert out.adam_v[k].tobytes() == state.adam_v[k].tobytes()
+    assert sum(t for k, t in out.adam_t.items() if k.startswith("plat.")) == n
+
+
+def _split_ckpt(path):
+    head, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(head), payload
+
+
+def _join_ckpt(header, payload):
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+
+def _drop_v_entry(path):
+    header, payload = _split_ckpt(path)
+    victim = header["entries"][0]["name"]
+    header["entries"] = [e for e in header["entries"]
+                         if not (e["kind"] == "v" and e["name"] == victim)]
+    return _join_ckpt(header, payload)
+
+
+def _drop_key(path, key):
+    header, payload = _split_ckpt(path)
+    del header[key]
+    return _join_ckpt(header, payload)
+
+
+CORRUPTIONS = {
+    "truncated": lambda p: p.read_bytes()[:p.read_bytes().index(b"\n") + 101],
+    "garbage": lambda p: bytes(range(256)) * 4,
+    "bad_utf8": lambda p: b"\xff\xfe{}\n" + _split_ckpt(p)[1],
+    "not_json": lambda p: b"{oops\n" + _split_ckpt(p)[1],
+    "wrong_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v1", b"minerf-ckpt-v0", 1),
+    "missing_entries_key": lambda p: _drop_key(p, "entries"),
+    "missing_v_entry": _drop_v_entry,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_checkpoint_rejects_corruption(case, tiny_ds, tmp_path):
+    path = tmp_path / "a.ckpt"
+    tr.save_checkpoint(path, tr.init_state(tiny_config(), tiny_ds))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CORRUPTIONS[case](path))
+    with pytest.raises(ConfigError):
+        tr.load_checkpoint(bad)
 
 
 def test_personalize_needs_frames(tiny_ds):
