@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 ok, 2 config/usage error, 3 numeric divergence, 4 verification
-failure. All subcommands are deterministic for a fixed seed.
+Exit codes: 0 ok, 2 config/usage error or unreadable path, 3 numeric
+divergence, 4 verification failure. All subcommands are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UsageError) as e:
+    except (ConfigError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (DivergenceError, NumericError) as e:

@@ -3,7 +3,9 @@
 Compositing uses the standard alpha estimator for the ray integral:
 alpha_i = 1 - exp(-sigma_i * delta_i), T_i = prod_{j<i} (1 - alpha_j),
 C = sum_i T_i alpha_i c_i + T_end * background. delta_i is the gap to the
-next sample; the last delta runs to t_far.
+next sample; the last delta runs to t_far. composite_batch is the one
+implementation; training calls it through composite_rays_tape, a single tape
+node with the closed-form vector-Jacobian product.
 
 RNG streams are counter-based (Philox) keyed on (step, frame, pixel) so
 per-ray work is order-independent and reproducible.
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import DimensionError, NumericError, UsageError
 
 _PIXEL_STREAM = 0x706978  # tags the per-pixel jitter stream
@@ -70,6 +73,14 @@ class Ray:
         return self
 
 
+def _deltas(ts: np.ndarray, t_far: float) -> np.ndarray:
+    """Gaps to the next sample along each row of ts (R, S); the last runs to t_far."""
+    deltas = np.empty_like(ts)
+    deltas[:, :-1] = np.diff(ts, axis=1)
+    deltas[:, -1] = t_far - ts[:, -1]
+    return deltas
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Sorted t-values with per-sample color/density along one ray."""
@@ -80,9 +91,7 @@ class SampleSet:
     t_far: float
 
     def deltas(self) -> np.ndarray:
-        d = np.empty_like(self.t)
-        d[:-1] = np.diff(self.t)
-        d[-1] = self.t_far - self.t[-1]
+        d = _deltas(self.t[None, :], self.t_far)[0]
         if np.any(d <= 0):
             raise UsageError("t-values must be strictly increasing and below t_far")
         return d
@@ -169,9 +178,9 @@ def composite(samples: SampleSet, background) -> np.ndarray:
     """Alpha-composite one ray's samples over a background color."""
     if not np.all(np.isfinite(samples.sigma)):
         raise NumericError("non-finite density")
-    rgb, t_end, _ = composite_batch(samples.t[None, :], samples.sigma[None, :],
-                                    samples.rgb[None, :, :], samples.t_far,
-                                    np.asarray(background, dtype=np.float64)[None, :])
+    rgb, _, _ = composite_batch(samples.t[None, :], samples.sigma[None, :],
+                                samples.rgb[None, :, :], samples.t_far,
+                                np.asarray(background, dtype=np.float64)[None, :])
     return rgb[0]
 
 
@@ -180,29 +189,53 @@ def composite_batch(ts: np.ndarray, sigma: np.ndarray, rgb: np.ndarray, t_far: f
     """Vectorized compositing over rays.
 
     ts, sigma: (R, S); rgb: (R, S, 3); background: (R, 3).
-    Returns (colors (R,3), T_end (R,), weights (R,S)).
+    Returns (colors (R,3), trans (R,S), weights (R,S)); trans[:, k] is the
+    transmittance past sample k, so trans[:, -1] is T_end.
     """
-    deltas = np.empty_like(ts)
-    deltas[:, :-1] = np.diff(ts, axis=1)
-    deltas[:, -1] = t_far - ts[:, -1]
-    alpha = -np.expm1(-sigma * deltas)
+    alpha = -np.expm1(-sigma * _deltas(ts, t_far))
     trans = np.cumprod(1.0 - alpha, axis=1)
     T = np.concatenate([np.ones((ts.shape[0], 1)), trans[:, :-1]], axis=1)
     w = T * alpha
     colors = (w[:, :, None] * rgb).sum(axis=1) + trans[:, -1:] * background
-    return colors, trans[:, -1], w
+    return colors, trans, w
+
+
+def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray):
+    """composite_batch as one tape node: sigma (R*S,) and rgb (R*S,3) Vars, ts (R,S) fixed.
+
+    Returns the colors (R,3) as a Var and the weights (R,S) as an array for
+    importance resampling. With s_k = sigma_k * delta_k, the vector-Jacobian
+    product is dC/ds_k = T_{k+1} c_k - (sum_{i>k} w_i c_i + T_end bg) and
+    dC/dc_k = w_k, from the transmittances and weights of the forward pass.
+    """
+    tape = ad._tape_of(sigma, rgb)
+    sigma, rgb = ad._coerce(tape, sigma), ad._coerce(tape, rgb)
+    R, S = ts.shape
+    c = rgb.value.reshape(R, S, 3)
+    colors, trans, w = composite_batch(ts, sigma.value.reshape(R, S), c, t_far, bg)
+
+    def vjp(g):
+        gc = (c * g[:, None, :]).sum(axis=2)
+        # suffix sums sum_{i>k} w_i (g . c_i), seeded with T_end (g . bg)
+        end = (trans[:, -1] * (g * bg).sum(axis=1))[:, None]
+        tail = np.cumsum(np.concatenate([end, (w * gc)[:, :0:-1]], axis=1), axis=1)
+        g_sigma = (trans * gc - tail[:, ::-1]) * _deltas(ts, t_far)
+        return g_sigma.reshape(R * S), (w[:, :, None] * g[:, None, :]).reshape(R * S, 3)
+
+    return tape._push("composite", colors, (sigma.idx, rgb.idx), vjp), w
 
 
 def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
                  n_coarse: int, n_fine: int = 0, fine_field_fn=None,
-                 background, seed: int = 0, frame_index: int = 0, step: int = 0,
+                 background, seed: int = 0, frame_index: int = 0,
                  jitter: bool = True, return_depth: bool = False):
     """Render one frame by per-pixel ray marching.
 
     field_fn(X (n,3), V (n,3)) -> (rgb (n,3), sigma (n,)). With n_fine > 0 a
     second pass evaluates fine_field_fn (default: field_fn) on the merged
     coarse+fine t-values, importance-sampled from the coarse weights.
-    Deterministic for a given (seed, frame_index, step).
+    Deterministic for a given (seed, frame_index): every render draws from
+    pixel stream step 0, which is why training keys its pixels at step + 1.
     """
     H, W = pose.height, pose.width
     npix = H * W
@@ -210,12 +243,9 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
     dirs = ray_grid(pose)
     origin = np.asarray(pose.t, dtype=np.float64)
 
-    tc = np.empty((npix, n_coarse))
-    rngs = None
-    if jitter or n_fine > 0:
-        rngs = [pixel_rng(key, step, frame_index, p) for p in range(npix)]
-    for p in range(npix):
-        tc[p] = stratified_t(t_near, t_far, n_coarse, jitter, rngs[p] if rngs else None)
+    rngs = ([pixel_rng(key, 0, frame_index, p) for p in range(npix)]
+            if jitter or n_fine > 0 else [None] * npix)
+    tc = np.stack([stratified_t(t_near, t_far, n_coarse, jitter, g) for g in rngs])
 
     bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (npix, 3))
 
@@ -230,9 +260,8 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
     colors, _, w = composite_batch(tc, sig_c, rgb_c, t_far, bg)
     ts = tc
     if n_fine > 0:
-        merged = np.empty((npix, n_coarse + n_fine))
-        for p in range(npix):
-            merged[p] = hierarchical_resample(tc[p], w[p], n_fine, rngs[p], t_near, t_far)
+        merged = np.stack([hierarchical_resample(tc[p], w[p], n_fine, rngs[p], t_near, t_far)
+                           for p in range(npix)])
         rgb_f, sig_f = eval_pass(fine_field_fn or field_fn, merged)
         colors, _, w = composite_batch(merged, sig_f, rgb_f, t_far, bg)
         ts = merged

@@ -8,8 +8,10 @@ ray color error of both passes plus unsquared 2-norm regularizers on the two
 codes touched this step.
 
 Learnable arrays live in a flat name -> float64 array dict; each step binds
-the needed ones as tape leaves. Fine-sample positions are stopped gradients
-(resampling reads coarse weights as plain values), the standard estimator.
+the needed ones as tape leaves and reads the rest as constants. Both passes
+composite through renderer.composite_rays_tape, the renderer's compositor as
+one tape node. Fine-sample positions are stopped gradients (resampling reads
+coarse weights as plain values), the standard estimator.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
 from .field import (FieldArch, field_forward_np, forward_encoded, init_field_params,
                     positional_encode)
-from .renderer import (hierarchical_resample, philox_key, pixel_dirs, pixel_rng,
-                       render_image, step_rng, stratified_t)
+from .renderer import (composite_rays_tape, hierarchical_resample, philox_key, pixel_dirs,
+                       pixel_rng, render_image, step_rng, stratified_t)
 from .synthscene import Dataset, GT_FRAME_STRIDE
 
 CKPT_FORMAT = "minerf-ckpt-v1"
@@ -110,13 +112,6 @@ class TrainState:
                          color_layers=f["color_layers"], color_hidden=f["color_hidden"],
                          d_cond=d_cond, d_latent=d_lat)
 
-    def cond_params(self, prefix="cond."):
-        return {k[len(prefix):]: v for k, v in self.params.items() if k.startswith(prefix)}
-
-    def field_weights(self, prefix: str):
-        p = prefix + "."
-        return {k[len(p):]: v for k, v in self.params.items() if k.startswith(p)}
-
     def copy(self) -> "TrainState":
         return TrainState(cfg=json.loads(json.dumps(self.cfg)),
                           params={k: v.copy() for k, v in self.params.items()},
@@ -124,6 +119,12 @@ class TrainState:
                           adam_v={k: v.copy() for k, v in self.adam_v.items()},
                           adam_t=dict(self.adam_t), step=self.step,
                           identities=list(self.identities))
+
+
+def _group(params: dict, prefix: str) -> dict:
+    """The entries named prefix.*, keyed by the rest of the name."""
+    p = prefix + "."
+    return {k[len(p):]: v for k, v in params.items() if k.startswith(p)}
 
 
 def _code_rng(seed: int, tag: str) -> np.random.Generator:
@@ -223,45 +224,6 @@ def load_checkpoint(path) -> TrainState:
 # ---------------------------------------------------------------------------
 # differentiable rendering of a ray batch
 
-_upper_cache = {}
-
-
-def _strict_upper(n: int) -> np.ndarray:
-    if n not in _upper_cache:
-        _upper_cache[n] = np.triu(np.ones((n, n)), k=1)
-    return _upper_cache[n]
-
-
-def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray):
-    """Differentiable compositing: sigma (R*S,) Var, rgb (R*S,3) Var, ts (R,S) fixed.
-
-    Transmittance uses exp(-cumsum(sigma * delta)), identical to the cumprod
-    alpha form up to rounding. Returns predicted colors (R,3) Var and the
-    (numpy) per-sample weights for importance resampling.
-    """
-    R, S = ts.shape
-    deltas = np.empty_like(ts)
-    deltas[:, :-1] = np.diff(ts, axis=1)
-    deltas[:, -1] = t_far - ts[:, -1]
-    sig = ad.reshape(sigma, (R, S))
-    sd = ad.mul(sig, deltas)
-    cum = ad.matmul(sd, _strict_upper(S))
-    T = ad.exp(ad.neg(cum))
-    alpha = ad.sub(np.ones((R, S)), ad.exp(ad.neg(sd)))
-    w = ad.mul(T, alpha)
-    t_end = ad.exp(ad.neg(ad.sum_(sd, axis=1)))
-    chans = []
-    for ch in range(3):
-        rc = ad.reshape(rgb[:, ch], (R, S))
-        pred = ad.sum_(ad.mul(w, rc), axis=1) + ad.mul(t_end, bg[:, ch])
-        chans.append(ad.reshape(pred, (R, 1)))
-    return ad.concat(chans, axis=1), w.value
-
-
-def _bind(tape: Tape, params: dict, names) -> dict:
-    return {n: ad.leaf(tape, params[n]) for n in names}
-
-
 def _sample_pixels(rng, box, H, W, n_in, n_out):
     """n_in pixels uniform in the box, n_out uniform outside (with replacement)."""
     r0, r1, c0, c1 = box
@@ -284,14 +246,15 @@ def _sample_pixels(rng, box, H, W, n_in, n_out):
             np.concatenate([cols, out_cols]).astype(np.int64))
 
 
-def _batch_loss(tape, state: TrainState, ds: Dataset, frame,
-                i_var, l_var, field_vars: dict, rngs_pixels, rows, cols,
-                cond_params, fixed_ts=None):
+def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str,
+                lat_name: str, rngs_pixels, rows, cols, fixed_ts=None):
     """Build the coarse+fine photoconsistency loss Var for one ray batch.
 
-    fixed_ts=(coarse, merged) reruns the pipeline on frozen sample positions,
-    which is the function the gradient actually differentiates (fine-sample
-    placement is a stopped gradient) and what finite-difference probes vary.
+    bound maps parameter names to leaf Vars of one tape; every other name is
+    read from state.params as a constant. fixed_ts=(coarse, merged) reruns the
+    pipeline on frozen sample positions, which is the function the gradient
+    actually differentiates (fine-sample placement is a stopped gradient) and
+    what finite-difference probes vary.
     """
     cfg = state.cfg
     rc, cc_cfg, tr = cfg["render"], cfg["conditioning"], cfg["train"]
@@ -303,14 +266,14 @@ def _batch_loss(tape, state: TrainState, ds: Dataset, frame,
     dirs = pixel_dirs(pose, rows, cols)
     origin = np.asarray(pose.t, dtype=np.float64)
     t_near, t_far = ds.t_near, ds.t_far
-    if fixed_ts is None:
-        tc = np.stack([stratified_t(t_near, t_far, rc["n_coarse"], True, g)
-                       for g in rngs_pixels])
-    else:
-        tc = fixed_ts[0]
+    tc = fixed_ts[0] if fixed_ts else np.stack(
+        [stratified_t(t_near, t_far, rc["n_coarse"], True, g) for g in rngs_pixels])
 
+    tape = next(iter(bound.values())).tape
+    params = {k: bound.get(k, v) for k, v in state.params.items()}
+    i_var, l_var = ad._coerce(tape, params[id_name]), ad._coerce(tape, params[lat_name])
     cond_var = cond_mod.variant_forward(
-        variant, cond_params, frame.e, i_var,
+        variant, _group(params, "cond"), frame.e, i_var,
         l=l_var if cond_mod.latent_inside(variant) else None, tape=tape)
     latent_for_field = None if cond_mod.latent_inside(variant) else l_var
     bg = np.broadcast_to(ds.scene.background, (n_rays, 3))
@@ -321,19 +284,14 @@ def _batch_loss(tape, state: TrainState, ds: Dataset, frame,
         X = origin[None, None, :] + ts[:, :, None] * dirs[:, None, :]
         enc_x = positional_encode(X.reshape(-1, 3), arch.Lx)
         enc_v = np.repeat(enc_v_ray, S, axis=0)
-        w = {k[len(prefix) + 1:]: v for k, v in field_vars.items()
-             if k.startswith(prefix + ".")}
-        return forward_encoded(arch, w, cond_var, latent_for_field, enc_x, enc_v)
+        return forward_encoded(arch, _group(params, prefix), cond_var, latent_for_field,
+                               enc_x, enc_v)
 
     rgb_c, sig_c = field_pass("coarse", tc)
     pred_c, w = composite_rays_tape(sig_c, rgb_c, tc, t_far, bg)
-    if fixed_ts is None:
-        merged = np.stack([
-            hierarchical_resample(tc[r], w[r], rc["n_fine"], rngs_pixels[r],
-                                  t_near, t_far)
-            for r in range(n_rays)])
-    else:
-        merged = fixed_ts[1]
+    merged = fixed_ts[1] if fixed_ts else np.stack(
+        [hierarchical_resample(tc[r], w[r], rc["n_fine"], rngs_pixels[r], t_near, t_far)
+         for r in range(n_rays)])
     rgb_f, sig_f = field_pass("fine", merged)
     pred_f, _ = composite_rays_tape(sig_f, rgb_f, merged, t_far, bg)
     resid = (ad.sum_(ad.square(ad.sub(pred_c, gt)))
@@ -366,21 +324,17 @@ def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
 
     tape = Tape()
     id_name = f"identity.{idn.name}"
-    bound = _bind(tape, state.params, trainable + [id_name, lat_name])
-    cond_params = {k[len("cond."):]: bound.get(k, v) for k, v in state.params.items()
-                   if k.startswith("cond.")}
-    total, resid, _ = _batch_loss(tape, state, dataset, frame, bound[id_name],
-                                  bound[lat_name], bound, rngs_pixels, rows, cols,
-                                  cond_params)
+    bound = {n: ad.leaf(tape, state.params[n]) for n in trainable + [id_name, lat_name]}
+    total, resid, _ = _batch_loss(state, dataset, frame, bound, id_name, lat_name,
+                                  rngs_pixels, rows, cols)
     loss_c = float(resid.value)
     if not np.isfinite(float(total.value)):
         raise NumericError(
             f"non-finite loss at step {step}: loss_c={loss_c}, identity={idn.name}, "
             f"frame={fidx}")
 
-    wrt_names = list(bound)
-    grads = ad.grad(tape, total, [bound[n] for n in wrt_names])
-    for name, g in zip(wrt_names, grads):
+    grads = ad.grad(tape, total, list(bound.values()))
+    for name, g in zip(bound, grads):
         state.adam_t[name] += 1
         adam_step(state.params[name], g, state.adam_m[name], state.adam_v[name],
                   state.adam_t[name], lr, tr["beta1"], tr["beta2"], tr["eps"])
@@ -463,21 +417,17 @@ def render_model_frame(state: TrainState, dataset: Dataset, identity_name: str,
         raise UsageError(f"identity {identity_name!r} not in checkpoint")
     lat = np.zeros(cc["d_latent"]) if latent is None else latent
     cond_vec = cond_mod.variant_value(
-        variant, state.cond_params(), e, code,
+        variant, _group(state.params, "cond"), e, code,
         l=lat if cond_mod.latent_inside(variant) else None)
     lat_field = None if cond_mod.latent_inside(variant) else lat
-    coarse_w = state.field_weights("coarse")
-    fine_w = state.field_weights("fine")
 
-    def coarse_fn(X, V):
-        return field_forward_np(arch, coarse_w, cond_vec, lat_field, X, V)
+    def field_fn(prefix):
+        w = _group(state.params, prefix)
+        return lambda X, V: field_forward_np(arch, w, cond_vec, lat_field, X, V)
 
-    def fine_fn(X, V):
-        return field_forward_np(arch, fine_w, cond_vec, lat_field, X, V)
-
-    return render_image(coarse_fn, pose, t_near=dataset.t_near, t_far=dataset.t_far,
+    return render_image(field_fn("coarse"), pose, t_near=dataset.t_near, t_far=dataset.t_far,
                         n_coarse=rc["n_coarse"], n_fine=rc["n_fine"],
-                        fine_field_fn=fine_fn, background=dataset.scene.background,
+                        fine_field_fn=field_fn("fine"), background=dataset.scene.background,
                         seed=cfg["seed"], frame_index=frame_id, jitter=True,
                         return_depth=return_depth)
 

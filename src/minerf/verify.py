@@ -229,6 +229,21 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
     checks.append({"name": "determinism_bit_identical", "passed": bool(same),
                    "max_err": 0.0 if same else 1.0, "tol": 0.0})
 
+    # the compositing node, one sample per bin: no delta so small that its
+    # gradient drowns in the finite difference's rounding
+    worst = 0.0
+    for _ in range(per_primitive):
+        R, S = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        ts = 1.0 + (np.arange(S) + rng.uniform(0.1, 0.9, (R, S))) * (2.0 / S)
+        bg = rng.uniform(0.0, 1.0, (R, 3))
+        w = rng.standard_normal((R, 3))
+        rep = ad.finite_diff_check(
+            lambda sv, cv: ad.sum_(ad.mul(
+                renderer.composite_rays_tape(sv, cv, ts, 3.5, bg)[0], w)),
+            [rng.uniform(0.2, 3.0, R * S), rng.uniform(0.0, 1.0, (R * S, 3))])
+        worst = max(worst, rep.max_rel_err)
+    checks.append(_check("fd_composite", worst, 1e-5))
+
     return {"suite": "autodiff", "passed": all(c["passed"] for c in checks),
             "checks": checks}
 

@@ -91,16 +91,10 @@ def _e2e_gradient_probe():
 
     def build(params, fixed_ts=None):
         tape = ad.Tape()
-        names = sorted(params)
-        bound = {n: ad.leaf(tape, params[n]) for n in names}
-        cond_params = {k[len("cond."):]: bound[k] for k in names
-                       if k.startswith("cond.")}
-        field_vars = {k: bound[k] for k in names
-                      if k.startswith(("coarse.", "fine."))}
+        bound = {n: ad.leaf(tape, params[n]) for n in sorted(params)}
         total, _, ts = tr._batch_loss(
-            tape, state, ds, frame, bound["identity.id00"],
-            bound["latent.id00.0000"], field_vars, rngs_pixels, rows, cols,
-            cond_params, fixed_ts=fixed_ts)
+            state, ds, frame, bound, "identity.id00", "latent.id00.0000",
+            rngs_pixels, rows, cols, fixed_ts=fixed_ts)
         return tape, bound, total, ts
 
     params = {k: v.copy() for k, v in state.params.items()

@@ -298,3 +298,32 @@ def test_eval_rejects_missing_test_frame(tiny_cfg_file, tmp_path, capsys):
     assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 2
     _one_line_error(capsys, str(missing))
+
+
+MISSING_PATH_ARGS = {
+    "inspect_ckpt": ["inspect", "--ckpt", "{missing}", "--matrix", "W2"],
+    "train_data": ["train", "--data", "{missing}", "--out", "{tmp}/m.ckpt"],
+    "train_config": ["train", "--config", "{missing}", "--out", "{tmp}/m.ckpt"],
+    "eval_ckpt": ["eval", "--ckpt", "{missing}", "--data", "{tmp}", "--out", "{tmp}/e"],
+    "render_ckpt": ["render", "--ckpt", "{missing}", "--identity", "id00",
+                    "--out", "{tmp}/r"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_PATH_ARGS))
+def test_missing_input_path_exit_2(case, tmp_path, capsys):
+    missing = str(tmp_path / "nope")
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in MISSING_PATH_ARGS[case]]
+    assert cli.main(argv) == 2
+    _one_line_error(capsys, missing)
+
+
+def test_train_rejects_truncated_frame(tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(data)]) == 0
+    frame = data / "id00" / "frame_0000.ppm"
+    frame.write_bytes(frame.read_bytes()[:40])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(frame))

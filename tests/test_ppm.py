@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from minerf import ppm
+from minerf.errors import UsageError
 
 
 def test_p6_exact_byte_layout(tmp_path):
@@ -36,3 +38,15 @@ def test_pgm16_depth(tmp_path):
     vals = np.frombuffer(raw[len(b"P5\n2 2\n65535\n"):], dtype=">u2").reshape(2, 2)
     assert vals[0, 0] == 0 and vals[1, 1] == 65535
     assert vals[0, 1] == round(65535 / 4)
+
+
+@pytest.mark.parametrize("blob", [b"P6\n3 2\n255\n" + bytes(17),
+                                  b"P6\n3 2\n255\n",
+                                  b"P6\nthree 2\n255\n" + bytes(18),
+                                  b"P6\n-3 2\n255\n" + bytes(18)],
+                         ids=["one_byte_short", "no_raster", "word_width", "negative_width"])
+def test_read_ppm_rejects_short_raster_and_bad_size(tmp_path, blob):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(blob)
+    with pytest.raises(UsageError, match="bad.ppm"):
+        ppm.read_ppm(path)
