@@ -417,6 +417,7 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
 @dataclass
 class FiniteDiffReport:
     max_rel_err: float
+    max_abs_err: float
     passed: bool
 
 
@@ -435,8 +436,11 @@ def finite_diff_check(f: Callable, params: Sequence[np.ndarray], step: float = 1
     """Compare tape gradients of f against central finite differences.
 
     f maps leaf Vars (one per entry of params) to a scalar Var and must be a
-    pure function of its inputs. Relative error uses the denominator
-    max(|analytic|, |numeric|, 1e-8) elementwise.
+    pure function of its inputs. Relative error divides by max(|analytic|,
+    |numeric|, 1e-3 g, 1e-8), g the largest |analytic| entry: rounding f puts
+    ~eps |f| / step = 2.2e-11 |f| into each numeric entry, which reads
+    2.2e-8 |f| / g against 1e-3 g (under tol for |f| < 450 g) but would fail
+    a correct entry far below g. Errors above tol * 1e-3 g still fail.
     """
     if step <= 0:
         raise UsageError("step must be positive")
@@ -447,8 +451,9 @@ def finite_diff_check(f: Callable, params: Sequence[np.ndarray], step: float = 1
     if not np.isfinite(out.value):
         raise NumericError("non-finite function value")
     analytic = grad(tape, out, vs)
+    floor = max(1e-3 * max(float(np.max(np.abs(a), initial=0.0)) for a in analytic), 1e-8)
 
-    max_rel = 0.0
+    max_rel = max_abs = 0.0
     for pi, p in enumerate(params):
         flat = p.reshape(-1)
         for j in range(flat.size):
@@ -460,6 +465,7 @@ def finite_diff_check(f: Callable, params: Sequence[np.ndarray], step: float = 1
             flat[j] = orig
             numeric = (fp - fm) / (2.0 * step)
             a = analytic[pi].reshape(-1)[j]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            max_rel = max(max_rel, rel)
-    return FiniteDiffReport(max_rel_err=max_rel, passed=max_rel < tol)
+            err = abs(a - numeric)
+            max_abs = max(max_abs, err)
+            max_rel = max(max_rel, err / max(abs(a), abs(numeric), floor))
+    return FiniteDiffReport(max_rel_err=max_rel, max_abs_err=max_abs, passed=max_rel < tol)

@@ -21,12 +21,21 @@ from .synthscene import (GT_FRAME_STRIDE, dataset_from_config, dataset_checksum,
 
 
 def _parse_frames(expr, n_frames):
+    """--frames as indices: every frame, an a:b range or a comma list, all in [0, n_frames)."""
     if expr is None:
         return list(range(n_frames))
-    if ":" in expr:
-        a, b = expr.split(":", 1)
-        return list(range(int(a or 0), min(int(b or n_frames), n_frames)))
-    return [int(x) for x in expr.split(",")]
+    try:
+        if ":" in expr:
+            a, b = expr.split(":", 1)
+            frames = list(range(int(a or 0), int(b or n_frames)))
+        else:
+            frames = [int(x) for x in expr.split(",")]
+    except ValueError:
+        frames = []
+    if not frames or min(frames) < 0 or max(frames) >= n_frames:
+        raise UsageError(f"--frames {expr!r}: want a:b with a < b or a comma list, "
+                         f"within frames 0..{n_frames - 1}")
+    return frames
 
 
 def _write_metrics_csv(path, rows):
@@ -85,7 +94,7 @@ def cmd_render(args, expr_from=None):
     tgt_idx = names.index(args.identity)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    frames = _parse_frames(args.frames, len(tgt.frames))
+    frames = _parse_frames(args.frames, min(len(tgt.frames), len(src.frames)))
     want_depth = getattr(args, "depth", False)
     for fidx in frames:
         pose = tgt.frames[fidx].pose

@@ -1,11 +1,16 @@
 """Ray generation, stratified/hierarchical sampling, and volume compositing.
 
+render_rays is the one hierarchical pipeline (stratify, coarse field,
+composite, importance-resample, fine field, composite) behind ground-truth
+frames, model frames and training; the callers differ only in the field
+functions they pass and the tape those return Vars on.
+
 Compositing uses the standard alpha estimator for the ray integral:
 alpha_i = 1 - exp(-sigma_i * delta_i), T_i = prod_{j<i} (1 - alpha_j),
 C = sum_i T_i alpha_i c_i + T_end * background. delta_i is the gap to the
 next sample; the last delta runs to t_far. composite_batch is the one
-implementation; training calls it through composite_rays_tape, a single tape
-node with the closed-form vector-Jacobian product.
+implementation; render_rays calls it through composite_rays_tape, a single
+tape node with the closed-form vector-Jacobian product.
 
 RNG streams are counter-based (Philox) keyed on (step, frame, pixel) so
 per-ray work is order-independent and reproducible.
@@ -58,21 +63,6 @@ class CameraPose:
         return self
 
 
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-    t_near: float
-    t_far: float
-
-    def validate(self):
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-12:
-            raise UsageError("ray direction must be unit length")
-        if not (0.0 < self.t_near < self.t_far):
-            raise UsageError("require 0 < t_near < t_far")
-        return self
-
-
 def _deltas(ts: np.ndarray, t_far: float) -> np.ndarray:
     """Gaps to the next sample along each row of ts (R, S); the last runs to t_far."""
     deltas = np.empty_like(ts)
@@ -99,51 +89,28 @@ class SampleSet:
 
 def pixel_dirs(pose: CameraPose, rows, cols) -> np.ndarray:
     """Unit world-space directions (n, 3) through the centers of pixels (rows, cols)."""
-    rows = np.asarray(rows, dtype=np.float64)
-    d = np.stack([(np.asarray(cols, dtype=np.float64) + 0.5 - pose.cx) / pose.focal,
+    rows, cols = np.asarray(rows, dtype=np.float64), np.asarray(cols, dtype=np.float64)
+    if np.any((rows < 0) | (rows >= pose.height) | (cols < 0) | (cols >= pose.width)):
+        raise UsageError(f"pixels outside the {pose.height}x{pose.width} image")
+    d = np.stack([(cols + 0.5 - pose.cx) / pose.focal,
                   -(rows + 0.5 - pose.cy) / pose.focal,
                   -np.ones_like(rows)], axis=1) @ pose.R.T
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def rays_from_camera(pose: CameraPose, pixel, t_near: float = 0.05,
-                     t_far: float = 100.0) -> Ray:
-    """Ray through the center of pixel (row, col), in world coordinates."""
-    row, col = pixel
-    if not (0 <= row < pose.height and 0 <= col < pose.width):
-        raise UsageError(f"pixel {pixel} outside {pose.height}x{pose.width} image")
-    return Ray(origin=np.array(pose.t, dtype=np.float64),
-               direction=pixel_dirs(pose, [row], [col])[0], t_near=t_near, t_far=t_far)
-
-
-def ray_grid(pose: CameraPose):
-    """Directions for every pixel, row-major (H*W, 3), unit length."""
-    rows, cols = np.meshgrid(np.arange(pose.height), np.arange(pose.width), indexing="ij")
-    return pixel_dirs(pose, rows.reshape(-1), cols.reshape(-1))
-
-
-def stratified_samples(ray: Ray, n: int, jitter: bool, rng=None) -> np.ndarray:
-    """One t per bin of an n-bin partition of [t_near, t_far]."""
-    if n < 1:
-        raise UsageError("need at least one sample")
-    return stratified_t(ray.t_near, ray.t_far, n, jitter, rng)
-
-
-def stratified_t(t_near: float, t_far: float, n: int, jitter: bool, rng=None) -> np.ndarray:
+def stratified_t(t_near: float, t_far: float, n: int, rng) -> np.ndarray:
+    """One jittered t per bin of an n-bin partition of [t_near, t_far]."""
     width = (t_far - t_near) / n
-    base = t_near + width * np.arange(n)
-    if jitter:
-        return base + width * rng.random(n)
-    return base + 0.5 * width
+    return t_near + width * np.arange(n) + width * rng.random(n)
 
 
 def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, n_fine: int, rng,
-                          t_near: float | None = None, t_far: float | None = None) -> np.ndarray:
+                          t_near: float, t_far: float) -> np.ndarray:
     """Importance-sample fine t-values from the coarse weights, merged and sorted.
 
     The piecewise-constant pdf lives on bins around each coarse sample
-    (midpoint edges, ends clamped to t_near/t_far when given). All-zero
-    weights fall back to stratified resampling over the full interval.
+    (midpoint edges, ends clamped to t_near/t_far). All-zero weights fall
+    back to one jittered sample per bin of n_fine over [t_near, t_far].
     """
     coarse_t = np.asarray(coarse_t, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -153,15 +120,14 @@ def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, n_fine: int
         raise NumericError("non-finite sample weights")
     if np.any(weights < 0):
         raise UsageError("weights must be nonnegative")
-    lo = coarse_t[0] if t_near is None else t_near
-    hi = coarse_t[-1] if t_far is None else t_far
     total = weights.sum()
     if total == 0.0:
-        fine = stratified_t(lo, hi, n_fine, True, rng)
+        width = (t_far - t_near) / n_fine
+        fine = t_near + width * np.arange(n_fine) + width * rng.random(n_fine)
         return np.sort(np.concatenate([coarse_t, fine]))
     edges = np.empty(coarse_t.size + 1)
-    edges[0] = lo
-    edges[-1] = hi
+    edges[0] = t_near
+    edges[-1] = t_far
     edges[1:-1] = 0.5 * (coarse_t[:-1] + coarse_t[1:])
     cdf = np.cumsum(weights) / total
     u = rng.random(n_fine)
@@ -170,7 +136,7 @@ def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, n_fine: int
     cdf_lo = np.where(k > 0, cdf[k - 1], 0.0)
     frac = (u - cdf_lo) / (cdf[k] - cdf_lo)
     # rounding in the cdf can push frac a hair past 1; keep samples in range
-    fine = np.clip(edges[k] + frac * (edges[k + 1] - edges[k]), lo, hi)
+    fine = np.clip(edges[k] + frac * (edges[k + 1] - edges[k]), t_near, t_far)
     return np.sort(np.concatenate([coarse_t, fine]))
 
 
@@ -225,48 +191,64 @@ def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray
     return tape._push("composite", colors, (sigma.idx, rgb.idx), vjp), w
 
 
+def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
+                t_near: float, t_far: float, n_coarse: int, n_fine: int, coarse_fn, fine_fn,
+                background, ts=None):
+    """Hierarchical volume rendering of the rays through pixels (rows, cols) of pose.
+
+    Pixel p = row * width + col draws its coarse jitter, then its fine
+    samples, from pixel_rng(key, step, frame, p). coarse_fn and fine_fn map
+    points X (R*S, 3) and ray directions (R, 3) to Vars (rgb (R*S, 3), sigma
+    (R*S,)), and compositing runs on their tape: recording for training,
+    Tape(record=False) for rendering. n_fine > 0 adds a fine pass over the
+    coarse t-values merged with importance samples of the coarse weights.
+    ts=(coarse, merged) replays frozen t-values and draws nothing. Returns
+    (colors Var (R, 3), ts (R, S), weights (R, S)) per pass, coarse first.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    dirs = pixel_dirs(pose, rows, cols)
+    origin = np.asarray(pose.t, dtype=np.float64)
+    bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (dirs.shape[0], 3))
+
+    def run(fn, t):
+        X = origin[None, None, :] + t[:, :, None] * dirs[:, None, :]
+        rgb, sigma = fn(X.reshape(-1, 3), dirs)
+        colors, w = composite_rays_tape(sigma, rgb, t, t_far, bg)
+        return colors, t, w
+
+    if ts is None:
+        rngs = [pixel_rng(key, step, frame, int(p)) for p in rows * pose.width + cols]
+        tc = np.stack([stratified_t(t_near, t_far, n_coarse, g) for g in rngs])
+    else:
+        tc = ts[0]
+    passes = [run(coarse_fn, tc)]
+    if n_fine > 0:
+        w = passes[0][2]
+        merged = ts[1] if ts is not None else np.stack(
+            [hierarchical_resample(tc[r], w[r], n_fine, g, t_near, t_far)
+             for r, g in enumerate(rngs)])
+        passes.append(run(fine_fn, merged))
+    return passes
+
+
 def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
                  n_coarse: int, n_fine: int = 0, fine_field_fn=None,
                  background, seed: int = 0, frame_index: int = 0,
-                 jitter: bool = True, return_depth: bool = False):
-    """Render one frame by per-pixel ray marching.
+                 return_depth: bool = False):
+    """Render every pixel of one frame, row-major, through render_rays.
 
-    field_fn(X (n,3), V (n,3)) -> (rgb (n,3), sigma (n,)). With n_fine > 0 a
-    second pass evaluates fine_field_fn (default: field_fn) on the merged
-    coarse+fine t-values, importance-sampled from the coarse weights.
-    Deterministic for a given (seed, frame_index): every render draws from
-    pixel stream step 0, which is why training keys its pixels at step + 1.
+    field_fn and fine_field_fn (default: field_fn) follow render_rays' field
+    contract. Deterministic for a given (seed, frame_index): every render
+    draws from pixel stream step 0, which is why training keys its pixels at
+    step + 1.
     """
     H, W = pose.height, pose.width
-    npix = H * W
-    key = philox_key(seed)
-    dirs = ray_grid(pose)
-    origin = np.asarray(pose.t, dtype=np.float64)
-
-    rngs = ([pixel_rng(key, 0, frame_index, p) for p in range(npix)]
-            if jitter or n_fine > 0 else [None] * npix)
-    tc = np.stack([stratified_t(t_near, t_far, n_coarse, jitter, g) for g in rngs])
-
-    bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (npix, 3))
-
-    def eval_pass(fn, ts):
-        S = ts.shape[1]
-        X = origin[None, None, :] + ts[:, :, None] * dirs[:, None, :]
-        V = np.repeat(dirs, S, axis=0)
-        rgb, sigma = fn(X.reshape(-1, 3), V)
-        return rgb.reshape(npix, S, 3), sigma.reshape(npix, S)
-
-    rgb_c, sig_c = eval_pass(field_fn, tc)
-    colors, _, w = composite_batch(tc, sig_c, rgb_c, t_far, bg)
-    ts = tc
-    if n_fine > 0:
-        merged = np.stack([hierarchical_resample(tc[p], w[p], n_fine, rngs[p], t_near, t_far)
-                           for p in range(npix)])
-        rgb_f, sig_f = eval_pass(fine_field_fn or field_fn, merged)
-        colors, _, w = composite_batch(merged, sig_f, rgb_f, t_far, bg)
-        ts = merged
-    img = colors.reshape(H, W, 3)
+    rows, cols = np.divmod(np.arange(H * W), W)
+    colors, ts, w = render_rays(
+        pose, rows, cols, key=philox_key(seed), step=0, frame=frame_index, t_near=t_near,
+        t_far=t_far, n_coarse=n_coarse, n_fine=n_fine, coarse_fn=field_fn,
+        fine_fn=fine_field_fn or field_fn, background=background)[-1]
+    img = colors.value.reshape(H, W, 3)
     if return_depth:
-        depth = (w * ts).sum(axis=1).reshape(H, W)
-        return img, depth
+        return img, (w * ts).sum(axis=1).reshape(H, W)
     return img

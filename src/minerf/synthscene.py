@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import ppm
 from .errors import ConfigError, UsageError
 from .renderer import CameraPose, render_image
@@ -251,10 +252,14 @@ def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
 def render_gt_frame(scene: SceneSpec, identity_index: int, e: np.ndarray,
                     pose: CameraPose, t_near: float, t_far: float, samples: int,
                     seed: int, frame_id: int) -> np.ndarray:
-    return render_image(
-        lambda X, V: analytic_field(scene, identity_index, e, X),
-        pose, t_near=t_near, t_far=t_far, n_coarse=samples, n_fine=0,
-        background=scene.background, seed=seed, frame_index=frame_id, jitter=True)
+    tape = ad.Tape(record=False)
+
+    def field(X, dirs):
+        rgb, sigma = analytic_field(scene, identity_index, e, X)
+        return ad.const(tape, rgb), ad.const(tape, sigma)
+
+    return render_image(field, pose, t_near=t_near, t_far=t_far, n_coarse=samples, n_fine=0,
+                        background=scene.background, seed=seed, frame_index=frame_id)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Joint optimization of field, conditioning module, identity and latent codes.
 
 Every step renders a ray batch from one randomly chosen (identity, frame)
-pair, hierarchically (coarse pass, importance resample, fine pass), and
-applies Adam to the field weights, the conditioning parameters, that video's
-identity code, and that frame's latent code. The loss is the summed squared
-ray color error of both passes plus unsquared 2-norm regularizers on the two
-codes touched this step.
+pair through renderer.render_rays on a recording tape, and applies Adam to
+the field weights, the conditioning parameters, that video's identity code,
+and that frame's latent code. loss() is the summed squared ray color error
+of every pass (no fine pass when render.n_fine = 0) plus unsquared 2-norm
+regularizers on the two codes touched this step.
 
 Learnable arrays live in a flat name -> float64 array dict; each step binds
 the needed ones as tape leaves and reads the rest as constants. Both passes
@@ -30,8 +30,9 @@ from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
 from .field import (FieldArch, field_forward_np, forward_encoded, init_field_params,
                     positional_encode)
-from .renderer import (composite_rays_tape, hierarchical_resample, philox_key, pixel_dirs,
-                       pixel_rng, render_image, step_rng, stratified_t)
+# composite_rays_tape stays bound here: perfbench traces it as trainer.composite_rays_tape
+from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F401
+                       render_rays, step_rng)
 from .synthscene import Dataset, GT_FRAME_STRIDE
 
 CKPT_FORMAT = "minerf-ckpt-v1"
@@ -71,24 +72,28 @@ def _code_penalty(total, code_var, lam: float, squared: bool):
     return total + ad.scale(sq if squared else ad.sqrt(sq), lam)
 
 
-def loss(pred_colors, gt_colors, l, i, lam_l: float, lam_i: float,
+def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float,
          squared_norms: bool = False):
-    """sum_r ||pred - gt||^2 + lam_l ||l||_2 + lam_i ||i||_2, as a Var.
+    """(total, resid) Vars: resid sums ||pred - gt||^2 over rays and over preds
+    (one per render pass, coarse first); total adds lam_l ||l||_2 + lam_i ||i||_2.
 
-    pred_colors/l/i may be Vars or arrays; code norms are unsquared 2-norms
+    preds, l and i may be Vars or arrays; code norms are unsquared 2-norms
     as written (squared_norms switches to the squared variant).
     """
-    tape = cond_mod._find_tape(pred_colors, l, i)
-    pred = ad._coerce(tape, pred_colors)
+    tape = cond_mod._find_tape(*preds, l, i)
     gt = np.asarray(gt_colors, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"ray count mismatch: {pred.shape} vs {gt.shape}")
-    total = ad.sum_(ad.square(ad.sub(pred, gt)))
-    total = _code_penalty(total, None if l is None else ad._coerce(tape, l),
+    resid = None
+    for pred in preds:
+        pred = ad._coerce(tape, pred)
+        if pred.shape != gt.shape:
+            raise DimensionError(f"ray count mismatch: {pred.shape} vs {gt.shape}")
+        term = ad.sum_(ad.square(ad.sub(pred, gt)))
+        resid = term if resid is None else resid + term
+    total = _code_penalty(resid, None if l is None else ad._coerce(tape, l),
                           lam_l, squared_norms)
     total = _code_penalty(total, None if i is None else ad._coerce(tape, i),
                           lam_i, squared_norms)
-    return total
+    return total, resid
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +252,20 @@ def _sample_pixels(rng, box, H, W, n_in, n_out):
 
 
 def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str,
-                lat_name: str, rngs_pixels, rows, cols, fixed_ts=None):
-    """Build the coarse+fine photoconsistency loss Var for one ray batch.
+                lat_name: str, key, step: int, frame_id: int, rows, cols, ts=None):
+    """Build the photoconsistency loss Var of every render pass for one ray batch.
 
     bound maps parameter names to leaf Vars of one tape; every other name is
-    read from state.params as a constant. fixed_ts=(coarse, merged) reruns the
-    pipeline on frozen sample positions, which is the function the gradient
-    actually differentiates (fine-sample placement is a stopped gradient) and
-    what finite-difference probes vary.
+    read from state.params as a constant. render_rays draws from the pixel
+    streams (key, step, frame_id, pixel). ts=(coarse, merged) reruns it on
+    frozen sample positions, which is the function the gradient actually
+    differentiates (fine-sample placement is a stopped gradient) and what
+    finite-difference probes vary. Returns (total, color residual, ts).
     """
     cfg = state.cfg
     rc, cc_cfg, tr = cfg["render"], cfg["conditioning"], cfg["train"]
     arch = state.arch()
     variant = cc_cfg["variant"]
-    pose = frame.pose
-    n_rays = rows.size
-    gt = frame.image[rows, cols]
-    dirs = pixel_dirs(pose, rows, cols)
-    origin = np.asarray(pose.t, dtype=np.float64)
-    t_near, t_far = ds.t_near, ds.t_far
-    tc = fixed_ts[0] if fixed_ts else np.stack(
-        [stratified_t(t_near, t_far, rc["n_coarse"], True, g) for g in rngs_pixels])
-
     tape = next(iter(bound.values())).tape
     params = {k: bound.get(k, v) for k, v in state.params.items()}
     i_var, l_var = ad._coerce(tape, params[id_name]), ad._coerce(tape, params[lat_name])
@@ -276,29 +273,24 @@ def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str
         variant, _group(params, "cond"), frame.e, i_var,
         l=l_var if cond_mod.latent_inside(variant) else None, tape=tape)
     latent_for_field = None if cond_mod.latent_inside(variant) else l_var
-    bg = np.broadcast_to(ds.scene.background, (n_rays, 3))
-    enc_v_ray = positional_encode(dirs, arch.Lv)  # dirs are already unit length
 
-    def field_pass(prefix, ts):
-        R, S = ts.shape
-        X = origin[None, None, :] + ts[:, :, None] * dirs[:, None, :]
-        enc_x = positional_encode(X.reshape(-1, 3), arch.Lx)
-        enc_v = np.repeat(enc_v_ray, S, axis=0)
-        return forward_encoded(arch, _group(params, prefix), cond_var, latent_for_field,
-                               enc_x, enc_v)
+    def field_fn(prefix):
+        w = _group(params, prefix)
 
-    rgb_c, sig_c = field_pass("coarse", tc)
-    pred_c, w = composite_rays_tape(sig_c, rgb_c, tc, t_far, bg)
-    merged = fixed_ts[1] if fixed_ts else np.stack(
-        [hierarchical_resample(tc[r], w[r], rc["n_fine"], rngs_pixels[r], t_near, t_far)
-         for r in range(n_rays)])
-    rgb_f, sig_f = field_pass("fine", merged)
-    pred_f, _ = composite_rays_tape(sig_f, rgb_f, merged, t_far, bg)
-    resid = (ad.sum_(ad.square(ad.sub(pred_c, gt)))
-             + ad.sum_(ad.square(ad.sub(pred_f, gt))))
-    total = _code_penalty(resid, l_var, tr["lambda_latent"], tr["squared_code_norms"])
-    total = _code_penalty(total, i_var, tr["lambda_identity"], tr["squared_code_norms"])
-    return total, resid, (tc, merged)
+        def fn(X, dirs):
+            # dirs are already unit length: encode once per ray, repeat per sample
+            enc_v = np.repeat(positional_encode(dirs, arch.Lv), X.shape[0] // len(dirs), axis=0)
+            return forward_encoded(arch, w, cond_var, latent_for_field,
+                                   positional_encode(X, arch.Lx), enc_v)
+        return fn
+
+    passes = render_rays(frame.pose, rows, cols, key=key, step=step, frame=frame_id,
+                         t_near=ds.t_near, t_far=ds.t_far, n_coarse=rc["n_coarse"],
+                         n_fine=rc["n_fine"], coarse_fn=field_fn("coarse"),
+                         fine_fn=field_fn("fine"), background=ds.scene.background, ts=ts)
+    total, resid = loss([c for c, _, _ in passes], frame.image[rows, cols], l_var, i_var,
+                        tr["lambda_latent"], tr["lambda_identity"], tr["squared_code_norms"])
+    return total, resid, tuple(t for _, t, _ in passes)
 
 
 def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
@@ -318,15 +310,13 @@ def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
     n_rays = tr["rays_per_step"]
     n_in = int(round(tr["in_box_fraction"] * n_rays))
     rows, cols = _sample_pixels(rng, frame.box, H, W, n_in, n_rays - n_in)
-    gfid = id_idx * GT_FRAME_STRIDE + fidx
-    # step + 1: the step-0 pixel stream is the ground-truth render stream
-    rngs_pixels = [pixel_rng(key, step + 1, gfid, int(p)) for p in rows * W + cols]
 
     tape = Tape()
     id_name = f"identity.{idn.name}"
     bound = {n: ad.leaf(tape, state.params[n]) for n in trainable + [id_name, lat_name]}
-    total, resid, _ = _batch_loss(state, dataset, frame, bound, id_name, lat_name,
-                                  rngs_pixels, rows, cols)
+    # step + 1: the step-0 pixel stream is the ground-truth render stream
+    total, resid, _ = _batch_loss(state, dataset, frame, bound, id_name, lat_name, key,
+                                  step + 1, id_idx * GT_FRAME_STRIDE + fidx, rows, cols)
     loss_c = float(resid.value)
     if not np.isfinite(float(total.value)):
         raise NumericError(
@@ -420,16 +410,21 @@ def render_model_frame(state: TrainState, dataset: Dataset, identity_name: str,
         variant, _group(state.params, "cond"), e, code,
         l=lat if cond_mod.latent_inside(variant) else None)
     lat_field = None if cond_mod.latent_inside(variant) else lat
+    tape = Tape(record=False)
 
     def field_fn(prefix):
         w = _group(state.params, prefix)
-        return lambda X, V: field_forward_np(arch, w, cond_vec, lat_field, X, V)
+
+        def fn(X, dirs):
+            V = np.repeat(dirs, X.shape[0] // len(dirs), axis=0)
+            rgb, sigma = field_forward_np(arch, w, cond_vec, lat_field, X, V)
+            return ad.const(tape, rgb), ad.const(tape, sigma)
+        return fn
 
     return render_image(field_fn("coarse"), pose, t_near=dataset.t_near, t_far=dataset.t_far,
                         n_coarse=rc["n_coarse"], n_fine=rc["n_fine"],
                         fine_field_fn=field_fn("fine"), background=dataset.scene.background,
-                        seed=cfg["seed"], frame_index=frame_id, jitter=True,
-                        return_depth=return_depth)
+                        seed=cfg["seed"], frame_index=frame_id, return_depth=return_depth)
 
 
 def evaluate_test_psnr(state: TrainState, dataset: Dataset,

@@ -20,7 +20,7 @@ from minerf import renderer as rd
 from minerf import synthscene as sc
 from minerf import trainer as tr
 from minerf import verify
-from minerf.renderer import philox_key, pixel_rng, step_rng
+from minerf.renderer import philox_key, step_rng
 
 TOY_TRAIN_STEPS = 2000          # <= 3000 allowed; converges well above 25 dB
 ORDERING_STEPS = 700
@@ -87,14 +87,13 @@ def _e2e_gradient_probe():
     frame = idn.frames[0]
     H = W = ds.resolution
     rows, cols = tr._sample_pixels(rng, frame.box, H, W, 4, 0)
-    rngs_pixels = [pixel_rng(key, 1, 0, int(p)) for p in rows * W + cols]
 
-    def build(params, fixed_ts=None):
+    def build(params, ts=None):
         tape = ad.Tape()
         bound = {n: ad.leaf(tape, params[n]) for n in sorted(params)}
         total, _, ts = tr._batch_loss(
             state, ds, frame, bound, "identity.id00", "latent.id00.0000",
-            rngs_pixels, rows, cols, fixed_ts=fixed_ts)
+            key, 1, 0, rows, cols, ts=ts)
         return tape, bound, total, ts
 
     params = {k: v.copy() for k, v in state.params.items()
@@ -116,9 +115,9 @@ def _e2e_gradient_probe():
         flat = params[n].reshape(-1)
         orig = flat[j]
         flat[j] = orig + h
-        fp = float(build(params, fixed_ts=fixed)[2].value)
+        fp = float(build(params, ts=fixed)[2].value)
         flat[j] = orig - h
-        fm = float(build(params, fixed_ts=fixed)[2].value)
+        fm = float(build(params, ts=fixed)[2].value)
         flat[j] = orig
         numeric = (fp - fm) / (2 * h)
         analytic = grads[n].reshape(-1)[j]
@@ -145,7 +144,7 @@ def test_criterion_3_autodiff_finite_differences():
 def test_criterion_4_quadrature():
     n = 256
     sigma0, c = 2.0, np.array([0.6, 0.3, 0.9])
-    t = rd.stratified_t(0.0, 1.0, n, jitter=False)
+    t = (np.arange(n) + 0.5) / n  # bin midpoints
     ss = rd.SampleSet(t=t, sigma=np.full(n, sigma0), rgb=np.tile(c, (n, 1)), t_far=1.0)
     quad_err = float(np.max(np.abs(rd.composite(ss, np.zeros(3))
                                    - c * (1.0 - np.exp(-sigma0)))))

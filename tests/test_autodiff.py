@@ -163,3 +163,24 @@ def test_non_recording_tape_keeps_values_not_nodes():
     assert len(t.nodes) == 0 and not t.values and not y.requires_grad
     with pytest.raises(UsageError):
         ad.grad(t, y, [x])
+
+
+def test_finite_diff_floor_scales_with_largest_gradient():
+    # |f| ~ 100 puts ~1e-9 of rounding into each numeric entry; the 1e-6
+    # entry is correct, so only the largest-entry floor keeps it from failing
+    w = np.array([1.0, 1e-6])
+    rep = ad.finite_diff_check(lambda x: ad.add(ad.sum_(ad.mul(x, w)), 100.0),
+                               [np.array([0.3, 0.7])])
+    assert rep.passed, rep
+    assert 0.0 < rep.max_abs_err < 1e-8
+
+
+def test_finite_diff_catches_a_slightly_wrong_vjp():
+    def off_by_1e4(x):  # identity forward, backward scaled by 1.0001
+        return x.tape._push("off", x.value, (x.idx,), lambda g: (1.0001 * g,))
+
+    w = np.array([1.0, 1e-6, -2.0])
+    rep = ad.finite_diff_check(lambda x: ad.sum_(ad.mul(off_by_1e4(x), w)),
+                               [np.array([0.3, 0.7, 0.1])])
+    assert not rep.passed
+    assert rep.max_rel_err == pytest.approx(1e-4, rel=1e-3)

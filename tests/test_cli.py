@@ -327,3 +327,27 @@ def test_train_rejects_truncated_frame(tiny_cfg_file, tmp_path, capsys):
     assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
                      "--out", str(tmp_path / "m.ckpt")]) == 2
     _one_line_error(capsys, str(frame))
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    ckpt = tmp / "model.ckpt"
+    assert cli.main(["train", "--config", str(cfg), "--set", "train.steps=0",
+                     "--out", str(ckpt)]) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("frames", ["abc", "99", "3:1", "-1", "0:99", "1,,2", "2:x"])
+@pytest.mark.parametrize("command", ["render", "transfer"])
+def test_bad_frames_exit_2(command, frames, tiny_ckpt, tmp_path, capsys):
+    argv = [command, "--ckpt", str(tiny_ckpt), "--identity", "id00",
+            f"--frames={frames}", "--out", str(tmp_path / "out")]
+    if command == "transfer":
+        argv += ["--expr-from", "id01"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    _one_line_error(capsys, repr(frames))
+    assert not list((tmp_path / "out").glob("*.ppm"))

@@ -14,29 +14,36 @@ def _pose(R=None, t=None, res=5):
 
 
 def test_principal_pixel_points_down_negative_z():
-    ray = rd.rays_from_camera(_pose(), (2, 2))
-    assert np.allclose(ray.direction, [0, 0, -1], atol=1e-12)
-    assert np.array_equal(ray.origin, np.zeros(3))
+    assert np.allclose(rd.pixel_dirs(_pose(), [2], [2])[0], [0, 0, -1], atol=1e-12)
 
 
 def test_translation_shifts_origin_not_direction():
     t = np.array([1.0, -2.0, 3.0])
-    ray0 = rd.rays_from_camera(_pose(), (1, 3))
-    ray1 = rd.rays_from_camera(_pose(t=t), (1, 3))
-    assert np.array_equal(ray1.origin, t)
-    assert np.array_equal(ray0.direction, ray1.direction)
+    assert np.array_equal(rd.pixel_dirs(_pose(), [1], [3]), rd.pixel_dirs(_pose(t=t), [1], [3]))
+    points = []
+    tape = ad.Tape(record=False)
+
+    def field(X, dirs):
+        points.append(X)
+        return ad.const(tape, np.zeros((len(X), 3))), ad.const(tape, np.zeros(len(X)))
+
+    for pose in (_pose(), _pose(t=t)):
+        rd.render_rays(pose, [1], [3], key=rd.philox_key(0), step=0, frame=0, t_near=1.0,
+                       t_far=2.0, n_coarse=4, n_fine=0, coarse_fn=field, fine_fn=None,
+                       background=np.zeros(3))
+    assert np.allclose(points[1] - points[0], t, atol=1e-12)
 
 
 def test_yaw_rotation_maps_axis():
     th = np.pi / 2
     R = np.array([[np.cos(th), 0, np.sin(th)], [0, 1, 0], [-np.sin(th), 0, np.cos(th)]])
-    ray = rd.rays_from_camera(_pose(R=R), (2, 2))
-    assert np.allclose(ray.direction, [-1, 0, 0], atol=1e-12)
+    assert np.allclose(rd.pixel_dirs(_pose(R=R), [2], [2])[0], [-1, 0, 0], atol=1e-12)
 
 
 def test_out_of_bounds_pixel_rejected():
-    with pytest.raises(UsageError):
-        rd.rays_from_camera(_pose(), (5, 0))
+    for rows, cols in (([5], [0]), ([0], [-1]), ([0, 1], [2, 5])):
+        with pytest.raises(UsageError):
+            rd.pixel_dirs(_pose(), rows, cols)
 
 
 def test_bad_rotation_rejected():
@@ -46,14 +53,16 @@ def test_bad_rotation_rejected():
         _pose(R=R)
 
 
-def _ray(t_near=0.0, t_far=1.0):
-    return rd.Ray(origin=np.zeros(3), direction=np.array([0.0, 0.0, -1.0]),
-                  t_near=max(t_near, 1e-12), t_far=t_far)
+class _MidRng:
+    """Stands in for a Generator whose draws are all 0.5: bin midpoints."""
+
+    def random(self, n):
+        return np.full(n, 0.5)
 
 
 def test_stratified_centers():
-    assert np.allclose(rd.stratified_samples(_ray(), 2, jitter=False), [0.25, 0.75])
-    assert np.allclose(rd.stratified_samples(_ray(), 1, jitter=False), [0.5])
+    assert np.allclose(rd.stratified_t(0.0, 1.0, 2, _MidRng()), [0.25, 0.75])
+    assert np.allclose(rd.stratified_t(0.0, 1.0, 1, _MidRng()), [0.5])
 
 
 def test_stratified_jitter_stays_in_bins():
@@ -61,7 +70,7 @@ def test_stratified_jitter_stays_in_bins():
     n = 10
     edges = np.linspace(0.0, 1.0, n + 1)
     for _ in range(100):
-        t = rd.stratified_samples(_ray(), n, jitter=True, rng=rng)
+        t = rd.stratified_t(0.0, 1.0, n, rng)
         assert np.all(t >= edges[:-1]) and np.all(t < edges[1:])
 
 
@@ -88,7 +97,7 @@ def test_resample_frequencies_match_weights():
 def test_resample_uniform_weights_ks():
     rng = np.random.default_rng(3)
     n = 10000
-    coarse = rd.stratified_t(0.0, 1.0, 8, jitter=False)
+    coarse = rd.stratified_t(0.0, 1.0, 8, _MidRng())
     merged = rd.hierarchical_resample(coarse, np.ones(8), n, rng, 0.0, 1.0)
     fine = np.sort(np.setdiff1d(merged, coarse))
     # KS statistic against U(0,1)
@@ -110,9 +119,9 @@ def test_resample_zero_weights_falls_back_stratified():
 def test_resample_rejects_bad_weights():
     rng = np.random.default_rng(5)
     with pytest.raises(UsageError):
-        rd.hierarchical_resample(np.array([0.5]), np.array([-1.0]), 4, rng)
+        rd.hierarchical_resample(np.array([0.5]), np.array([-1.0]), 4, rng, 0.0, 1.0)
     with pytest.raises(NumericError):
-        rd.hierarchical_resample(np.array([0.5]), np.array([np.nan]), 4, rng)
+        rd.hierarchical_resample(np.array([0.5]), np.array([np.nan]), 4, rng, 0.0, 1.0)
 
 
 def _sampleset(t, sigma, rgb, t_far=1.0):
@@ -136,7 +145,7 @@ def test_composite_homogeneous_matches_integral():
     n = 256
     sigma0 = 2.0
     c = np.array([0.6, 0.3, 0.9])
-    t = rd.stratified_t(0.0, 1.0, n, jitter=False)
+    t = rd.stratified_t(0.0, 1.0, n, _MidRng())
     ss = _sampleset(t, np.full(n, sigma0), np.tile(c, (n, 1)))
     got = rd.composite(ss, np.zeros(3))
     want = c * (1.0 - np.exp(-sigma0))
@@ -147,7 +156,7 @@ def test_composite_quadrature_error_halves():
     sigma0, c = 2.0, np.ones(3)
     errs = {}
     for n in (64, 256):
-        t = rd.stratified_t(0.0, 1.0, n, jitter=False)
+        t = rd.stratified_t(0.0, 1.0, n, _MidRng())
         ss = _sampleset(t, np.full(n, sigma0), np.tile(c, (n, 1)))
         errs[n] = np.max(np.abs(rd.composite(ss, np.zeros(3))
                                 - c * (1.0 - np.exp(-sigma0))))
@@ -247,10 +256,21 @@ def test_composite_node_is_one_tape_node_and_passes_finite_differences():
     assert rep.passed, rep.max_rel_err
 
 
+def _const_field(fn):
+    """An array field X -> (rgb, sigma) as a render_rays field on a non-recording tape."""
+    tape = ad.Tape(record=False)
+
+    def field(X, dirs):
+        rgb, sigma = fn(X)
+        return ad.const(tape, rgb), ad.const(tape, sigma)
+    return field
+
+
 def test_render_zero_field_is_background():
     pose = _pose(t=np.array([0.0, 0.0, 2.0]), res=4)
     bg = np.array([0.2, 0.5, 0.7])
-    img = rd.render_image(lambda X, V: (np.zeros((X.shape[0], 3)), np.zeros(X.shape[0])),
+    img = rd.render_image(_const_field(lambda X: (np.zeros((X.shape[0], 3)),
+                                                  np.zeros(X.shape[0]))),
                           pose, t_near=1.0, t_far=3.0, n_coarse=8,
                           background=bg, seed=0)
     assert np.allclose(img, np.broadcast_to(bg, (4, 4, 3)), atol=1e-15)
@@ -258,23 +278,18 @@ def test_render_zero_field_is_background():
 
 def test_render_doubling_samples_converges():
     pose = _pose(t=np.array([0.0, 0.0, 2.0]), res=4)
-
-    def field(X, V):
-        return np.tile([0.5, 0.2, 0.8], (X.shape[0], 1)), np.full(X.shape[0], 1.5)
-
+    field = _const_field(lambda X: (np.tile([0.5, 0.2, 0.8], (X.shape[0], 1)),
+                                    np.full(X.shape[0], 1.5)))
     imgs = {n: rd.render_image(field, pose, t_near=1.0, t_far=3.0, n_coarse=n,
-                               background=np.zeros(3), seed=0, jitter=False)
+                               background=np.zeros(3), seed=0)
             for n in (256, 512)}
     assert np.max(np.abs(imgs[256] - imgs[512])) < 1e-3
 
 
 def test_render_deterministic_per_seed():
     pose = _pose(t=np.array([0.0, 0.0, 2.0]), res=4)
-
-    def field(X, V):
-        sigma = np.maximum(0.0, 1.0 - (X * X).sum(1) * 4.0) * 10.0
-        return np.tile([0.9, 0.4, 0.1], (X.shape[0], 1)), sigma
-
+    field = _const_field(lambda X: (np.tile([0.9, 0.4, 0.1], (X.shape[0], 1)),
+                                    np.maximum(0.0, 1.0 - (X * X).sum(1) * 4.0) * 10.0))
     a = rd.render_image(field, pose, t_near=1.0, t_far=3.0, n_coarse=16, n_fine=16,
                         background=np.zeros(3), seed=7, frame_index=3)
     b = rd.render_image(field, pose, t_near=1.0, t_far=3.0, n_coarse=16, n_fine=16,

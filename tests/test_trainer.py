@@ -27,21 +27,29 @@ def tiny_ds():
 
 
 def test_loss_examples():
-    assert float(tr.loss(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(2),
-                         np.zeros(2), 0.01, 1e-4).value) == 0.0
+    assert float(tr.loss([np.zeros((3, 3))], np.zeros((3, 3)), np.zeros(2),
+                         np.zeros(2), 0.01, 1e-4)[0].value) == 0.0
     pred = np.array([[0.1, 0.0, 0.0]])
-    assert float(tr.loss(pred, np.zeros((1, 3)), None, None, 0.0, 0.0).value) \
+    assert float(tr.loss([pred], np.zeros((1, 3)), None, None, 0.0, 0.0)[0].value) \
         == pytest.approx(0.01)
     l = np.array([3.0, 4.0])
-    got = tr.loss(np.zeros((1, 3)), np.zeros((1, 3)), l, np.zeros(2), 0.01, 0.0)
+    got, _ = tr.loss([np.zeros((1, 3))], np.zeros((1, 3)), l, np.zeros(2), 0.01, 0.0)
     assert float(got.value) == pytest.approx(0.05)
 
 
 def test_loss_squared_variant():
     l = np.array([3.0, 4.0])
-    got = tr.loss(np.zeros((1, 3)), np.zeros((1, 3)), l, None, 0.01, 0.0,
-                  squared_norms=True)
+    got, _ = tr.loss([np.zeros((1, 3))], np.zeros((1, 3)), l, None, 0.01, 0.0,
+                     squared_norms=True)
     assert float(got.value) == pytest.approx(0.25)
+
+
+def test_loss_sums_passes_and_returns_color_residual():
+    coarse, fine = np.array([[0.1, 0.0, 0.0]]), np.array([[0.0, 0.2, 0.0]])
+    total, resid = tr.loss([coarse, fine], np.zeros((1, 3)), np.array([3.0, 4.0]), None,
+                           0.01, 0.0)
+    assert float(resid.value) == pytest.approx(0.05)
+    assert float(total.value) == pytest.approx(0.1)
 
 
 def test_adam_zero_grad_is_noop():
@@ -134,6 +142,19 @@ def test_update_locality(tiny_ds):
                    and not np.array_equal(before[k], state.params[k])]
     assert len(changed_codes) == 1
     assert len(changed_lat) == 1
+
+
+def test_no_fine_pass_leaves_fine_network_untouched(tiny_ds):
+    cfg = tiny_config("train.steps=1", "render.n_fine=0")
+    init = tr.init_state(cfg, tiny_ds)
+    before = init.copy()
+    state, _ = tr.train(tiny_ds, cfg, state=init)
+    fine = [k for k in before.params if k.startswith("fine.")]
+    assert fine
+    for store in ("params", "adam_m", "adam_v"):
+        for k in fine:
+            assert np.array_equal(getattr(state, store)[k], getattr(before, store)[k]), k
+    assert not np.array_equal(state.params["coarse.W0"], before.params["coarse.W0"])
 
 
 def test_loss_decreases(tiny_ds):
