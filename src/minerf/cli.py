@@ -78,6 +78,7 @@ def _load_state_and_scene(ckpt_path, data=None):
     else:
         # the config snapshot regenerates poses/expressions without GT images
         ds = dataset_from_config(state.cfg, render_images=False)
+    trainer.check_expression_dim(state.cfg, ds)
     return state, ds
 
 

@@ -136,7 +136,7 @@ def h_expand_oracle(p: HParams, e, i, tape=None) -> Var:
 # ---------------------------------------------------------------------------
 # variants
 
-def variant_output_dim(variant: str, d: int, o: int, d_latent: int = 0) -> int:
+def variant_output_dim(variant: str, d: int, o: int) -> int:
     if variant in ("Baseline", "LearnableConcat"):
         return 2 * d
     if variant.startswith("A"):
@@ -170,7 +170,7 @@ def _xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 def init_variant_params(variant: str, d: int, k: int, o: int, rng: np.random.Generator,
                         d_latent: int = 0, n_levels: int = 2) -> dict[str, np.ndarray]:
-    check_variant_dims(variant, d, k, o, d_latent if variant == "LatentInM" else d_latent)
+    check_variant_dims(variant, d, k, o, d_latent)
     p: dict[str, np.ndarray] = {}
     if variant == "Baseline":
         return p

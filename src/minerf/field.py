@@ -7,9 +7,11 @@ nonnegative and sigmoid bounds rgb to [0,1].
 
 The forward pass is written once against autodiff primitives (first-layer
 weights applied blockwise: encoded points as a matmul, the shared
-conditioning/latent vectors folded into the bias). Training runs it on a
-recording tape; rendering runs it on a tape that records nothing, with the
-weights as raw arrays so their row blocks stay numpy views.
+conditioning/latent vectors folded into the bias). trainer.model_fields
+enters it through forward_encoded for training (a recording tape) and
+rendering (a tape that records nothing, with the weights as raw arrays so
+their row blocks stay numpy views). field_forward_np, over raw points and
+directions, backs field_forward and the tests' references.
 """
 
 from __future__ import annotations

@@ -90,35 +90,34 @@ def singular_values(W: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60) -> 
     return np.sort(np.linalg.norm(A, axis=0))[::-1].copy()
 
 
+def _renders(state, dataset, source_name: str, target_name: str, frame_indices):
+    """(frame, model render, ground truth) of `target` under `source`'s expressions.
+
+    Ground truth is the dataset image when source == target and it is present,
+    else the target's analytic scene under the source's expressions.
+    """
+    from . import trainer  # local import; trainer imports metrics
+
+    src, tgt = dataset.by_name(source_name), dataset.by_name(target_name)
+    tgt_index = dataset.identity_names().index(target_name)
+    for fidx in frame_indices:
+        e, frame = src.frames[fidx].e, tgt.frames[fidx]
+        frame_id = tgt_index * GT_FRAME_STRIDE + fidx
+        pred = trainer.render_model_frame(state, dataset, target_name, e, frame.pose,
+                                          frame_id=frame_id)
+        gt = (frame.image if source_name == target_name and frame.image is not None
+              else render_gt_frame(dataset.scene, tgt_index, e, frame.pose, dataset.t_near,
+                                   dataset.t_far, dataset.gt_samples, dataset.seed, frame_id))
+        yield fidx, pred, gt
+
+
 def transfer_eval(state, dataset, source_name: str, target_name: str,
                   frame_indices=None) -> float:
-    """Mean PSNR of rendering `target` driven by `source`'s expression sequence.
-
-    Ground truth is the analytic scene of the target identity evaluated under
-    the source's expressions (possible because scenes are synthetic). Uses the
-    source's held-out frame indices by default; with source == target on those
-    frames this is exactly the ordinary test PSNR.
-    """
-    from . import trainer  # local import; trainer imports metrics for psnr
-
-    src = dataset.by_name(source_name)
-    tgt = dataset.by_name(target_name)
-    tgt_index = dataset.identity_names().index(target_name)
-    picks = src.test_idx if frame_indices is None else list(frame_indices)
-    vals = []
-    for fidx in picks:
-        e = src.frames[fidx].e
-        pose = tgt.frames[fidx].pose
-        frame_id = tgt_index * GT_FRAME_STRIDE + fidx
-        pred = trainer.render_model_frame(state, dataset, target_name, e, pose,
-                                          frame_id=frame_id)
-        gt = (tgt.frames[fidx].image
-              if source_name == target_name and tgt.frames[fidx].image is not None
-              else render_gt_frame(dataset.scene, tgt_index, e, pose,
-                                   dataset.t_near, dataset.t_far,
-                                   dataset.gt_samples, dataset.seed, frame_id))
-        vals.append(psnr(pred, gt))
-    return float(np.mean(vals))
+    """Mean PSNR of `target` driven by `source`'s expressions, on the source's
+    held-out frames by default; source == target gives evaluate_images' PSNRs."""
+    picks = dataset.by_name(source_name).test_idx if frame_indices is None else frame_indices
+    return float(np.mean([psnr(pred, gt) for _, pred, gt
+                          in _renders(state, dataset, source_name, target_name, picks)]))
 
 
 def transfer_matrix(state, dataset) -> np.ndarray:
@@ -130,20 +129,16 @@ def transfer_matrix(state, dataset) -> np.ndarray:
     return M
 
 
-def evaluate_images(state, dataset) -> dict:
-    """Per-frame PSNR/SSIM on the held-out split, plus means and variant label."""
-    from . import trainer
-
+def evaluate_images(state, dataset, max_frames: int | None = None) -> dict:
+    """Per-frame PSNR/SSIM on each identity's first max_frames held-out frames
+    (all by default), plus means and variant label; zero latent codes."""
     window = state.cfg.get("eval", {}).get("ssim_window", 8)
     per_frame = []
-    for k, idn in enumerate(dataset.identities):
-        for fidx in idn.test_idx:
-            fr = idn.frames[fidx]
-            img = trainer.render_model_frame(state, dataset, idn.name, fr.e, fr.pose,
-                                             frame_id=k * GT_FRAME_STRIDE + fidx)
-            per_frame.append({"identity": idn.name, "frame": fidx,
-                              "psnr": psnr(img, fr.image),
-                              "ssim": ssim(img, fr.image, window=window)})
+    for idn in dataset.identities:
+        for fidx, img, gt in _renders(state, dataset, idn.name, idn.name,
+                                      idn.test_idx[:max_frames]):
+            per_frame.append({"identity": idn.name, "frame": fidx, "psnr": psnr(img, gt),
+                              "ssim": ssim(img, gt, window=window)})
     finite = [r["psnr"] for r in per_frame if np.isfinite(r["psnr"])]
     return {
         "variant": state.cfg["conditioning"]["variant"],

@@ -7,6 +7,10 @@ and that frame's latent code. loss() is the summed squared ray color error
 of every pass (no fine pass when render.n_fine = 0) plus unsquared 2-norm
 regularizers on the two codes touched this step.
 
+One binding serves training and rendering: model_fields builds the field
+functions render_rays takes, from leaf Vars on a recording tape for training
+and from the stored arrays on a Tape(record=False) for render_model_frame.
+
 Learnable arrays live in a flat name -> float64 array dict; each step binds
 the needed ones as tape leaves and reads the rest as constants. Both passes
 composite through renderer.composite_rays_tape, the renderer's compositor as
@@ -28,8 +32,7 @@ from . import metrics as metrics_mod
 from .autodiff import Tape
 from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
-from .field import (FieldArch, field_forward_np, forward_encoded, init_field_params,
-                    positional_encode)
+from .field import FieldArch, forward_encoded, init_field_params, positional_encode
 # composite_rays_tape stays bound here: perfbench traces it as trainer.composite_rays_tape
 from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F401
                        render_rays, step_rng)
@@ -137,12 +140,17 @@ def _code_rng(seed: int, tag: str) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(2, zlib.crc32(tag.encode())))))
 
 
+def check_expression_dim(cfg: dict, dataset: Dataset):
+    """ConfigError unless the model's conditioning.d is the dataset's expression dim."""
+    d = cfg["conditioning"]["d"]
+    if d != dataset.scene.modes.d:
+        raise ConfigError(f"conditioning.d={d} must match the dataset expression dim "
+                          f"{dataset.scene.modes.d}")
+
+
 def init_state(cfg: dict, dataset: Dataset) -> TrainState:
+    check_expression_dim(cfg, dataset)
     c = cfg["conditioning"]
-    if c["d"] != dataset.scene.modes.d:
-        raise ConfigError(
-            f"conditioning.d={c['d']} must match the dataset expression dim "
-            f"{dataset.scene.modes.d}")
     seed = cfg["seed"]
     state = TrainState(cfg=cfg, params={}, identities=dataset.identity_names())
     prng = np.random.Generator(np.random.Philox(
@@ -251,6 +259,32 @@ def _sample_pixels(rng, box, H, W, n_in, n_out):
             np.concatenate([cols, out_cols]).astype(np.int64))
 
 
+def model_fields(state: TrainState, params: dict, tape: Tape, e, code, latent):
+    """(coarse_fn, fine_fn) for render_rays: the model under expression e.
+
+    params, code and latent are arrays or Vars on tape. The conditioning vector
+    is computed once, the latent feeds the module or the field per
+    latent_inside, and each ray's direction is encoded once for all its samples.
+    """
+    arch = state.arch()
+    variant = state.cfg["conditioning"]["variant"]
+    inside = cond_mod.latent_inside(variant)
+    cond = cond_mod.variant_forward(variant, _group(params, "cond"), e, code,
+                                    l=latent if inside else None, tape=tape)
+    lat_field = None if inside else ad._coerce(tape, latent)
+
+    def field_fn(prefix):
+        w = _group(params, prefix)
+
+        def fn(X, dirs):
+            enc_v = np.repeat(positional_encode(dirs, arch.Lv), X.shape[0] // len(dirs), axis=0)
+            return forward_encoded(arch, w, cond, lat_field,
+                                   ad.const(tape, positional_encode(X, arch.Lx)),
+                                   ad.const(tape, enc_v))
+        return fn
+    return field_fn("coarse"), field_fn("fine")
+
+
 def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str,
                 lat_name: str, key, step: int, frame_id: int, rows, cols, ts=None):
     """Build the photoconsistency loss Var of every render pass for one ray batch.
@@ -262,32 +296,15 @@ def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str
     differentiates (fine-sample placement is a stopped gradient) and what
     finite-difference probes vary. Returns (total, color residual, ts).
     """
-    cfg = state.cfg
-    rc, cc_cfg, tr = cfg["render"], cfg["conditioning"], cfg["train"]
-    arch = state.arch()
-    variant = cc_cfg["variant"]
+    rc, tr = state.cfg["render"], state.cfg["train"]
     tape = next(iter(bound.values())).tape
     params = {k: bound.get(k, v) for k, v in state.params.items()}
     i_var, l_var = ad._coerce(tape, params[id_name]), ad._coerce(tape, params[lat_name])
-    cond_var = cond_mod.variant_forward(
-        variant, _group(params, "cond"), frame.e, i_var,
-        l=l_var if cond_mod.latent_inside(variant) else None, tape=tape)
-    latent_for_field = None if cond_mod.latent_inside(variant) else l_var
-
-    def field_fn(prefix):
-        w = _group(params, prefix)
-
-        def fn(X, dirs):
-            # dirs are already unit length: encode once per ray, repeat per sample
-            enc_v = np.repeat(positional_encode(dirs, arch.Lv), X.shape[0] // len(dirs), axis=0)
-            return forward_encoded(arch, w, cond_var, latent_for_field,
-                                   positional_encode(X, arch.Lx), enc_v)
-        return fn
-
+    coarse_fn, fine_fn = model_fields(state, params, tape, frame.e, i_var, l_var)
     passes = render_rays(frame.pose, rows, cols, key=key, step=step, frame=frame_id,
                          t_near=ds.t_near, t_far=ds.t_far, n_coarse=rc["n_coarse"],
-                         n_fine=rc["n_fine"], coarse_fn=field_fn("coarse"),
-                         fine_fn=field_fn("fine"), background=ds.scene.background, ts=ts)
+                         n_fine=rc["n_fine"], coarse_fn=coarse_fn, fine_fn=fine_fn,
+                         background=ds.scene.background, ts=ts)
     total, resid = loss([c for c, _, _ in passes], frame.image[rows, cols], l_var, i_var,
                         tr["lambda_latent"], tr["lambda_identity"], tr["squared_code_norms"])
     return total, resid, tuple(t for _, t, _ in passes)
@@ -382,7 +399,8 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
         test_psnr = ""
         if tr["eval_every"] and (state.step % tr["eval_every"] == 0
                                  or state.step == tr["steps"]):
-            test_psnr = evaluate_test_psnr(state, dataset, max_frames=tr["eval_frames"])
+            test_psnr = metrics_mod.evaluate_images(
+                state, dataset, max_frames=tr["eval_frames"])["mean_psnr"]
         row = {"step": state.step, "loss_c": loss_c, "loss_l": l_norm,
                "loss_i": i_norm, "lr": lr, "test_psnr": test_psnr}
         rows.append(row)
@@ -398,47 +416,16 @@ def render_model_frame(state: TrainState, dataset: Dataset, identity_name: str,
                        e: np.ndarray, pose, *, latent: np.ndarray | None = None,
                        frame_id: int = 0, return_depth: bool = False) -> np.ndarray:
     """Render one frame from the trained model (fine pass over coarse proposals)."""
-    cfg = state.cfg
-    cc, rc = cfg["conditioning"], cfg["render"]
-    arch = state.arch()
-    variant = cc["variant"]
     code = state.params.get(f"identity.{identity_name}")
     if code is None:
         raise UsageError(f"identity {identity_name!r} not in checkpoint")
-    lat = np.zeros(cc["d_latent"]) if latent is None else latent
-    cond_vec = cond_mod.variant_value(
-        variant, _group(state.params, "cond"), e, code,
-        l=lat if cond_mod.latent_inside(variant) else None)
-    lat_field = None if cond_mod.latent_inside(variant) else lat
-    tape = Tape(record=False)
-
-    def field_fn(prefix):
-        w = _group(state.params, prefix)
-
-        def fn(X, dirs):
-            V = np.repeat(dirs, X.shape[0] // len(dirs), axis=0)
-            rgb, sigma = field_forward_np(arch, w, cond_vec, lat_field, X, V)
-            return ad.const(tape, rgb), ad.const(tape, sigma)
-        return fn
-
-    return render_image(field_fn("coarse"), pose, t_near=dataset.t_near, t_far=dataset.t_far,
-                        n_coarse=rc["n_coarse"], n_fine=rc["n_fine"],
-                        fine_field_fn=field_fn("fine"), background=dataset.scene.background,
-                        seed=cfg["seed"], frame_index=frame_id, return_depth=return_depth)
-
-
-def evaluate_test_psnr(state: TrainState, dataset: Dataset,
-                       max_frames: int | None = None) -> float:
-    """Mean held-out PSNR over test frames (zero latent codes)."""
-    vals = []
-    for k, idn in enumerate(dataset.identities):
-        picks = idn.test_idx if max_frames is None else idn.test_idx[:max_frames]
-        for fidx in picks:
-            fr = idn.frames[fidx]
-            img = render_model_frame(state, dataset, idn.name, fr.e, fr.pose,
-                                     frame_id=k * GT_FRAME_STRIDE + fidx)
-            vals.append(metrics_mod.psnr(img, fr.image))
-    return float(np.mean(vals))
+    lat = np.zeros(state.cfg["conditioning"]["d_latent"]) if latent is None else latent
+    coarse_fn, fine_fn = model_fields(state, state.params, Tape(record=False), e, code, lat)
+    rc = state.cfg["render"]
+    return render_image(coarse_fn, pose, t_near=dataset.t_near, t_far=dataset.t_far,
+                        n_coarse=rc["n_coarse"], n_fine=rc["n_fine"], fine_field_fn=fine_fn,
+                        background=dataset.scene.background, seed=state.cfg["seed"],
+                        frame_index=frame_id, return_depth=return_depth)
 
 
 def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int,
@@ -450,6 +437,7 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
     the clip update with fresh Adam state; every other identity's code and
     every other frame's latent are untouched, and cond.* stays bit-identical.
     """
+    check_expression_dim(state.cfg, clip)
     clip_idn = clip.by_name(identity_name)
     if not clip_idn.train_idx:
         raise UsageError("personalization clip has no training frames")

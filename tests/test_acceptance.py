@@ -182,7 +182,7 @@ def toy_run():
 @pytest.mark.slow
 def test_criterion_5_toy_training(toy_run):
     cfg, ds, state, rows, train_seconds = toy_run
-    psnr = tr.evaluate_test_psnr(state, ds)
+    psnr = mt.evaluate_images(state, ds)["mean_psnr"]
     head = float(np.median([r["loss_c"] for r in rows[:100]]))
     tail = float(np.median([r["loss_c"] for r in rows[-100:]]))
 

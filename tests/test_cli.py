@@ -351,3 +351,26 @@ def test_bad_frames_exit_2(command, frames, tiny_ckpt, tmp_path, capsys):
     assert cli.main(argv) == 2
     _one_line_error(capsys, repr(frames))
     assert not list((tmp_path / "out").glob("*.ppm"))
+
+
+@pytest.fixture(scope="module")
+def data_d4(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("d4") / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    data = cfg.parent / "data"
+    assert cli.main(["gen-data", "--config", str(cfg), "--set", "scene.d_expression=4",
+                     "--set", "conditioning.d=4", "--out", str(data)]) == 0
+    return data
+
+
+@pytest.mark.parametrize("command", ["eval", "render", "personalize"])
+def test_expression_dim_mismatch_exit_2(command, tiny_ckpt, data_d4, tmp_path, capsys):
+    argv = [command, "--ckpt", str(tiny_ckpt), "--data", str(data_d4),
+            "--out", str(tmp_path / "out")]
+    if command != "eval":
+        argv += ["--identity", "id00"]
+    if command == "personalize":
+        argv += ["--steps", "1"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    _one_line_error(capsys, "conditioning.d=8", "expression dim 4")

@@ -15,7 +15,7 @@ from minerf import config as cfg_mod
 from minerf import renderer as rd
 from minerf import synthscene as sc
 from minerf import trainer as tr
-from minerf.field import field_forward_np, forward_encoded, positional_encode
+from minerf.field import forward_encoded, positional_encode
 
 SETS = ["scene.n_identities=2", "scene.n_frames=4", "scene.resolution=8",
         "scene.gt_samples=24", "render.n_coarse=6", "render.n_fine=7",
@@ -171,10 +171,21 @@ def test_model_render_matches_per_ray_loops(setup):
     cond_vec = cond_mod.variant_value("M", tr._group(state.params, "cond"), frame.e,
                                       state.params["identity.id00"])
     lat = np.zeros(cfg["conditioning"]["d_latent"])
+    # each ray's unit direction encoded once, as _batch_loss_ref does, not per sample
+    enc_v_ray = positional_encode(rd.pixel_dirs(frame.pose, *_all_pixels(frame.pose)), arch.Lv)
+    np_tape = ad.Tape(record=False)
 
     def np_field(prefix):
         w = tr._group(state.params, prefix)
-        return lambda X, V: field_forward_np(arch, w, cond_vec, lat, X, V)
+
+        def field(X, V):
+            enc_v = np.repeat(enc_v_ray, X.shape[0] // len(enc_v_ray), axis=0)
+            rgb, sigma = forward_encoded(arch, w, ad.const(np_tape, cond_vec),
+                                         ad.const(np_tape, lat),
+                                         ad.const(np_tape, positional_encode(X, arch.Lx)),
+                                         ad.const(np_tape, enc_v))
+            return rgb.value, sigma.value
+        return field
 
     img, depth, ts = _render_image_ref(
         np_field("coarse"), frame.pose, t_near=ds.t_near, t_far=ds.t_far, n_coarse=6,
@@ -236,3 +247,32 @@ def test_training_loss_and_gradients_match_per_ray_loops(setup):
     assert n_nodes == want_nodes
     for name, g, want in zip(names, grads, want_grads):
         assert np.array_equal(g, want), name
+
+
+@pytest.mark.parametrize("sets", [[], ["conditioning.variant=LatentInM", "conditioning.k=8"]])
+def test_training_binding_renders_the_model_frame(setup, sets):
+    """Training and rendering enter the field one way: the binding on a
+    recording tape, with every parameter a leaf, reproduces render_model_frame."""
+    cfg, ds, state = setup
+    if sets:
+        state = tr.init_state(cfg_mod.load_config(sets=SETS + sets), ds)
+    k = 1
+    idn = ds.identities[k]
+    fidx = idn.test_idx[0]
+    frame = idn.frames[fidx]
+    fid = k * sc.GT_FRAME_STRIDE + fidx
+    tape = ad.Tape()
+    params = {n: ad.leaf(tape, v) for n, v in state.params.items()}
+    lat = ad.leaf(tape, np.zeros(state.cfg["conditioning"]["d_latent"]))
+    coarse_fn, fine_fn = tr.model_fields(state, params, tape, frame.e,
+                                         params[f"identity.{idn.name}"], lat)
+    passes = rd.render_rays(frame.pose, *_all_pixels(frame.pose),
+                            key=rd.philox_key(state.cfg["seed"]), step=0, frame=fid,
+                            t_near=ds.t_near, t_far=ds.t_far, n_coarse=6, n_fine=7,
+                            coarse_fn=coarse_fn, fine_fn=fine_fn,
+                            background=ds.scene.background)
+    assert tape.record and len(tape) > len(params)
+    img, depth = tr.render_model_frame(state, ds, idn.name, frame.e, frame.pose,
+                                       frame_id=fid, return_depth=True)
+    assert np.array_equal(passes[-1][0].value.reshape(img.shape), img)
+    assert np.array_equal(_depth(passes, frame.pose), depth)
