@@ -142,7 +142,7 @@ def cmd_eval(args):
     state, ds = _load_state_and_scene(args.ckpt, args.data)
     report = metrics.evaluate_images(state, ds)
     names = ds.identity_names()
-    tm = metrics.transfer_matrix(state, ds)
+    tm = metrics.transfer_matrix(state, ds, report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "frames.csv", "w", newline="") as f:

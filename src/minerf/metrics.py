@@ -120,12 +120,24 @@ def transfer_eval(state, dataset, source_name: str, target_name: str,
                           in _renders(state, dataset, source_name, target_name, picks)]))
 
 
-def transfer_matrix(state, dataset) -> np.ndarray:
+def transfer_matrix(state, dataset, heldout: dict) -> np.ndarray:
+    """M[j, i]: transfer_eval of target i driven by source j's expressions.
+
+    heldout is evaluate_images' report on every held-out frame. It scored the
+    same renders as transfer_eval(S, S), so each diagonal entry is the mean of
+    its identity's PSNRs there, and only the off-diagonal pairs are rendered.
+    """
     names = dataset.identity_names()
     M = np.zeros((len(names), len(names)))
     for j, src in enumerate(names):
+        own = [r["psnr"] for r in heldout["frames"] if r["identity"] == src]
+        n_test = len(dataset.by_name(src).test_idx)
+        if len(own) != n_test:
+            raise UsageError(f"held-out report scores {len(own)} of {src}'s "
+                             f"{n_test} held-out frames")
         for i, tgt in enumerate(names):
-            M[j, i] = transfer_eval(state, dataset, src, tgt)
+            M[j, i] = (float(np.mean(own)) if i == j
+                       else transfer_eval(state, dataset, src, tgt))
     return M
 
 

@@ -12,8 +12,18 @@ next sample; the last delta runs to t_far. composite_batch is the one
 implementation; render_rays calls it through composite_rays_tape, a single
 tape node with the closed-form vector-Jacobian product.
 
-RNG streams are counter-based (Philox) keyed on (step, frame, pixel) so
-per-ray work is order-independent and reproducible.
+RNG streams are counter-based (Philox-4x64-10; Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC 2011) keyed on (step, frame, pixel),
+so per-ray work is order-independent and reproducible. Pixel p's jitter is the
+stream of np.random.Generator(np.random.Philox(key, counter=[step, frame, p,
+_PIXEL_STREAM])), which pixel_rng computes for all pixels at once:
+- numpy bumps the 256-bit counter before each block, so block b is Philox of
+  the counter (step + 1 + b, frame, p, _PIXEL_STREAM), the first word carrying
+  into frame;
+- draw j is word j % 4 of block j // 4;
+- each uniform is (u64 >> 11) * 2**-53;
+- a ray draws n_coarse + n_fine uniforms: the first n_coarse jitter its coarse
+  samples, the rest place its fine samples.
 """
 
 from __future__ import annotations
@@ -33,9 +43,69 @@ def philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def pixel_rng(key, step: int, frame: int, pixel: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=key, counter=[step, frame, pixel, _PIXEL_STREAM]))
+# Philox-4x64 round multipliers as (m, m >> 32, m & 0xffffffff) and key increments
+_PHILOX_MUL = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF))
+                    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = (1 << 64) - 1
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(mul, x, hi, lo, t, u, w):
+    """hi, lo <- the high and low words of the 128-bit products mul * x.
+
+    The high word sums the four 32x32-bit partial products of the halves with
+    their carries; no partial sum overflows 64 bits. t, u, w are scratch.
+    """
+    m, m_hi, m_lo = mul
+    np.multiply(x, m, out=lo)
+    np.bitwise_and(x, _LO32, out=t)
+    np.right_shift(x, _S32, out=u)
+    np.multiply(t, m_lo, out=w)
+    np.right_shift(w, _S32, out=w)
+    np.multiply(t, m_hi, out=t)
+    t += w
+    np.multiply(u, m_lo, out=w)
+    np.bitwise_and(t, _LO32, out=hi)
+    w += hi
+    np.right_shift(w, _S32, out=w)
+    np.right_shift(t, _S32, out=t)
+    np.multiply(u, m_hi, out=hi)
+    hi += t
+    hi += w
+
+
+def pixel_rng(key, step: int, frame: int, pixels, n: int) -> np.ndarray:
+    """The first n uniforms of each pixel's jitter stream, (len(pixels), n).
+
+    Row r is Generator(Philox(key, counter=[step, frame, pixels[r],
+    _PIXEL_STREAM])).random(n) bit for bit, computed as Philox-4x64-10 over
+    uint64 arrays of every (pixel, block) counter at once.
+    """
+    pixels = np.asarray(pixels, dtype=np.uint64).reshape(-1, 1)
+    blocks = [step + 1 + b for b in range(-(-n // 4))]
+    if frame + ((step + len(blocks)) >> 64) > _U64:
+        raise UsageError("pixel stream counter overflows its frame word")
+    v = [np.empty((pixels.shape[0], len(blocks)), np.uint64) for _ in range(4)]
+    v[0][:] = [c & _U64 for c in blocks]
+    v[1][:] = [frame + (c >> 64) for c in blocks]
+    v[2][:] = pixels
+    v[3][:] = _PIXEL_STREAM
+    out = [np.empty_like(v[0]) for _ in range(4)]
+    scratch = [np.empty_like(v[0]) for _ in range(3)]
+    k0, k1 = (int(k) for k in key)
+    for _ in range(10):
+        hi0, lo0, hi1, lo1 = out
+        _mulhilo(_PHILOX_MUL[0], v[0], hi0, lo0, *scratch)
+        _mulhilo(_PHILOX_MUL[1], v[2], hi1, lo1, *scratch)
+        hi1 ^= v[1]
+        hi1 ^= np.uint64(k0)
+        hi0 ^= v[3]
+        hi0 ^= np.uint64(k1)
+        v, out = [hi1, lo1, hi0, lo0], v
+        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
+    words = np.stack(v, axis=2).reshape(pixels.shape[0], 4 * len(blocks))[:, :n]
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def step_rng(key, step: int) -> np.random.Generator:
@@ -98,46 +168,56 @@ def pixel_dirs(pose: CameraPose, rows, cols) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def stratified_t(t_near: float, t_far: float, n: int, rng) -> np.ndarray:
-    """One jittered t per bin of an n-bin partition of [t_near, t_far]."""
+def stratified_t(t_near: float, t_far: float, u: np.ndarray) -> np.ndarray:
+    """One jittered t per bin of an n-bin partition of [t_near, t_far], per row of
+    uniforms u (R, n)."""
+    n = u.shape[-1]
     width = (t_far - t_near) / n
-    return t_near + width * np.arange(n) + width * rng.random(n)
+    return t_near + width * np.arange(n) + width * u
 
 
-def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, n_fine: int, rng,
+def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, u: np.ndarray,
                           t_near: float, t_far: float) -> np.ndarray:
-    """Importance-sample fine t-values from the coarse weights, merged and sorted.
+    """Importance-sample fine t-values from each row's coarse weights, merged and sorted.
 
-    The piecewise-constant pdf lives on bins around each coarse sample
-    (midpoint edges, ends clamped to t_near/t_far). All-zero weights fall
-    back to one jittered sample per bin of n_fine over [t_near, t_far].
+    coarse_t, weights: (R, S); u: (R, n_fine) uniforms. A row's piecewise-
+    constant pdf lives on bins around its coarse samples (midpoint edges, ends
+    clamped to t_near/t_far) and is inverted at u. Rows whose weights are all
+    zero take stratified_t(t_near, t_far, u) instead.
     """
     coarse_t = np.asarray(coarse_t, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if coarse_t.shape != weights.shape:
-        raise DimensionError("coarse_t and weights must align")
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if coarse_t.shape != weights.shape or weights.ndim != 2 or u.ndim != 2 \
+            or u.shape[0] != weights.shape[0]:
+        raise DimensionError("coarse_t and weights must be (R, S) and u (R, n_fine)")
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite sample weights")
     if np.any(weights < 0):
         raise UsageError("weights must be nonnegative")
-    total = weights.sum()
-    if total == 0.0:
-        width = (t_far - t_near) / n_fine
-        fine = t_near + width * np.arange(n_fine) + width * rng.random(n_fine)
-        return np.sort(np.concatenate([coarse_t, fine]))
-    edges = np.empty(coarse_t.size + 1)
-    edges[0] = t_near
-    edges[-1] = t_far
-    edges[1:-1] = 0.5 * (coarse_t[:-1] + coarse_t[1:])
-    cdf = np.cumsum(weights) / total
-    u = rng.random(n_fine)
-    k = np.searchsorted(cdf, u, side="right")
-    k = np.minimum(k, weights.size - 1)
-    cdf_lo = np.where(k > 0, cdf[k - 1], 0.0)
-    frac = (u - cdf_lo) / (cdf[k] - cdf_lo)
+    R, S = weights.shape
+    total = weights.sum(axis=1, keepdims=True)
+    empty = total == 0.0
+    # all-zero rows get a stand-in uniform pdf; their samples are replaced below
+    weights = np.where(empty, 1.0, weights)
+    total = np.where(empty, float(S), total)
+    edges = np.empty((R, S + 1))
+    edges[:, 0] = t_near
+    edges[:, -1] = t_far
+    edges[:, 1:-1] = 0.5 * (coarse_t[:, :-1] + coarse_t[:, 1:])
+    # cdf[:, k + 1] is the mass of bins 0..k, behind a leading zero
+    cdf = np.zeros((R, S + 1))
+    np.cumsum(weights, axis=1, out=cdf[:, 1:])
+    cdf[:, 1:] /= total
+    # searchsorted(side="right") per row: the count of cdf entries <= u
+    k = np.minimum((cdf[:, None, 1:] <= u[:, :, None]).sum(axis=2), S - 1)
+    cdf_lo, cdf_hi = np.take_along_axis(cdf, k, 1), np.take_along_axis(cdf, k + 1, 1)
+    e_lo, e_hi = np.take_along_axis(edges, k, 1), np.take_along_axis(edges, k + 1, 1)
+    frac = (u - cdf_lo) / (cdf_hi - cdf_lo)
     # rounding in the cdf can push frac a hair past 1; keep samples in range
-    fine = np.clip(edges[k] + frac * (edges[k + 1] - edges[k]), t_near, t_far)
-    return np.sort(np.concatenate([coarse_t, fine]))
+    fine = np.clip(e_lo + frac * (e_hi - e_lo), t_near, t_far)
+    fine = np.where(empty, stratified_t(t_near, t_far, u), fine)
+    return np.sort(np.concatenate([coarse_t, fine], axis=1), axis=1)
 
 
 def composite(samples: SampleSet, background) -> np.ndarray:
@@ -197,11 +277,12 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     """Hierarchical volume rendering of the rays through pixels (rows, cols) of pose.
 
     Pixel p = row * width + col draws its coarse jitter, then its fine
-    samples, from pixel_rng(key, step, frame, p). coarse_fn and fine_fn map
-    points X (R*S, 3) and ray directions (R, 3) to Vars (rgb (R*S, 3), sigma
-    (R*S,)), and compositing runs on their tape: recording for training,
-    Tape(record=False) for rendering. n_fine > 0 adds a fine pass over the
-    coarse t-values merged with importance samples of the coarse weights.
+    samples, from its stream; one pixel_rng(key, step, frame, ...) call draws
+    them for all rays. coarse_fn and fine_fn map points X (R*S, 3) and ray
+    directions (R, 3) to Vars (rgb (R*S, 3), sigma (R*S,)), and compositing
+    runs on their tape: recording for training, Tape(record=False) for
+    rendering. n_fine > 0 adds a fine pass over the coarse t-values merged
+    with importance samples of the coarse weights.
     ts=(coarse, merged) replays frozen t-values and draws nothing. Returns
     (colors Var (R, 3), ts (R, S), weights (R, S)) per pass, coarse first.
     """
@@ -217,16 +298,14 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
         return colors, t, w
 
     if ts is None:
-        rngs = [pixel_rng(key, step, frame, int(p)) for p in rows * pose.width + cols]
-        tc = np.stack([stratified_t(t_near, t_far, n_coarse, g) for g in rngs])
+        u = pixel_rng(key, step, frame, rows * pose.width + cols, n_coarse + n_fine)
+        tc = stratified_t(t_near, t_far, u[:, :n_coarse])
     else:
         tc = ts[0]
     passes = [run(coarse_fn, tc)]
     if n_fine > 0:
-        w = passes[0][2]
-        merged = ts[1] if ts is not None else np.stack(
-            [hierarchical_resample(tc[r], w[r], n_fine, g, t_near, t_far)
-             for r, g in enumerate(rngs)])
+        merged = ts[1] if ts is not None else hierarchical_resample(
+            tc, passes[0][2], u[:, n_coarse:], t_near, t_far)
         passes.append(run(fine_fn, merged))
     return passes
 

@@ -306,6 +306,19 @@ def suite_render(cases: int = 100) -> dict:
         err = max(err, float(np.max(np.diff(T))))
     checks.append(_check("transmittance_monotone", max(err, 0.0), 1e-15))
 
+    # the batched pixel streams against numpy's own Philox generator, exactly:
+    # a numpy release that changed Philox buffering would change every dataset
+    mismatches = 0
+    for seed, step, frame, n in ((0, 0, 3, 1), (1, 5, 0, 7), (7, 2**64 - 2, 9, 13),
+                                 (3, 12, 2**40, 48)):
+        key, pixels = renderer.philox_key(seed), [0, 5, 1023]
+        want = np.stack([np.random.Generator(np.random.Philox(key=key, counter=np.array(
+            [step, frame, p, renderer._PIXEL_STREAM], dtype=np.uint64))).random(n)
+            for p in pixels])
+        mismatches += int(np.sum(renderer.pixel_rng(key, step, frame, pixels, n) != want))
+    checks.append({"name": "pixel_streams_match_numpy_philox", "passed": mismatches == 0,
+                   "max_err": float(mismatches), "tol": 0.0})
+
     return {"suite": "render", "passed": all(c["passed"] for c in checks),
             "checks": checks}
 

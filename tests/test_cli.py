@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from minerf import cli, config, ppm, trainer, verify
-from minerf.errors import ConfigError
+from minerf import cli, config, metrics, ppm, trainer, verify
+from minerf.errors import ConfigError, UsageError
+from minerf.synthscene import load_dataset
 
 TINY = {
     "scene": {"n_identities": 2, "n_frames": 6, "resolution": 10, "gt_samples": 32},
@@ -171,6 +172,21 @@ def test_props_suite_detects_sign_error(monkeypatch):
     assert report["passed"] is False
 
 
+def test_render_suite_detects_shifted_pixel_streams(monkeypatch):
+    """A stream that skips one block, as a change in Philox buffering would."""
+    import minerf.renderer as rd
+    real = rd.pixel_rng
+
+    def shifted(key, step, frame, pixels, n):
+        return real(key, step + 1, frame, pixels, n)
+
+    monkeypatch.setattr(rd, "pixel_rng", shifted)
+    report = verify.suite_render(cases=5)
+    assert not next(c for c in report["checks"]
+                    if c["name"] == "pixel_streams_match_numpy_philox")["passed"]
+    assert report["passed"] is False
+
+
 def test_eval_and_inspect(tiny_cfg_file, tmp_path, capsys):
     data = tmp_path / "data"
     ckpt = tmp_path / "model.ckpt"
@@ -199,6 +215,35 @@ def test_eval_and_inspect(tiny_cfg_file, tmp_path, capsys):
     sv = np.array([float(r.split(",")[1]) for r in rows])
     assert np.allclose(sv, 1.0, atol=1e-12)
     assert cli.main(["inspect", "--ckpt", str(doctored), "--matrix", "Qx"]) == 2
+
+
+def test_eval_renders_each_heldout_frame_once(tiny_ckpt, tmp_path, monkeypatch, capsys):
+    """The transfer diagonal reuses evaluate_images' scores: one model render per
+    (identity, source frame) pair, and the same numbers transfer_eval gives."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    data, edir = tmp_path / "data", tmp_path / "eval"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    calls = []
+    render = trainer.render_model_frame
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["frame_id"])
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "render_model_frame", counted)
+    assert cli.main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(data),
+                     "--out", str(edir)]) == 0
+    ds = load_dataset(data)
+    n_test = sum(len(i.test_idx) for i in ds.identities)
+    assert len(calls) == len(ds.identities) * n_test
+    monkeypatch.undo()
+    state = trainer.load_checkpoint(tiny_ckpt)
+    summary = json.loads((edir / "summary.json").read_text())
+    for j, name in enumerate(summary["identities"]):
+        assert summary["transfer_psnr"][j][j] == metrics.transfer_eval(state, ds, name, name)
+    with pytest.raises(UsageError):  # a report that skipped held-out frames
+        metrics.transfer_matrix(state, ds, {"frames": []})
 
 
 def test_psnr_infinite_sentinel_survives_json():

@@ -1,9 +1,10 @@
 """renderer.render_rays against the per-ray loops it replaced.
 
 The references below are the ground-truth/eval render and the training
-batch loss as they were written before render_rays: one Philox generator per
-pixel, a per-ray stratify and resample loop, and each caller placing its
-own sample points. The pipeline must reproduce them bit for bit.
+batch loss as they were written before render_rays: one numpy Philox
+generator per pixel, a per-ray stratify and resample loop, and each caller
+placing its own sample points. The pipeline, with its batched draws, must
+reproduce them bit for bit.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from minerf import config as cfg_mod
 from minerf import renderer as rd
 from minerf import synthscene as sc
 from minerf import trainer as tr
+from minerf.errors import NumericError, UsageError
 from minerf.field import forward_encoded, positional_encode
 
 SETS = ["scene.n_identities=2", "scene.n_frames=4", "scene.resolution=8",
@@ -22,6 +24,14 @@ SETS = ["scene.n_identities=2", "scene.n_frames=4", "scene.resolution=8",
         "field.layers=2", "field.hidden=16", "field.Lx=3", "field.Lv=1",
         "field.color_layers=1", "field.color_hidden=8",
         "train.rays_per_step=12", "train.steps=1", "train.eval_every=0"]
+
+
+PIXEL_TAG = 0x706978  # last word of the renderer's per-pixel Philox counter
+
+
+def _pixel_generator(key, step, frame, pixel):
+    return np.random.Generator(np.random.Philox(
+        key=key, counter=np.array([step, frame, pixel, PIXEL_TAG], dtype=np.uint64)))
 
 
 def _stratified_ref(t_near, t_far, n, rng):
@@ -47,6 +57,44 @@ def _resample_ref(coarse_t, weights, n_fine, rng, lo, hi):
     return np.sort(np.concatenate([coarse_t, fine]))
 
 
+class _Fixed:
+    """Stands in for a pixel generator whose next draws are the uniforms u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+def test_batched_resample_matches_per_ray_reference():
+    rng = np.random.default_rng(11)
+    R, S, n, lo, hi = 40, 6, 9, 2.0, 6.0
+    coarse = np.sort(rng.uniform(lo, hi, (R, S)), axis=1)
+    # zero-weight interior bins leave flat stretches in the cdf
+    weights = rng.uniform(0.0, 1.0, (R, S)) * (rng.uniform(size=(R, S)) < 0.6)
+    weights[::7] = 0.0  # all-zero rows among normal ones
+    weights[3] = [1.0, 1.0, 0.0, 2.0, 0.0, 0.0]  # cdf 0.25, 0.5, 0.5, 1, 1, 1
+    u = rng.uniform(size=(R, n))
+    u[3, :4] = [0.0, 0.25, 0.5, 0.75]  # draws exactly on cdf entries
+    got = rd.hierarchical_resample(coarse, weights, u, lo, hi)
+    want = np.stack([_resample_ref(coarse[r], weights[r], n, _Fixed(u[r]), lo, hi)
+                     for r in range(R)])
+    assert np.array_equal(got, want)
+    # side="right": a draw on a cdf entry starts the next bin with mass
+    mid = 0.5 * (coarse[3, :-1] + coarse[3, 1:])
+    assert mid[0] in got[3] and mid[2] in got[3]
+
+
+def test_batched_resample_rejects_bad_weights():
+    coarse, u = np.array([[0.2, 0.6], [0.3, 0.7]]), np.full((2, 3), 0.5)
+    with pytest.raises(UsageError):
+        rd.hierarchical_resample(coarse, np.array([[1.0, 1.0], [0.0, -1.0]]), u, 0.0, 1.0)
+    with pytest.raises(NumericError):
+        rd.hierarchical_resample(coarse, np.array([[1.0, 1.0], [np.nan, 1.0]]), u, 0.0, 1.0)
+
+
 def _render_image_ref(field_fn, pose, *, t_near, t_far, n_coarse, n_fine, fine_field_fn,
                       background, seed, frame_index):
     """The per-pixel render loop; field functions take (X, V) and return arrays."""
@@ -56,7 +104,7 @@ def _render_image_ref(field_fn, pose, *, t_near, t_far, n_coarse, n_fine, fine_f
     rows, cols = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
     dirs = rd.pixel_dirs(pose, rows.reshape(-1), cols.reshape(-1))
     origin = np.asarray(pose.t, dtype=np.float64)
-    rngs = [rd.pixel_rng(key, 0, frame_index, p) for p in range(npix)]
+    rngs = [_pixel_generator(key, 0, frame_index, p) for p in range(npix)]
     tc = np.stack([_stratified_ref(t_near, t_far, n_coarse, g) for g in rngs])
     bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (npix, 3))
 
@@ -233,7 +281,7 @@ def test_training_loss_and_gradients_match_per_ray_loops(setup):
             lambda b: tr._batch_loss(state, ds, frame, b, id_name, lat_name, key, 4, fid,
                                      rows, cols),
             lambda b: _batch_loss_ref(state, ds, frame, b, id_name, lat_name,
-                                      [rd.pixel_rng(key, 4, fid, int(p))
+                                      [_pixel_generator(key, 4, fid, int(p))
                                        for p in rows * W + cols], rows, cols)):
         tape = ad.Tape()
         bound = {n: ad.leaf(tape, state.params[n]) for n in names}

@@ -53,16 +53,14 @@ def test_bad_rotation_rejected():
         _pose(R=R)
 
 
-class _MidRng:
-    """Stands in for a Generator whose draws are all 0.5: bin midpoints."""
-
-    def random(self, n):
-        return np.full(n, 0.5)
+def _mid(n):
+    """One row of n uniforms all 0.5: bin midpoints."""
+    return np.full((1, n), 0.5)
 
 
 def test_stratified_centers():
-    assert np.allclose(rd.stratified_t(0.0, 1.0, 2, _MidRng()), [0.25, 0.75])
-    assert np.allclose(rd.stratified_t(0.0, 1.0, 1, _MidRng()), [0.5])
+    assert np.allclose(rd.stratified_t(0.0, 1.0, _mid(2)), [0.25, 0.75])
+    assert np.allclose(rd.stratified_t(0.0, 1.0, _mid(1)), [0.5])
 
 
 def test_stratified_jitter_stays_in_bins():
@@ -70,15 +68,15 @@ def test_stratified_jitter_stays_in_bins():
     n = 10
     edges = np.linspace(0.0, 1.0, n + 1)
     for _ in range(100):
-        t = rd.stratified_t(0.0, 1.0, n, rng)
+        t = rd.stratified_t(0.0, 1.0, rng.random((1, n)))
         assert np.all(t >= edges[:-1]) and np.all(t < edges[1:])
 
 
 def test_resample_concentrates_in_heavy_bin():
     rng = np.random.default_rng(1)
     coarse = np.array([0.25, 0.75])
-    merged = rd.hierarchical_resample(coarse, np.array([0.0, 1.0]), 64, rng,
-                                      t_near=0.0, t_far=1.0)
+    merged = rd.hierarchical_resample(coarse[None], np.array([[0.0, 1.0]]),
+                                      rng.random((1, 64)), t_near=0.0, t_far=1.0)[0]
     fine = np.setdiff1d(merged, coarse)
     assert fine.size == 64
     assert np.all(fine >= 0.5)
@@ -87,8 +85,8 @@ def test_resample_concentrates_in_heavy_bin():
 def test_resample_frequencies_match_weights():
     rng = np.random.default_rng(2)
     coarse = np.array([0.25, 0.75])
-    merged = rd.hierarchical_resample(coarse, np.array([1.0, 3.0]), 20000, rng,
-                                      t_near=0.0, t_far=1.0)
+    merged = rd.hierarchical_resample(coarse[None], np.array([[1.0, 3.0]]),
+                                      rng.random((1, 20000)), t_near=0.0, t_far=1.0)[0]
     fine = np.setdiff1d(merged, coarse)
     frac = np.mean(fine >= 0.5)
     assert abs(frac - 0.75) < 0.02
@@ -97,8 +95,9 @@ def test_resample_frequencies_match_weights():
 def test_resample_uniform_weights_ks():
     rng = np.random.default_rng(3)
     n = 10000
-    coarse = rd.stratified_t(0.0, 1.0, 8, _MidRng())
-    merged = rd.hierarchical_resample(coarse, np.ones(8), n, rng, 0.0, 1.0)
+    coarse = rd.stratified_t(0.0, 1.0, _mid(8))[0]
+    merged = rd.hierarchical_resample(coarse[None], np.ones((1, 8)), rng.random((1, n)),
+                                      0.0, 1.0)[0]
     fine = np.sort(np.setdiff1d(merged, coarse))
     # KS statistic against U(0,1)
     cdf = np.arange(1, fine.size + 1) / fine.size
@@ -109,7 +108,8 @@ def test_resample_uniform_weights_ks():
 def test_resample_zero_weights_falls_back_stratified():
     rng = np.random.default_rng(4)
     coarse = np.array([0.25, 0.75])
-    merged = rd.hierarchical_resample(coarse, np.zeros(2), 16, rng, 0.0, 1.0)
+    merged = rd.hierarchical_resample(coarse[None], np.zeros((1, 2)), rng.random((1, 16)),
+                                      0.0, 1.0)[0]
     fine = np.setdiff1d(merged, coarse)
     assert fine.size == 16
     edges = np.linspace(0.0, 1.0, 17)
@@ -119,9 +119,11 @@ def test_resample_zero_weights_falls_back_stratified():
 def test_resample_rejects_bad_weights():
     rng = np.random.default_rng(5)
     with pytest.raises(UsageError):
-        rd.hierarchical_resample(np.array([0.5]), np.array([-1.0]), 4, rng, 0.0, 1.0)
+        rd.hierarchical_resample(np.array([[0.5]]), np.array([[-1.0]]), rng.random((1, 4)),
+                                 0.0, 1.0)
     with pytest.raises(NumericError):
-        rd.hierarchical_resample(np.array([0.5]), np.array([np.nan]), 4, rng, 0.0, 1.0)
+        rd.hierarchical_resample(np.array([[0.5]]), np.array([[np.nan]]), rng.random((1, 4)),
+                                 0.0, 1.0)
 
 
 def _sampleset(t, sigma, rgb, t_far=1.0):
@@ -145,7 +147,7 @@ def test_composite_homogeneous_matches_integral():
     n = 256
     sigma0 = 2.0
     c = np.array([0.6, 0.3, 0.9])
-    t = rd.stratified_t(0.0, 1.0, n, _MidRng())
+    t = rd.stratified_t(0.0, 1.0, _mid(n))[0]
     ss = _sampleset(t, np.full(n, sigma0), np.tile(c, (n, 1)))
     got = rd.composite(ss, np.zeros(3))
     want = c * (1.0 - np.exp(-sigma0))
@@ -156,7 +158,7 @@ def test_composite_quadrature_error_halves():
     sigma0, c = 2.0, np.ones(3)
     errs = {}
     for n in (64, 256):
-        t = rd.stratified_t(0.0, 1.0, n, _MidRng())
+        t = rd.stratified_t(0.0, 1.0, _mid(n))[0]
         ss = _sampleset(t, np.full(n, sigma0), np.tile(c, (n, 1)))
         errs[n] = np.max(np.abs(rd.composite(ss, np.zeros(3))
                                 - c * (1.0 - np.exp(-sigma0))))
