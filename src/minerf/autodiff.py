@@ -201,9 +201,6 @@ def mul(a, b) -> Var:
     return tape._push("mul", av * bv, (a.idx, b.idx), vjp)
 
 
-hadamard = mul
-
-
 def neg(a: Var) -> Var:
     return a.tape._push("neg", -a.value, (a.idx,), lambda g: (-g,))
 
@@ -363,15 +360,6 @@ def reshape(a: Var, shape) -> Var:
         return (g.reshape(av.shape),)
 
     return a.tape._push("reshape", av.reshape(shape), (a.idx,), vjp)
-
-
-def tile_rows(v: Var, n: int) -> Var:
-    """Repeat a vector as n identical rows; backward sums over rows."""
-    vv = v.value
-    if vv.ndim != 1:
-        raise DimensionError(f"tile_rows expects a vector, got shape {vv.shape}")
-    out = np.broadcast_to(vv, (n, vv.shape[0])).copy()
-    return v.tape._push("tile_rows", out, (v.idx,), lambda g: (g.sum(axis=0),))
 
 
 # ---------------------------------------------------------------------------

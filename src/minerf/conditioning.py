@@ -6,22 +6,24 @@ x_n = x_{n-1} + (U_n1 e + U_n2 i) * x_{n-1}. Ablation variants A1..A7 plus
 three extras (higher output dim, learnable concatenation, latent code inside
 the module) are all dispatched through variant_forward.
 
-All forwards are built from autodiff primitives so they are differentiable
-w.r.t. every parameter and input; pass numpy arrays for plain evaluation
-(a throwaway tape is created; variant_value's records nothing) or Vars bound
-to a training tape.
+Every forward reads its parameters from the name->array mapping that
+init_variant_params builds and checkpoints store (U1, U2, C, W2, W3 for M;
+U{n}_e, U{n}_i per level n and C for H), as arrays or as Vars. All forwards
+are built from autodiff primitives so they are differentiable w.r.t. every
+parameter and input; pass numpy arrays for plain evaluation (a throwaway
+tape is created; variant_value's records nothing) or Vars bound to a
+training tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError
 
 VARIANTS = (
     "Baseline", "A1", "A2", "A3", "A4", "A5", "A6", "A7",
@@ -33,43 +35,6 @@ VARIANTS = (
 _SQUARE_ONLY = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "LearnableConcat")
 
 
-@dataclass(frozen=True)
-class ConditionVectors:
-    """Per-frame conditioning state: expression e, identity code i, latent l."""
-
-    e: np.ndarray
-    i: np.ndarray
-    l: np.ndarray
-
-    def validate(self):
-        if self.e.shape != self.i.shape:
-            raise DimensionError(f"dim(e)={self.e.shape} != dim(i)={self.i.shape}")
-        for name, v in (("e", self.e), ("i", self.i), ("l", self.l)):
-            if not np.all(np.isfinite(v)):
-                raise NumericError(f"condition vector {name} has non-finite entries")
-        return self
-
-
-@dataclass
-class MParams:
-    U1: object  # k x d
-    U2: object  # k x d
-    C: object   # o x k
-    W2: object  # o x d
-    W3: object  # o x d
-
-
-@dataclass
-class HParams:
-    U_e: list   # per-level k x d (applied to e)
-    U_i: list   # per-level k x d (applied to i)
-    C: object   # o x k
-
-    @property
-    def N(self) -> int:
-        return len(self.U_e)
-
-
 def _find_tape(*objs, tape=None) -> Tape:
     for o in objs:
         if isinstance(o, Var):
@@ -77,60 +42,80 @@ def _find_tape(*objs, tape=None) -> Tape:
     return tape if tape is not None else Tape()
 
 
-def m_forward(p: MParams, e, i, tape=None) -> Var:
-    """Factored multiplicative interaction plus linear terms."""
-    t = _find_tape(p.U1, p.U2, p.C, p.W2, p.W3, e, i, tape=tape)
+def _levels(p: Mapping) -> list:
+    """The recursion's per-level (U{n}_e, U{n}_i) pairs, n = 1, 2, ... in order."""
+    levels = []
+    while f"U{len(levels) + 1}_e" in p:
+        n = len(levels) + 1
+        levels.append((p[f"U{n}_e"], p[f"U{n}_i"]))
+    return levels
+
+
+def m_forward(p: Mapping, e, i, tape=None) -> Var:
+    """Factored multiplicative interaction plus linear terms.
+
+    p holds U1, U2 (k x d), C (o x k), W2 and W3 (o x d).
+    """
+    t = _find_tape(*p.values(), e, i, tape=tape)
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
-    mixed = ad.mul(ad.matvec(p.U1, e), ad.matvec(p.U2, i))
-    return ad.matvec(p.C, mixed) + ad.matvec(p.W2, e) + ad.matvec(p.W3, i)
+    mixed = ad.mul(ad.matvec(p["U1"], e), ad.matvec(p["U2"], i))
+    return ad.matvec(p["C"], mixed) + ad.matvec(p["W2"], e) + ad.matvec(p["W3"], i)
 
 
-def h_forward(p: HParams, e, i, tape=None) -> Var:
-    """High-degree interaction: recursive Hadamard mixing of shared embeddings."""
-    if p.N < 1:
+def h_forward(p: Mapping, e, i, tape=None) -> Var:
+    """High-degree interaction: recursive Hadamard mixing of shared embeddings.
+
+    p holds U{n}_e and U{n}_i (k x d) for n = 1..N, and C (o x k).
+    """
+    levels = _levels(p)
+    if not levels:
         raise ConfigError("H needs at least one level")
-    t = _find_tape(p.C, *p.U_e, *p.U_i, e, i, tape=tape)
+    t = _find_tape(*p.values(), e, i, tape=tape)
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
-    x = ad.matvec(p.U_e[0], e) + ad.matvec(p.U_i[0], i)
-    for n in range(1, p.N):
-        z = ad.matvec(p.U_e[n], e) + ad.matvec(p.U_i[n], i)
+    (U_e, U_i), *rest = levels
+    x = ad.matvec(U_e, e) + ad.matvec(U_i, i)
+    for U_e, U_i in rest:
+        z = ad.matvec(U_e, e) + ad.matvec(U_i, i)
         x = x + ad.mul(z, x)
-    return ad.matvec(p.C, x)
+    return ad.matvec(p["C"], x)
 
 
-def h_multiplicative_forward(p: HParams, e, i, tape=None) -> Var:
+def h_multiplicative_forward(p: Mapping, e, i, tape=None) -> Var:
     """The recursion with the additive carry dropped: C[z_N * ... * z_2 * x_1]."""
-    t = _find_tape(p.C, *p.U_e, *p.U_i, e, i, tape=tape)
+    t = _find_tape(*p.values(), e, i, tape=tape)
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
-    x = ad.matvec(p.U_e[0], e) + ad.matvec(p.U_i[0], i)
-    for n in range(1, p.N):
-        z = ad.matvec(p.U_e[n], e) + ad.matvec(p.U_i[n], i)
+    (U_e, U_i), *rest = _levels(p)
+    x = ad.matvec(U_e, e) + ad.matvec(U_i, i)
+    for U_e, U_i in rest:
+        z = ad.matvec(U_e, e) + ad.matvec(U_i, i)
         x = ad.mul(z, x)
-    return ad.matvec(p.C, x)
+    return ad.matvec(p["C"], x)
 
 
-def h_expand_oracle(p: HParams, e, i, tape=None) -> Var:
+def h_expand_oracle(p: Mapping, e, i, tape=None) -> Var:
     """Symbolic distribution of the recursion into monomials of (U e)/(U i) factors.
 
     Supported for N in {2, 3}: 6 terms for N=2, 18 for N=3 (the 8 degree-3
     triplets plus every lower-order term carried through).
     """
-    if p.N not in (2, 3):
-        raise ConfigError(f"expansion oracle supports N in {{2, 3}}, got {p.N}")
-    t = _find_tape(p.C, *p.U_e, *p.U_i, e, i, tape=tape)
+    levels = _levels(p)
+    if len(levels) not in (2, 3):
+        raise ConfigError(f"expansion oracle supports N in {{2, 3}}, got {len(levels)}")
+    t = _find_tape(*p.values(), e, i, tape=tape)
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
-    monomials = [ad.matvec(p.U_e[0], e), ad.matvec(p.U_i[0], i)]
-    for n in range(1, p.N):
-        factors = (ad.matvec(p.U_e[n], e), ad.matvec(p.U_i[n], i))
+    (U_e, U_i), *rest = levels
+    monomials = [ad.matvec(U_e, e), ad.matvec(U_i, i)]
+    for U_e, U_i in rest:
+        factors = (ad.matvec(U_e, e), ad.matvec(U_i, i))
         monomials = monomials + [ad.mul(f, m) for f in factors for m in monomials]
     acc = monomials[0]
     for m in monomials[1:]:
         acc = acc + m
-    return ad.matvec(p.C, acc)
+    return ad.matvec(p["C"], acc)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +193,9 @@ def init_variant_params(variant: str, d: int, k: int, o: int, rng: np.random.Gen
     return p
 
 
-def _h_params_from(params: Mapping) -> HParams:
-    n = 1
-    while f"U{n + 1}_e" in params:
-        n += 1
-    return HParams(U_e=[params[f"U{m}_e"] for m in range(1, n + 1)],
-                   U_i=[params[f"U{m}_i"] for m in range(1, n + 1)],
-                   C=params["C"])
-
-
 def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> Var:
     """Evaluate the selected conditioning variant; returns a differentiable Var."""
-    vals = [v for v in params.values()]
-    t = _find_tape(e, i, l, *vals, tape=tape)
+    t = _find_tape(e, i, l, *params.values(), tape=tape)
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
 
@@ -249,11 +224,9 @@ def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> V
         Yi = ad.matmul(ad.reshape(W, (o * d, d)), ad.reshape(i, (d, 1)))
         return ad.matvec(ad.reshape(Yi, (o, d)), e)
     if variant in ("M", "HigherOut_o256"):
-        p = MParams(U1=params["U1"], U2=params["U2"], C=params["C"],
-                    W2=params["W2"], W3=params["W3"])
-        return m_forward(p, e, i, tape=t)
+        return m_forward(params, e, i, tape=t)
     if variant == "H":
-        return h_forward(_h_params_from(params), e, i, tape=t)
+        return h_forward(params, e, i, tape=t)
     if variant == "LearnableConcat":
         return ad.concat([ad.matvec(params["W2"], e), ad.matvec(params["W3"], i)])
     if variant == "LatentInM":

@@ -5,13 +5,13 @@ Maps (conditioning vector, latent code, point x, view direction v) to
 enters, so sigma is view-independent by construction; softplus keeps it
 nonnegative and sigmoid bounds rgb to [0,1].
 
-The forward pass is written once against autodiff primitives (first-layer
-weights applied blockwise: encoded points as a matmul, the shared
-conditioning/latent vectors folded into the bias). trainer.model_fields
-enters it through forward_encoded for training (a recording tape) and
-rendering (a tape that records nothing, with the weights as raw arrays so
-their row blocks stay numpy views). field_forward_np, over raw points and
-directions, backs field_forward and the tests' references.
+forward_encoded is the one forward, written against autodiff primitives.
+Every layer is one blockwise linear over its input parts, never a
+concatenation: encoded points and activations are matrix parts, and the
+conditioning and latent vectors, shared by all samples, fold into the bias.
+trainer.model_fields runs it on a recording tape for training and on a
+non-recording one for rendering, with raw-array weights whose row blocks are
+numpy views; field_forward_np encodes raw points and directions and calls it.
 """
 
 from __future__ import annotations
@@ -110,62 +110,51 @@ def init_field_params(arch: FieldArch, rng: np.random.Generator) -> dict[str, np
     return p
 
 
-def _split_linear(X_mat, shared_vecs, W, b):
-    """X_mat @ W[:k] + sum_j vec_j @ W[block_j] + b, with the vector terms
-    folded into a single broadcast bias row (vectors are shared across rows)."""
-    k = X_mat.shape[1]
-    out = ad.matmul(X_mat, W[0:k])
-    bias = b
-    off = k
-    for vec in shared_vecs:
-        dv = vec.shape[0]
-        z = ad.reshape(ad.matmul(ad.reshape(vec, (1, -1)), W[off:off + dv]), (-1,))
-        bias = ad.add(bias, z)
-        off += dv
+def _linear(parts, W, b):
+    """[p_0 | p_1 | ...] @ W + b, the parts taking consecutive row blocks of W.
+
+    Matrix parts (n, k) are multiplied and summed in order; vector parts (k,)
+    fold into the bias in order as b + v @ W_block. The first part is a matrix
+    and fixes the row count (even zero-width, when Lx = 0); later parts that
+    are None or zero-width are dropped. W is sliced only when more than one
+    part is left: a full-row slice is a tape node and can move rounding.
+    """
+    parts = parts[:1] + [p for p in parts[1:] if p is not None and p.shape[-1]]
+    out, bias, off = None, b, 0
+    for p in parts:
+        k = p.shape[-1]
+        Wp = W[off:off + k] if len(parts) > 1 else W
+        off += k
+        if len(p.shape) == 2:
+            out = ad.matmul(p, Wp) if out is None else ad.add(out, ad.matmul(p, Wp))
+        else:
+            bias = ad.add(bias, ad.reshape(ad.matmul(ad.reshape(p, (1, -1)), Wp), (-1,)))
     return ad.add(out, bias)
-
-
-def _forward(arch: FieldArch, w, cond, latent, enc_x, enc_v):
-    n = enc_x.shape[0]
-    shared = [cond] if arch.d_latent == 0 else [cond, latent]
-    if arch.has_skip:
-        x_in = ad.concat([enc_x] + [ad.tile_rows(v, n) for v in shared], axis=1)
-        h = ad.relu(ad.add(ad.matmul(x_in, w["W0"]), w["b0"]))
-    else:
-        h = ad.relu(_split_linear(enc_x, shared, w["W0"], w["b0"]))
-    for j in range(1, arch.layers):
-        if arch.has_skip and j == _SKIP_LAYER:
-            h = ad.concat([h, x_in], axis=1)
-        h = ad.relu(ad.add(ad.matmul(h, w[f"W{j}"]), w[f"b{j}"]))
-    sigma = ad.softplus(ad.add(ad.matmul(h, w["Wsig"]), w["bsig"])[:, 0])
-    if arch.color_layers:
-        c = ad.relu(_split_linear_mat(h, enc_v, w["Wc0"], w["bc0"]))
-        for j in range(1, arch.color_layers):
-            c = ad.relu(ad.add(ad.matmul(c, w[f"Wc{j}"]), w[f"bc{j}"]))
-        rgb = ad.sigmoid(ad.add(ad.matmul(c, w["Wrgb"]), w["brgb"]))
-    else:
-        rgb = ad.sigmoid(_split_linear_mat(h, enc_v, w["Wrgb"], w["brgb"]))
-    return rgb, sigma
-
-
-def _split_linear_mat(A, B, W, b):
-    """[A | B] @ W + b without materializing the concatenation."""
-    ka = A.shape[1]
-    kb = B.shape[1]
-    out = ad.matmul(A, W[0:ka])
-    if kb:
-        out = ad.add(out, ad.matmul(B, W[ka:ka + kb]))
-    return ad.add(out, b)
 
 
 def _normalize_dirs(V: np.ndarray) -> np.ndarray:
     return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
 
-def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x: np.ndarray,
-                    enc_v: np.ndarray):
-    """Entry point over precomputed encodings; runs on the tape of the Vars passed in."""
-    return _forward(arch, weights, cond, latent, enc_x, enc_v)
+def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
+    """(rgb (n, 3), sigma (n,)) from encoded points enc_x (n, d_enc_x) and
+    directions enc_v (n, d_enc_v), on the tape of the Vars passed in.
+
+    cond and latent are vectors shared by every row (latent may be None when
+    d_latent is 0); weights are Vars, or raw arrays on a non-recording tape.
+    """
+    w = weights
+    x = [enc_x, cond, latent]
+    h = ad.relu(_linear(x, w["W0"], w["b0"]))
+    for j in range(1, arch.layers):
+        parts = [h] + x if arch.has_skip and j == _SKIP_LAYER else [h]
+        h = ad.relu(_linear(parts, w[f"W{j}"], w[f"b{j}"]))
+    sigma = ad.softplus(_linear([h], w["Wsig"], w["bsig"])[:, 0])
+    c = [h, enc_v]
+    for j in range(arch.color_layers):
+        c = [ad.relu(_linear(c, w[f"Wc{j}"], w[f"bc{j}"]))]
+    rgb = ad.sigmoid(_linear(c, w["Wrgb"], w["brgb"]))
+    return rgb, sigma
 
 
 def field_forward_np(arch: FieldArch, weights, cond: np.ndarray, latent, X: np.ndarray,
@@ -174,9 +163,9 @@ def field_forward_np(arch: FieldArch, weights, cond: np.ndarray, latent, X: np.n
     tape = ad.Tape(record=False)
     enc_x = ad.const(tape, positional_encode(X, arch.Lx))
     enc_v = ad.const(tape, positional_encode(_normalize_dirs(V), arch.Lv))
-    rgb, sigma = _forward(arch, weights, ad.const(tape, cond),
-                          None if latent is None else ad.const(tape, latent),
-                          enc_x, enc_v)
+    rgb, sigma = forward_encoded(arch, weights, ad.const(tape, cond),
+                                 None if latent is None else ad.const(tape, latent),
+                                 enc_x, enc_v)
     return rgb.value, sigma.value
 
 

@@ -310,7 +310,8 @@ def save_dataset(ds: Dataset, out_dir):
 
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
-    JSON or lacks a key, or when a frame it lists has no PPM."""
+    JSON or lacks a key, when a split entry is not a frame index or the test
+    split is empty, or when a frame it lists has no PPM."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
@@ -342,6 +343,13 @@ def load_dataset(in_dir) -> Dataset:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad dataset metadata {meta_path} "
                               f"({type(exc).__name__}: {exc})") from None
+        for part, idx in (("train", idn.train_idx), ("test", idn.test_idx)):
+            bad = [j for j in idx if type(j) is not int or not 0 <= j < len(frames)]
+            if bad:
+                raise ConfigError(f"bad dataset metadata {meta_path} (split.{part} entry "
+                                  f"{bad[0]!r} is not a frame index in [0, {len(frames)}))")
+        if not idn.test_idx:
+            raise ConfigError(f"bad dataset metadata {meta_path} (split.test is empty)")
         for fr, img_path in zip(frames, img_paths):
             if not img_path.exists():
                 raise ConfigError(f"missing frame image {img_path} (listed in {meta_path})")

@@ -149,7 +149,6 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
         "add": ad.add,
         "sub": ad.sub,
         "mul": ad.mul,
-        "hadamard": ad.hadamard,
     }
     for name, op in binary.items():
         worst = 0.0
@@ -188,7 +187,6 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
         "scale": lambda xv: ad.sum_(ad.scale(xv, 1.7)),
         "slice": lambda xv: ad.sum_(xv[1:]),
         "reshape": lambda xv: ad.sum_(ad.square(ad.reshape(xv, (2, -1)))),
-        "tile_rows": lambda xv: ad.sum_(ad.square(ad.tile_rows(xv, 3))),
         "concat": lambda xv: ad.sum_(ad.square(ad.concat([xv, xv]))),
     }
     for name, f in shape_ops.items():
@@ -325,13 +323,21 @@ def suite_render(cases: int = 100) -> dict:
 
 # ---------------------------------------------------------------------------
 
-def _triplet_expansion(p: cond.HParams, e, i):
+def _random_h(rng, n, d, k, o) -> dict:
+    """H parameters for n levels: every U{m}_e drawn first, then every U{m}_i, then C."""
+    p = {f"U{m}_e": rng.standard_normal((k, d)) for m in range(1, n + 1)}
+    p.update({f"U{m}_i": rng.standard_normal((k, d)) for m in range(1, n + 1)})
+    p["C"] = rng.standard_normal((o, k))
+    return p
+
+
+def _triplet_expansion(p, e, i):
     """Independent 8-term oracle for the degree-3 multiplicative branch."""
     terms = []
-    for a in (p.U_e[1] @ e, p.U_i[1] @ i):
-        for b in (p.U_e[0] @ e, p.U_i[0] @ i):
-            for c in (p.U_e[2] @ e, p.U_i[2] @ i):
-                terms.append(p.C @ (a * b * c))
+    for a in (p["U2_e"] @ e, p["U2_i"] @ i):
+        for b in (p["U1_e"] @ e, p["U1_i"] @ i):
+            for c in (p["U3_e"] @ e, p["U3_i"] @ i):
+                terms.append(p["C"] @ (a * b * c))
     return np.sum(terms, axis=0)
 
 
@@ -344,13 +350,13 @@ def suite_props(cases: int = 200) -> dict:
     for _ in range(cases):
         d, k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         o = int(rng.integers(1, 9))
-        p = cond.MParams(U1=rng.standard_normal((k, d)), U2=rng.standard_normal((k, d)),
-                         C=rng.standard_normal((o, k)), W2=rng.standard_normal((o, d)),
-                         W3=rng.standard_normal((o, d)))
+        p = {"U1": rng.standard_normal((k, d)), "U2": rng.standard_normal((k, d)),
+             "C": rng.standard_normal((o, k)), "W2": rng.standard_normal((o, d)),
+             "W3": rng.standard_normal((o, d))}
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         got = cond.m_forward(p, e, i).value
-        f = tc.FactorTriple.from_arrays(p.C, p.U1.T, p.U2.T)
-        want = tc.m_full_oracle(tc.cp_expand(f), p.W2, p.W3, e, i)
+        f = tc.FactorTriple.from_arrays(p["C"], p["U1"].T, p["U2"].T)
+        want = tc.m_full_oracle(tc.cp_expand(f), p["W2"], p["W3"], e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop1_factored_equals_full_tensor", err, 1e-10))
 
@@ -360,9 +366,7 @@ def suite_props(cases: int = 200) -> dict:
         d = int(rng.integers(1, 9))
         k = int(rng.integers(1, 9))
         o = int(rng.integers(1, 9))
-        p = cond.HParams(U_e=[rng.standard_normal((k, d)) for _ in range(2)],
-                         U_i=[rng.standard_normal((k, d)) for _ in range(2)],
-                         C=rng.standard_normal((o, k)))
+        p = _random_h(rng, 2, d, k, o)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         got = cond.h_forward(p, e, i).value
         want = cond.h_expand_oracle(p, e, i).value
@@ -373,9 +377,7 @@ def suite_props(cases: int = 200) -> dict:
     err = 0.0
     for _ in range(max(20, cases // 10)):
         d, k, o = (int(rng.integers(1, 7)) for _ in range(3))
-        p = cond.HParams(U_e=[rng.standard_normal((k, d)) for _ in range(3)],
-                         U_i=[rng.standard_normal((k, d)) for _ in range(3)],
-                         C=rng.standard_normal((o, k)))
+        p = _random_h(rng, 3, d, k, o)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         got = cond.h_multiplicative_forward(p, e, i).value
         want = _triplet_expansion(p, e, i)
@@ -386,9 +388,9 @@ def suite_props(cases: int = 200) -> dict:
     err = 0.0
     for _ in range(50):
         d, k = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        p = cond.MParams(U1=rng.standard_normal((k, d)), U2=rng.standard_normal((k, d)),
-                         C=rng.standard_normal((d, k)), W2=np.zeros((d, d)),
-                         W3=np.zeros((d, d)))
+        p = {"U1": rng.standard_normal((k, d)), "U2": rng.standard_normal((k, d)),
+             "C": rng.standard_normal((d, k)), "W2": np.zeros((d, d)),
+             "W3": np.zeros((d, d))}
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         a = float(rng.standard_normal())
         lhs = cond.m_forward(p, a * e, i).value

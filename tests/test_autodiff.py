@@ -59,7 +59,7 @@ def test_grad_full_interaction_module_vs_finite_differences():
               rng.standard_normal(d)]
 
     def f(U1, U2, C, W2, W3, e, i):
-        out = cond.m_forward(cond.MParams(U1, U2, C, W2, W3), e, i)
+        out = cond.m_forward({"U1": U1, "U2": U2, "C": C, "W2": W2, "W3": W3}, e, i)
         return ad.mean(ad.square(out))
 
     rep = ad.finite_diff_check(f, arrays, step=1e-5, tol=1e-5)

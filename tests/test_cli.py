@@ -419,3 +419,46 @@ def test_expression_dim_mismatch_exit_2(command, tiny_ckpt, data_d4, tmp_path, c
     capsys.readouterr()
     assert cli.main(argv) == 2
     _one_line_error(capsys, "conditioning.d=8", "expression dim 4")
+
+
+def _set_split(meta_path, part, idx):
+    meta = json.loads(meta_path.read_text())
+    meta["split"][part] = idx
+    meta_path.write_text(json.dumps(meta))
+
+
+def test_out_of_range_split_indices_exit_2(tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--set", "train.steps=0",
+                     "--out", str(ckpt)]) == 0
+    meta_path = data / "id00" / "meta.json"
+    pristine = meta_path.read_text()
+    capsys.readouterr()
+    _set_split(meta_path, "test", [99])
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    _one_line_error(capsys, str(meta_path), "split.test", "99")
+    for bad in ([17], [-1], [1.0], ["0"], [True]):
+        meta_path.write_text(pristine)
+        _set_split(meta_path, "train", bad)
+        assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                         "--out", str(tmp_path / "m.ckpt")]) == 2
+        _one_line_error(capsys, str(meta_path), "split.train")
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "m.ckpt").exists()
+
+
+def test_empty_test_split_exit_2(tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--set", "train.steps=0",
+                     "--out", str(ckpt)]) == 0
+    meta_path = data / "id00" / "meta.json"
+    _set_split(meta_path, "test", [])
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    _one_line_error(capsys, str(meta_path), "split.test is empty")
+    assert not (tmp_path / "eval" / "summary.json").exists()

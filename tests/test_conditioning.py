@@ -9,15 +9,15 @@ from minerf.errors import ConfigError
 
 def _m(rng, d, k, o=None):
     o = d if o is None else o
-    return cond.MParams(U1=rng.standard_normal((k, d)), U2=rng.standard_normal((k, d)),
-                        C=rng.standard_normal((o, k)), W2=rng.standard_normal((o, d)),
-                        W3=rng.standard_normal((o, d)))
+    return {"U1": rng.standard_normal((k, d)), "U2": rng.standard_normal((k, d)),
+            "C": rng.standard_normal((o, k)), "W2": rng.standard_normal((o, d)),
+            "W3": rng.standard_normal((o, d))}
 
 
 def test_m_forward_identity_params_is_hadamard():
     d = 3
-    p = cond.MParams(U1=np.eye(d), U2=np.eye(d), C=np.eye(d),
-                     W2=np.zeros((d, d)), W3=np.zeros((d, d)))
+    p = {"U1": np.eye(d), "U2": np.eye(d), "C": np.eye(d),
+         "W2": np.zeros((d, d)), "W3": np.zeros((d, d))}
     e = np.array([1.0, 2.0, -1.0])
     i = np.array([0.5, 3.0, 2.0])
     assert np.allclose(cond.m_forward(p, e, i).value, e * i, atol=1e-15)
@@ -25,8 +25,8 @@ def test_m_forward_identity_params_is_hadamard():
 
 def test_m_forward_pure_linear():
     d = 3
-    p = cond.MParams(U1=np.zeros((d, d)), U2=np.zeros((d, d)), C=np.eye(d),
-                     W2=np.eye(d), W3=np.eye(d))
+    p = {"U1": np.zeros((d, d)), "U2": np.zeros((d, d)), "C": np.eye(d),
+         "W2": np.eye(d), "W3": np.eye(d)}
     e = np.array([1.0, 2.0, -1.0])
     i = np.array([0.5, 3.0, 2.0])
     assert np.allclose(cond.m_forward(p, e, i).value, e + i, atol=1e-15)
@@ -37,28 +37,34 @@ def test_m_forward_matches_full_tensor_oracle():
     p = _m(rng, d=4, k=2)
     e, i = rng.standard_normal(4), rng.standard_normal(4)
     got = cond.m_forward(p, e, i).value
-    f = tc.FactorTriple.from_arrays(p.C, p.U1.T, p.U2.T)
-    want = tc.m_full_oracle(tc.cp_expand(f), p.W2, p.W3, e, i)
+    f = tc.FactorTriple.from_arrays(p["C"], p["U1"].T, p["U2"].T)
+    want = tc.m_full_oracle(tc.cp_expand(f), p["W2"], p["W3"], e, i)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
 def _h(rng, d, k, o, n):
-    return cond.HParams(U_e=[rng.standard_normal((k, d)) for _ in range(n)],
-                        U_i=[rng.standard_normal((k, d)) for _ in range(n)],
-                        C=rng.standard_normal((o, k)))
+    # every U{m}_e drawn first, then every U{m}_i, then C
+    p = {f"U{m}_e": rng.standard_normal((k, d)) for m in range(1, n + 1)}
+    p.update({f"U{m}_i": rng.standard_normal((k, d)) for m in range(1, n + 1)})
+    p["C"] = rng.standard_normal((o, k))
+    return p
+
+
+def _h_zero(d, n, C):
+    return {**{f"U{m}_{s}": np.zeros((d, d)) for s in "ei" for m in range(1, n + 1)},
+            "C": C}
 
 
 def test_h_forward_base_case():
     rng = np.random.default_rng(1)
     p = _h(rng, d=3, k=4, o=2, n=1)
     e, i = rng.standard_normal(3), rng.standard_normal(3)
-    want = p.C @ (p.U_e[0] @ e + p.U_i[0] @ i)
+    want = p["C"] @ (p["U1_e"] @ e + p["U1_i"] @ i)
     assert np.allclose(cond.h_forward(p, e, i).value, want, atol=1e-14)
 
 
 def test_h_forward_zero_params():
-    p = cond.HParams(U_e=[np.zeros((3, 3))] * 2, U_i=[np.zeros((3, 3))] * 2,
-                     C=np.ones((3, 3)))
+    p = _h_zero(3, 2, np.ones((3, 3)))
     out = cond.h_forward(p, np.ones(3), np.ones(3)).value
     assert np.array_equal(out, np.zeros(3))
 
@@ -68,25 +74,25 @@ def test_h_forward_n2_matches_six_term_expansion():
     p = _h(rng, d=3, k=3, o=3, n=2)
     e, i = rng.standard_normal(3), rng.standard_normal(3)
     # the six terms, written out
-    u1e, u1i = p.U_e[0] @ e, p.U_i[0] @ i
-    u2e, u2i = p.U_e[1] @ e, p.U_i[1] @ i
-    want = (p.C @ (u2e * u1e) + p.C @ (u2e * u1i) + p.C @ (u2i * u1e)
-            + p.C @ (u2i * u1i) + p.C @ u1e + p.C @ u1i)
+    u1e, u1i = p["U1_e"] @ e, p["U1_i"] @ i
+    u2e, u2i = p["U2_e"] @ e, p["U2_i"] @ i
+    C = p["C"]
+    want = (C @ (u2e * u1e) + C @ (u2e * u1i) + C @ (u2i * u1e)
+            + C @ (u2i * u1i) + C @ u1e + C @ u1i)
     assert np.max(np.abs(cond.h_forward(p, e, i).value - want)) < 1e-10
     assert np.max(np.abs(cond.h_expand_oracle(p, e, i).value - want)) < 1e-12
 
 
 def test_h_expand_oracle_trivials():
-    p = cond.HParams(U_e=[np.zeros((2, 2))] * 2, U_i=[np.zeros((2, 2))] * 2,
-                     C=np.ones((2, 2)))
+    p = _h_zero(2, 2, np.ones((2, 2)))
     assert np.array_equal(cond.h_expand_oracle(p, np.ones(2), np.ones(2)).value,
                           np.zeros(2))
     rng = np.random.default_rng(3)
     p = _h(rng, d=2, k=2, o=2, n=2)
-    p.U_e[1][:] = 0.0
-    p.U_i[1][:] = 0.0
+    p["U2_e"][:] = 0.0
+    p["U2_i"][:] = 0.0
     e, i = rng.standard_normal(2), rng.standard_normal(2)
-    want = p.C @ (p.U_e[0] @ e + p.U_i[0] @ i)  # multiplicative factor vanishes
+    want = p["C"] @ (p["U1_e"] @ e + p["U1_i"] @ i)  # multiplicative factor vanishes
     assert np.allclose(cond.h_expand_oracle(p, e, i).value, want, atol=1e-14)
 
 
@@ -102,10 +108,10 @@ def test_h_n3_multiplicative_branch_matches_triplets():
     p = _h(rng, d=3, k=3, o=3, n=3)
     e, i = rng.standard_normal(3), rng.standard_normal(3)
     terms = np.zeros(3)
-    for a in (p.U_e[1] @ e, p.U_i[1] @ i):
-        for b in (p.U_e[0] @ e, p.U_i[0] @ i):
-            for c in (p.U_e[2] @ e, p.U_i[2] @ i):
-                terms = terms + p.C @ (a * b * c)
+    for a in (p["U2_e"] @ e, p["U2_i"] @ i):
+        for b in (p["U1_e"] @ e, p["U1_i"] @ i):
+            for c in (p["U3_e"] @ e, p["U3_i"] @ i):
+                terms = terms + p["C"] @ (a * b * c)
     got = cond.h_multiplicative_forward(p, e, i).value
     assert np.max(np.abs(got - terms)) < 1e-10
 
@@ -178,9 +184,9 @@ def test_variant_formulas_match_directly():
 def test_degree_property_multiplicative_branch_linear_in_e():
     rng = np.random.default_rng(10)
     d, k = 5, 3
-    p = cond.MParams(U1=rng.standard_normal((k, d)), U2=rng.standard_normal((k, d)),
-                     C=rng.standard_normal((d, k)), W2=np.zeros((d, d)),
-                     W3=np.zeros((d, d)))
+    p = {"U1": rng.standard_normal((k, d)), "U2": rng.standard_normal((k, d)),
+         "C": rng.standard_normal((d, k)), "W2": np.zeros((d, d)),
+         "W3": np.zeros((d, d))}
     e, i = rng.standard_normal(d), rng.standard_normal(d)
     alpha = 1.7
     lhs = cond.m_forward(p, alpha * e, i).value
@@ -223,13 +229,3 @@ def test_variant_dim_rules():
         cond.check_variant_dims("NotAVariant", d=4, k=4, o=4, d_latent=4)
     cond.check_variant_dims("M", d=4, k=2, o=9, d_latent=4)  # M may widen o
 
-
-def test_condition_vectors_validation():
-    from minerf.conditioning import ConditionVectors
-    from minerf.errors import DimensionError, NumericError
-    ok = ConditionVectors(e=np.ones(4), i=np.zeros(4), l=np.ones(2)).validate()
-    assert ok.e.shape == (4,)
-    with pytest.raises(DimensionError):
-        ConditionVectors(e=np.ones(4), i=np.zeros(3), l=np.ones(2)).validate()
-    with pytest.raises(NumericError):
-        ConditionVectors(e=np.ones(4), i=np.full(4, np.nan), l=np.ones(2)).validate()

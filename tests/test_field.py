@@ -119,6 +119,47 @@ def test_tape_and_numpy_paths_agree():
         assert np.allclose(sig_np, sig_t.value, atol=1e-14, rtol=0)
 
 
+def _mlp_reference(arch, w, cond, lat, X, V):
+    """The field written the plain way: tiled vectors and concatenated inputs."""
+    n = X.shape[0]
+    x_in = np.concatenate([positional_encode(X, arch.Lx), np.tile(cond, (n, 1)),
+                           np.tile(lat, (n, 1))], axis=1)
+    h = x_in
+    for j in range(arch.layers):
+        if arch.layers >= 8 and j == 4:
+            h = np.concatenate([h, x_in], axis=1)
+        h = np.maximum(h @ w[f"W{j}"] + w[f"b{j}"], 0.0)
+    sigma = np.logaddexp(0.0, h @ w["Wsig"] + w["bsig"])[:, 0]
+    c = np.concatenate([h, positional_encode(V, arch.Lv)], axis=1)
+    for j in range(arch.color_layers):
+        c = np.maximum(c @ w[f"Wc{j}"] + w[f"bc{j}"], 0.0)
+    return 1.0 / (1.0 + np.exp(-(c @ w["Wrgb"] + w["brgb"]))), sigma
+
+
+@pytest.mark.parametrize("kw", [{"layers": 3}, {"layers": 8},
+                                {"layers": 8, "color_layers": 0}, {"layers": 8, "Lv": 0},
+                                {"layers": 3, "Lv": 0, "color_layers": 0}])
+def test_forward_matches_concatenated_reference(kw):
+    rng = np.random.default_rng(7)
+    arch = _arch(**kw)
+    w = init_field_params(arch, rng)
+    cond, lat = rng.standard_normal(4), rng.standard_normal(3)
+    X = rng.uniform(-1, 1, (23, 3))
+    V = rng.standard_normal((23, 3))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    want = _mlp_reference(arch, w, cond, lat, X, V)
+    tape = ad.Tape()
+    rgb, sigma = forward_encoded(arch, {k: ad.leaf(tape, v) for k, v in w.items()},
+                                 ad.leaf(tape, cond), ad.leaf(tape, lat),
+                                 ad.const(tape, positional_encode(X, arch.Lx)),
+                                 ad.const(tape, positional_encode(V, arch.Lv)))
+    assert not any(node.op in ("concat", "tile_rows") for node in tape.nodes)
+    for got in ((rgb.value, sigma.value), field_forward_np(arch, w, cond, lat, X, V)):
+        for g, ref in zip(got, want):
+            assert g.shape == ref.shape
+            assert np.all(np.abs(g - ref) <= 1e-12 * np.abs(ref)), np.max(np.abs(g - ref))
+
+
 def test_skip_connection_only_when_deep():
     assert not _arch(layers=4).has_skip
     assert _arch(layers=8).has_skip
