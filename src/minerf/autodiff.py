@@ -225,16 +225,6 @@ def exp(a: Var) -> Var:
     return a.tape._push("exp", out, (a.idx,), lambda g: (g * out,))
 
 
-def sin(a: Var) -> Var:
-    av = a.value
-    return a.tape._push("sin", np.sin(av), (a.idx,), lambda g: (g * np.cos(av),))
-
-
-def cos(a: Var) -> Var:
-    av = a.value
-    return a.tape._push("cos", np.cos(av), (a.idx,), lambda g: (-g * np.sin(av),))
-
-
 def relu(a: Var) -> Var:
     av = a.value
     # derivative at 0 defined as 0; the mask is built only if backward runs
@@ -266,30 +256,23 @@ def softplus(a: Var) -> Var:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matvec(W, x) -> Var:
-    tape = _tape_of(W, x)
-    W, x = _coerce(tape, W), _coerce(tape, x)
-    Wv, xv = W.value, x.value
-    if Wv.ndim != 2 or xv.ndim != 1 or Wv.shape[1] != xv.shape[0]:
-        raise DimensionError(f"matvec: {Wv.shape} @ {xv.shape}")
-    nW, nx = W.requires_grad, x.requires_grad
-
-    def vjp(g):
-        return (np.outer(g, xv) if nW else None, Wv.T @ g if nx else None)
-
-    return tape._push("matvec", Wv @ xv, (W.idx, x.idx), vjp)
-
-
 def matmul(A, B) -> Var:
+    """A @ B as numpy's @ for matrix @ matrix, matrix @ vector and vector @ matrix."""
     tape = _tape_of(A, B)
     A, B = _coerce(tape, A), _coerce(tape, B)
     Av, Bv = A.value, B.value
-    if Av.ndim != 2 or Bv.ndim != 2 or Av.shape[1] != Bv.shape[0]:
+    if Av.ndim not in (1, 2) or Bv.ndim not in (1, 2) or Av.ndim + Bv.ndim == 2 \
+            or Av.shape[-1] != Bv.shape[0]:
         raise DimensionError(f"matmul: {Av.shape} @ {Bv.shape}")
     nA, nB = A.requires_grad, B.requires_grad
 
     def vjp(g):
-        return (g @ Bv.T if nA else None, Av.T @ g if nB else None)
+        gA = gB = None
+        if nA:
+            gA = np.outer(g, Bv) if Bv.ndim == 1 else g @ Bv.T
+        if nB:
+            gB = np.outer(Av, g) if Av.ndim == 1 else Av.T @ g
+        return gA, gB
 
     return tape._push("matmul", Av @ Bv, (A.idx, B.idx), vjp)
 
@@ -306,18 +289,6 @@ def sum_(a: Var, axis=None) -> Var:
         return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
 
     return a.tape._push("sum", av.sum(axis=axis), (a.idx,), vjp)
-
-
-def mean(a: Var, axis=None) -> Var:
-    av = a.value
-    n = av.size if axis is None else av.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, av.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, av.shape).copy(),)
-
-    return a.tape._push("mean", av.mean(axis=axis), (a.idx,), vjp)
 
 
 def concat(parts: Sequence, axis: int = 0) -> Var:

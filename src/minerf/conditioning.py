@@ -59,8 +59,8 @@ def m_forward(p: Mapping, e, i, tape=None) -> Var:
     t = _find_tape(*p.values(), e, i, tape=tape)
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
-    mixed = ad.mul(ad.matvec(p["U1"], e), ad.matvec(p["U2"], i))
-    return ad.matvec(p["C"], mixed) + ad.matvec(p["W2"], e) + ad.matvec(p["W3"], i)
+    mixed = ad.mul(ad.matmul(p["U1"], e), ad.matmul(p["U2"], i))
+    return ad.matmul(p["C"], mixed) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)
 
 
 def h_forward(p: Mapping, e, i, tape=None) -> Var:
@@ -75,11 +75,11 @@ def h_forward(p: Mapping, e, i, tape=None) -> Var:
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
     (U_e, U_i), *rest = levels
-    x = ad.matvec(U_e, e) + ad.matvec(U_i, i)
+    x = ad.matmul(U_e, e) + ad.matmul(U_i, i)
     for U_e, U_i in rest:
-        z = ad.matvec(U_e, e) + ad.matvec(U_i, i)
+        z = ad.matmul(U_e, e) + ad.matmul(U_i, i)
         x = x + ad.mul(z, x)
-    return ad.matvec(p["C"], x)
+    return ad.matmul(p["C"], x)
 
 
 def h_multiplicative_forward(p: Mapping, e, i, tape=None) -> Var:
@@ -88,11 +88,11 @@ def h_multiplicative_forward(p: Mapping, e, i, tape=None) -> Var:
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
     (U_e, U_i), *rest = _levels(p)
-    x = ad.matvec(U_e, e) + ad.matvec(U_i, i)
+    x = ad.matmul(U_e, e) + ad.matmul(U_i, i)
     for U_e, U_i in rest:
-        z = ad.matvec(U_e, e) + ad.matvec(U_i, i)
+        z = ad.matmul(U_e, e) + ad.matmul(U_i, i)
         x = ad.mul(z, x)
-    return ad.matvec(p["C"], x)
+    return ad.matmul(p["C"], x)
 
 
 def h_expand_oracle(p: Mapping, e, i, tape=None) -> Var:
@@ -108,14 +108,14 @@ def h_expand_oracle(p: Mapping, e, i, tape=None) -> Var:
     e = ad._coerce(t, e)
     i = ad._coerce(t, i)
     (U_e, U_i), *rest = levels
-    monomials = [ad.matvec(U_e, e), ad.matvec(U_i, i)]
+    monomials = [ad.matmul(U_e, e), ad.matmul(U_i, i)]
     for U_e, U_i in rest:
-        factors = (ad.matvec(U_e, e), ad.matvec(U_i, i))
+        factors = (ad.matmul(U_e, e), ad.matmul(U_i, i))
         monomials = monomials + [ad.mul(f, m) for f in factors for m in monomials]
     acc = monomials[0]
     for m in monomials[1:]:
         acc = acc + m
-    return ad.matvec(p["C"], acc)
+    return ad.matmul(p["C"], acc)
 
 
 # ---------------------------------------------------------------------------
@@ -202,44 +202,44 @@ def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> V
     if variant == "Baseline":
         return ad.concat([e, i])
     if variant == "A1":
-        return ad.matvec(params["W2"], e) + ad.matvec(params["W3"], i)
+        return ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i)
     if variant == "A2":
-        return ad.mul(e, i) + ad.matvec(params["W2"], e) + ad.matvec(params["W3"], i)
+        return ad.mul(e, i) + ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i)
     if variant == "A3":
         W1 = params["W1"]
-        return ad.matvec(W1, ad.mul(e, i)) + ad.matvec(W1, e) + ad.matvec(W1, i)
+        return ad.matmul(W1, ad.mul(e, i)) + ad.matmul(W1, e) + ad.matmul(W1, i)
     if variant == "A4":
-        return ad.matvec(params["W1"], ad.mul(e, i))
+        return ad.matmul(params["W1"], ad.mul(e, i))
     if variant == "A5":
-        p2 = ad.matvec(params["W2"], e)
-        p3 = ad.matvec(params["W3"], i)
+        p2 = ad.matmul(params["W2"], e)
+        p3 = ad.matmul(params["W3"], i)
         return ad.mul(p2, p3) + p2 + p3
     if variant == "A6":
-        return (ad.matvec(params["W1"], ad.mul(e, i))
-                + ad.matvec(params["W2"], e) + ad.matvec(params["W3"], i))
+        return (ad.matmul(params["W1"], ad.mul(e, i))
+                + ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i))
     if variant == "A7":
         W = ad._coerce(t, params["W_tensor"])
         o, d = W.shape[0], W.shape[1]
-        # W x_2 e x_3 i through reshapes: contract i first, then e
-        Yi = ad.matmul(ad.reshape(W, (o * d, d)), ad.reshape(i, (d, 1)))
-        return ad.matvec(ad.reshape(Yi, (o, d)), e)
+        # W x_2 e x_3 i: contract i over the flattened (o*d, d) tensor, then e
+        Yi = ad.matmul(ad.reshape(W, (o * d, d)), i)
+        return ad.matmul(ad.reshape(Yi, (o, d)), e)
     if variant in ("M", "HigherOut_o256"):
         return m_forward(params, e, i, tape=t)
     if variant == "H":
         return h_forward(params, e, i, tape=t)
     if variant == "LearnableConcat":
-        return ad.concat([ad.matvec(params["W2"], e), ad.matvec(params["W3"], i)])
+        return ad.concat([ad.matmul(params["W2"], e), ad.matmul(params["W3"], i)])
     if variant == "LatentInM":
         if l is None:
             raise ConfigError("LatentInM needs the latent code l")
         l = ad._coerce(t, l)
-        ue = ad.matvec(params["U1"], e)
-        ui = ad.matvec(params["U2"], i)
-        ul = ad.matvec(params["U3"], l)
+        ue = ad.matmul(params["U1"], e)
+        ui = ad.matmul(params["U2"], i)
+        ul = ad.matmul(params["U3"], l)
         inner = (ad.mul(ad.mul(ue, ui), ul)
                  + ad.mul(ue, ui) + ad.mul(ue, ul) + ad.mul(ui, ul)
                  + ue + ui + ul)
-        return ad.matvec(params["C"], inner)
+        return ad.matmul(params["C"], inner)
     raise ConfigError(f"unknown variant {variant!r}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from pathlib import Path
 
@@ -108,6 +109,12 @@ def _positive(cfg, section, keys):
             raise ConfigError(f"{section}.{k} must be positive")
 
 
+def _nonnegative(cfg, section, keys):
+    for k in keys:
+        if cfg[section][k] < 0:
+            raise ConfigError(f"{section}.{k} must be >= 0")
+
+
 def validate(cfg: dict):
     _positive(cfg, "scene", ["n_identities", "n_frames", "resolution", "d_expression",
                              "orbit_radius", "gt_samples", "focal_factor"])
@@ -116,12 +123,13 @@ def validate(cfg: dict):
     _positive(cfg, "render", ["n_coarse"])
     _positive(cfg, "train", ["rays_per_step", "lr0", "lr1"])
     _positive(cfg, "eval", ["ssim_window"])
-    if cfg["train"]["steps"] < 0:
-        raise ConfigError("train.steps must be >= 0")
-    if cfg["render"]["n_fine"] < 0:
-        raise ConfigError("render.n_fine must be >= 0")
-    if cfg["field"]["color_layers"] < 0:
-        raise ConfigError("field.color_layers must be >= 0")
+    _nonnegative(cfg, "train", ["steps"])
+    _nonnegative(cfg, "render", ["n_fine"])
+    _nonnegative(cfg, "field", ["Lx", "Lv", "color_layers"])
+    bg = cfg["scene"]["background"]
+    if len(bg) != 3 or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                               and math.isfinite(c) for c in bg):
+        raise ConfigError("scene.background must be a list of three finite numbers")
     if cfg["field"]["color_layers"] > 0 and cfg["field"]["color_hidden"] <= 0:
         raise ConfigError("field.color_hidden must be positive")
     tr = cfg["train"]

@@ -114,10 +114,11 @@ def _linear(parts, W, b):
     """[p_0 | p_1 | ...] @ W + b, the parts taking consecutive row blocks of W.
 
     Matrix parts (n, k) are multiplied and summed in order; vector parts (k,)
-    fold into the bias in order as b + v @ W_block. The first part is a matrix
-    and fixes the row count (even zero-width, when Lx = 0); later parts that
-    are None or zero-width are dropped. W is sliced only when more than one
-    part is left: a full-row slice is a tape node and can move rounding.
+    fold into the bias in order as b + v @ W_block, one matmul node each. The
+    first part is a matrix and fixes the row count (even zero-width, when
+    Lx = 0); later parts that are None or zero-width are dropped. W is sliced
+    only when more than one part is left: a full-row slice is a tape node and
+    can move rounding.
     """
     parts = parts[:1] + [p for p in parts[1:] if p is not None and p.shape[-1]]
     out, bias, off = None, b, 0
@@ -128,7 +129,7 @@ def _linear(parts, W, b):
         if len(p.shape) == 2:
             out = ad.matmul(p, Wp) if out is None else ad.add(out, ad.matmul(p, Wp))
         else:
-            bias = ad.add(bias, ad.reshape(ad.matmul(ad.reshape(p, (1, -1)), Wp), (-1,)))
+            bias = ad.add(bias, ad.matmul(p, Wp))
     return ad.add(out, bias)
 
 

@@ -9,8 +9,9 @@ Compositing uses the standard alpha estimator for the ray integral:
 alpha_i = 1 - exp(-sigma_i * delta_i), T_i = prod_{j<i} (1 - alpha_j),
 C = sum_i T_i alpha_i c_i + T_end * background. delta_i is the gap to the
 next sample; the last delta runs to t_far. composite_batch is the one
-implementation; render_rays calls it through composite_rays_tape, a single
-tape node with the closed-form vector-Jacobian product.
+compositor, over rows of rays (a single ray is a one-row batch); render_rays
+calls it through composite_rays_tape, a single tape node with the
+closed-form vector-Jacobian product.
 
 RNG streams are counter-based (Philox-4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC 2011) keyed on (step, frame, pixel),
@@ -141,22 +142,6 @@ def _deltas(ts: np.ndarray, t_far: float) -> np.ndarray:
     return deltas
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Sorted t-values with per-sample color/density along one ray."""
-
-    t: np.ndarray       # (n,) strictly increasing within [t_near, t_far]
-    sigma: np.ndarray   # (n,)
-    rgb: np.ndarray     # (n, 3)
-    t_far: float
-
-    def deltas(self) -> np.ndarray:
-        d = _deltas(self.t[None, :], self.t_far)[0]
-        if np.any(d <= 0):
-            raise UsageError("t-values must be strictly increasing and below t_far")
-        return d
-
-
 def pixel_dirs(pose: CameraPose, rows, cols) -> np.ndarray:
     """Unit world-space directions (n, 3) through the centers of pixels (rows, cols)."""
     rows, cols = np.asarray(rows, dtype=np.float64), np.asarray(cols, dtype=np.float64)
@@ -218,16 +203,6 @@ def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, u: np.ndarr
     fine = np.clip(e_lo + frac * (e_hi - e_lo), t_near, t_far)
     fine = np.where(empty, stratified_t(t_near, t_far, u), fine)
     return np.sort(np.concatenate([coarse_t, fine], axis=1), axis=1)
-
-
-def composite(samples: SampleSet, background) -> np.ndarray:
-    """Alpha-composite one ray's samples over a background color."""
-    if not np.all(np.isfinite(samples.sigma)):
-        raise NumericError("non-finite density")
-    rgb, _, _ = composite_batch(samples.t[None, :], samples.sigma[None, :],
-                                samples.rgb[None, :, :], samples.t_far,
-                                np.asarray(background, dtype=np.float64)[None, :])
-    return rgb[0]
 
 
 def composite_batch(ts: np.ndarray, sigma: np.ndarray, rgb: np.ndarray, t_far: float,

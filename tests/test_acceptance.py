@@ -145,9 +145,9 @@ def test_criterion_4_quadrature():
     n = 256
     sigma0, c = 2.0, np.array([0.6, 0.3, 0.9])
     t = (np.arange(n) + 0.5) / n  # bin midpoints
-    ss = rd.SampleSet(t=t, sigma=np.full(n, sigma0), rgb=np.tile(c, (n, 1)), t_far=1.0)
-    quad_err = float(np.max(np.abs(rd.composite(ss, np.zeros(3))
-                                   - c * (1.0 - np.exp(-sigma0)))))
+    got = rd.composite_batch(t[None, :], np.full((1, n), sigma0), np.tile(c, (1, n, 1)), 1.0,
+                             np.zeros((1, 3)))[0][0]
+    quad_err = float(np.max(np.abs(got - c * (1.0 - np.exp(-sigma0)))))
     rng = np.random.default_rng(0)
     part_err = 0.0
     for _ in range(200):

@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from minerf import autodiff as ad
 from minerf import conditioning as cond
-from minerf.errors import UsageError
+from minerf import renderer, verify
+from minerf.errors import DimensionError, UsageError
 
 
 def test_relu_forward_backward():
@@ -30,11 +34,46 @@ def test_matvec_gradient_transpose_rule():
     seed = rng.standard_normal(3)
     t = ad.Tape()
     xv = ad.leaf(t, x)
-    out = ad.sum_(ad.mul(ad.matvec(W, xv), seed))
+    out = ad.sum_(ad.mul(ad.matmul(W, xv), seed))
     gx = ad.grad(t, out, [xv])[0]
     assert np.allclose(gx, W.T @ seed, atol=1e-12)
-    rep = ad.finite_diff_check(lambda v: ad.sum_(ad.mul(ad.matvec(W, v), seed)), [x])
+    rep = ad.finite_diff_check(lambda v: ad.sum_(ad.mul(ad.matmul(W, v), seed)), [x])
     assert rep.passed
+
+
+def test_matmul_vector_operands_transpose_rule():
+    rng = np.random.default_rng(4)
+    A, x, y = rng.standard_normal((3, 2)), rng.standard_normal(2), rng.standard_normal(3)
+    seed_mv, seed_vm = rng.standard_normal(3), rng.standard_normal(2)
+    t = ad.Tape()
+    Av, xv, yv = ad.leaf(t, A), ad.leaf(t, x), ad.leaf(t, y)
+    mv = ad.matmul(Av, xv)  # matrix @ vector
+    vm = ad.matmul(yv, Av)  # vector @ matrix
+    assert mv.shape == (3,) and vm.shape == (2,)
+    gA_mv, gx = ad.grad(t, ad.sum_(ad.mul(mv, seed_mv)), [Av, xv])
+    assert np.array_equal(gA_mv, np.outer(seed_mv, x))
+    assert np.allclose(gx, A.T @ seed_mv, atol=1e-12)
+    gA_vm, gy = ad.grad(t, ad.sum_(ad.mul(vm, seed_vm)), [Av, yv])
+    assert np.array_equal(gA_vm, np.outer(y, seed_vm))
+    assert np.allclose(gy, A @ seed_vm, atol=1e-12)
+
+
+def test_matmul_rejects_vector_vector_and_higher_rank():
+    t = ad.Tape()
+    v = ad.leaf(t, np.ones(3))
+    for A, B in ((v, np.ones(3)), (np.ones((2, 3, 3)), v), (v, np.ones((3, 3, 2))),
+                 (ad.leaf(t, np.ones((2, 3))), np.ones((2, 3))), (np.ones(()), v)):
+        with pytest.raises(DimensionError):
+            ad.matmul(A, B)
+
+
+def test_every_tape_primitive_has_a_verify_fd_check():
+    src = Path(ad.__file__).read_text() + Path(renderer.__file__).read_text()
+    ops = set(re.findall(r'_push\("(\w+)"', src)) - {"leaf", "const"}
+    assert "matmul" in ops and "composite" in ops
+    checks = {c["name"] for c in verify.suite_autodiff(per_primitive=1)["checks"]}
+    missing = sorted(op for op in ops if f"fd_{op}" not in checks)
+    assert not missing, missing
 
 
 def test_grad_of_scalar_leaf_is_one():
@@ -60,7 +99,7 @@ def test_grad_full_interaction_module_vs_finite_differences():
 
     def f(U1, U2, C, W2, W3, e, i):
         out = cond.m_forward({"U1": U1, "U2": U2, "C": C, "W2": W2, "W3": W3}, e, i)
-        return ad.mean(ad.square(out))
+        return ad.scale(ad.sum_(ad.square(out)), 1 / d)
 
     rep = ad.finite_diff_check(f, arrays, step=1e-5, tol=1e-5)
     assert rep.passed, rep.max_rel_err

@@ -38,8 +38,10 @@ def test_config_materializes_defaults(tiny_cfg_file):
 
 
 def test_config_set_overrides(tiny_cfg_file):
-    cfg = config.load_config(tiny_cfg_file, sets=["train.steps=9", "seed=3"])
+    cfg = config.load_config(tiny_cfg_file, sets=["train.steps=9", "seed=3",
+                                                  "field.Lx=0", "field.Lv=0"])
     assert cfg["train"]["steps"] == 9 and cfg["seed"] == 3
+    assert cfg["field"]["Lx"] == cfg["field"]["Lv"] == 0
 
 
 def test_config_env_seed_fallback(tiny_cfg_file):
@@ -63,10 +65,16 @@ def test_gen_data_deterministic_checksum(tiny_cfg_file, tmp_path, capsys):
     assert (tmp_path / "d1" / "id01" / "frame_0003.ppm").exists()
 
 
-def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path):
-    rc = cli.main(["gen-data", "--config", str(tiny_cfg_file),
-                   "--set", "scene.n_identities=0", "--out", str(tmp_path / "x")])
-    assert rc == 2
+def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path, capsys):
+    for bad in ("scene.n_identities=0", "field.Lx=-1", "field.Lv=-2",
+                "scene.background=[0.1,0.2]", "scene.background=[0.1,0.2,0.3,0.4]",
+                "scene.background=[0.1,NaN,0.2]", 'scene.background=[0.1,"a",0.2]'):
+        rc = cli.main(["gen-data", "--config", str(tiny_cfg_file),
+                       "--set", bad, "--out", str(tmp_path / "x")])
+        assert rc == 2, bad
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (bad, err)
+        assert "Traceback" not in err
 
 
 def test_train_render_transfer_roundtrip(tiny_cfg_file, tmp_path, capsys):

@@ -126,20 +126,22 @@ def test_resample_rejects_bad_weights():
                                  0.0, 1.0)
 
 
-def _sampleset(t, sigma, rgb, t_far=1.0):
-    return rd.SampleSet(t=np.asarray(t, float), sigma=np.asarray(sigma, float),
-                        rgb=np.asarray(rgb, float), t_far=t_far)
+def _composite_one(t, sigma, rgb, bg, t_far=1.0):
+    """One ray's color from composite_batch, called on a one-row batch."""
+    return rd.composite_batch(np.asarray(t, float)[None, :], np.asarray(sigma, float)[None, :],
+                              np.asarray(rgb, float)[None, :, :], t_far,
+                              np.asarray(bg, float)[None, :])[0][0]
 
 
 def test_composite_empty_density_returns_background():
-    ss = _sampleset([0.2, 0.6], [0.0, 0.0], [[1, 0, 0], [0, 1, 0]])
     bg = np.array([0.3, 0.4, 0.5])
-    assert np.allclose(rd.composite(ss, bg), bg, atol=1e-15)
+    out = _composite_one([0.2, 0.6], [0.0, 0.0], [[1, 0, 0], [0, 1, 0]], bg)
+    assert np.allclose(out, bg, atol=1e-15)
 
 
 def test_composite_opaque_first_sample():
-    ss = _sampleset([0.1, 0.5], [40.0 / 0.4, 1.0], [[0.8, 0.1, 0.2], [0, 0, 1]])
-    out = rd.composite(ss, np.ones(3))
+    out = _composite_one([0.1, 0.5], [40.0 / 0.4, 1.0], [[0.8, 0.1, 0.2], [0, 0, 1]],
+                         np.ones(3))
     assert np.max(np.abs(out - [0.8, 0.1, 0.2])) < 1e-12
 
 
@@ -148,8 +150,7 @@ def test_composite_homogeneous_matches_integral():
     sigma0 = 2.0
     c = np.array([0.6, 0.3, 0.9])
     t = rd.stratified_t(0.0, 1.0, _mid(n))[0]
-    ss = _sampleset(t, np.full(n, sigma0), np.tile(c, (n, 1)))
-    got = rd.composite(ss, np.zeros(3))
+    got = _composite_one(t, np.full(n, sigma0), np.tile(c, (n, 1)), np.zeros(3))
     want = c * (1.0 - np.exp(-sigma0))
     assert np.max(np.abs(got - want)) < 1e-3
 
@@ -159,8 +160,8 @@ def test_composite_quadrature_error_halves():
     errs = {}
     for n in (64, 256):
         t = rd.stratified_t(0.0, 1.0, _mid(n))[0]
-        ss = _sampleset(t, np.full(n, sigma0), np.tile(c, (n, 1)))
-        errs[n] = np.max(np.abs(rd.composite(ss, np.zeros(3))
+        errs[n] = np.max(np.abs(_composite_one(t, np.full(n, sigma0), np.tile(c, (n, 1)),
+                                               np.zeros(3))
                                 - c * (1.0 - np.exp(-sigma0))))
     assert errs[256] < 0.5 * errs[64]
 
@@ -171,20 +172,14 @@ def test_composite_partition_of_unity_and_monotone_T():
         n = int(rng.integers(1, 32))
         t = np.sort(rng.uniform(0.01, 0.99, n))
         sigma = rng.uniform(0, 50, n)
-        ss = _sampleset(t, sigma, rng.uniform(0, 1, (n, 3)))
-        deltas = ss.deltas()
+        rgb = rng.uniform(0, 1, (n, 3))
+        deltas = rd._deltas(t[None, :], 1.0)[0]
         alpha = 1.0 - np.exp(-sigma * deltas)
         T = np.concatenate([[1.0], np.cumprod(1.0 - alpha)[:-1]])
         assert abs(np.prod(1.0 - alpha) + (T * alpha).sum() - 1.0) < 1e-12
         assert np.all(np.diff(T) <= 1e-15)
-        out = rd.composite(ss, rng.uniform(0, 1, 3))
+        out = _composite_one(t, sigma, rgb, rng.uniform(0, 1, 3))
         assert np.all(out >= -1e-12) and np.all(out <= 1 + 1e-12)
-
-
-def test_composite_rejects_nonfinite_density():
-    ss = _sampleset([0.5], [np.inf], [[1, 1, 1]])
-    with pytest.raises(NumericError):
-        rd.composite(ss, np.zeros(3))
 
 
 def _exp_cumsum_composite(sigma, rgb, ts, t_far, bg):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -163,6 +164,26 @@ def test_loss_decreases(tiny_ds):
     first = np.median([r["loss_c"] for r in rows[:15]])
     last = np.median([r["loss_c"] for r in rows[-15:]])
     assert last < first
+
+
+def test_toy_training_tape_size(monkeypatch):
+    # the toy model and sample counts on a small scene: the tape's node count
+    # depends on the architecture, the variant and the passes, not on the rays
+    cfg = cfg_mod.load_config(sets=["scene.n_frames=2", "scene.resolution=12",
+                                    "scene.gt_samples=32", "train.rays_per_step=24",
+                                    "train.steps=1", "train.eval_every=0"])
+    tapes = []
+    grad = tr.ad.grad
+
+    def recording_grad(tape, *args):
+        tapes.append(Counter(node.op for node in tape.nodes))
+        return grad(tape, *args)
+
+    monkeypatch.setattr(tr.ad, "grad", recording_grad)
+    tr.train(sc.dataset_from_config(cfg), cfg)
+    (ops,) = tapes
+    assert sum(ops.values()) == 145
+    assert ops["matmul"] == 27 and ops["reshape"] == 0 and ops["matvec"] == 0
 
 
 def test_nonfinite_loss_aborts(tiny_ds):
