@@ -11,6 +11,12 @@ Leaves registered with leaf() are differentiable; raw arrays mixed into ops
 become constants, and the expensive primitives skip the vector-Jacobian
 products feeding pure-constant subgraphs.
 
+A tape holds what its reverse sweep reads: each node's forward value and the
+arrays its vector-Jacobian closure captures. Closures capture arrays, never
+Vars, so a dropped tape is freed at once rather than by the cycle collector.
+linear fuses a network layer (block products, bias and relu) into one node
+that keeps a single output array, which is also relu's mask.
+
 A Tape(record=False) evaluates the same primitives without keeping any node,
 the usual no-grad mode: each Var carries its own value, so intermediates are
 freed as soon as the caller drops them, and grad() refuses such a tape.
@@ -159,10 +165,6 @@ def add(a, b) -> Var:
     if av.shape == bv.shape:
         def vjp(g):
             return g if na else None, g if nb else None
-    elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        # row-broadcast bias add
-        def vjp(g):
-            return g if na else None, g.sum(axis=0) if nb else None
     elif av.shape == () or bv.shape == ():
         def vjp(g):
             ga = (g if av.shape == g.shape else g.sum()) if na else None
@@ -225,13 +227,6 @@ def exp(a: Var) -> Var:
     return a.tape._push("exp", out, (a.idx,), lambda g: (g * out,))
 
 
-def relu(a: Var) -> Var:
-    av = a.value
-    # derivative at 0 defined as 0; the mask is built only if backward runs
-    return a.tape._push("relu", np.maximum(av, 0.0), (a.idx,),
-                        lambda g: (g * (av > 0.0),))
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -275,6 +270,47 @@ def matmul(A, B) -> Var:
         return gA, gB
 
     return tape._push("matmul", Av @ Bv, (A.idx, B.idx), vjp)
+
+
+def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False) -> Var:
+    """mats[0] @ Ws[0] + mats[1] @ Ws[1] + ... + bias, then max(., 0) if relu: one node.
+
+    mats are (n, k_j), Ws (k_j, m) and bias (m,). The block products are summed
+    in order into the first one's buffer, then the bias is added and relu
+    applied in place: the values of the matmul, add and relu nodes this
+    replaces, in their order. The VJP reads the operands and the output only
+    (out > 0 is relu's mask, with derivative 0 at 0), so a layer keeps one
+    (n, m) array on the tape.
+    """
+    tape = _tape_of(*mats, *Ws, bias)
+    mats = [_coerce(tape, A) for A in mats]
+    Ws = [_coerce(tape, W) for W in Ws]
+    bias = _coerce(tape, bias)
+    # arrays, not Vars, in the closure: a Var refers to its tape, and a
+    # tape -> node -> closure -> Var -> tape cycle outlives the step
+    Avs, Wvs, bv = [A.value for A in mats], [W.value for W in Ws], bias.value
+    if not Avs or len(Avs) != len(Wvs) or bv.ndim != 1 or any(
+            A.ndim != 2 or W.ndim != 2 or A.shape != (Avs[0].shape[0], W.shape[0])
+            or W.shape[1] != bv.shape[0] for A, W in zip(Avs, Wvs)):
+        raise DimensionError(f"linear: {[A.shape for A in Avs]} @ {[W.shape for W in Wvs]}"
+                             f" + {bv.shape}")
+    nAs, nWs = [A.requires_grad for A in mats], [W.requires_grad for W in Ws]
+    nb = bias.requires_grad
+    out = Avs[0] @ Wvs[0]
+    for A, W in zip(Avs[1:], Wvs[1:]):
+        out += A @ W
+    out += bv
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        if relu:
+            g = g * (out > 0.0)
+        return (tuple(g @ W.T if n else None for W, n in zip(Wvs, nAs))
+                + tuple(A.T @ g if n else None for A, n in zip(Avs, nWs))
+                + (g.sum(axis=0) if nb else None,))
+
+    return tape._push("linear", out, tuple(v.idx for v in (*mats, *Ws, bias)), vjp)
 
 
 # ---------------------------------------------------------------------------

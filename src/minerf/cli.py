@@ -118,10 +118,11 @@ def cmd_transfer(args):
 def cmd_personalize(args):
     state = trainer.load_checkpoint(args.ckpt)
     clip = load_dataset(args.data)
+    # first, so bad --steps/--lr fail before any rendering
+    new_state = trainer.personalize(state, clip, args.identity, args.steps, lr=args.lr)
     # steps=0 only gives an unseen identity its fresh code, so it can render
     start = trainer.personalize(state, clip, args.identity, steps=0)
     before = metrics.transfer_eval(start, clip, args.identity, args.identity)
-    new_state = trainer.personalize(state, clip, args.identity, args.steps, lr=args.lr)
     after = metrics.transfer_eval(new_state, clip, args.identity, args.identity)
     trainer.save_checkpoint(args.out, new_state)
     print(f"psnr_before={before:.3f} psnr_after={after:.3f}")

@@ -116,6 +116,8 @@ def _nonnegative(cfg, section, keys):
 
 
 def validate(cfg: dict):
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     _positive(cfg, "scene", ["n_identities", "n_frames", "resolution", "d_expression",
                              "orbit_radius", "gt_samples", "focal_factor"])
     _positive(cfg, "conditioning", ["d", "k", "o", "n_levels", "d_latent"])

@@ -6,8 +6,8 @@ enters, so sigma is view-independent by construction; softplus keeps it
 nonnegative and sigmoid bounds rgb to [0,1].
 
 forward_encoded is the one forward, written against autodiff primitives.
-Every layer is one blockwise linear over its input parts, never a
-concatenation: encoded points and activations are matrix parts, and the
+Every layer, with its relu, is one ad.linear node over its input parts, never
+a concatenation: encoded points and activations are matrix parts, and the
 conditioning and latent vectors, shared by all samples, fold into the bias.
 trainer.model_fields runs it on a recording tape for training and on a
 non-recording one for rendering, with raw-array weights whose row blocks are
@@ -110,27 +110,28 @@ def init_field_params(arch: FieldArch, rng: np.random.Generator) -> dict[str, np
     return p
 
 
-def _linear(parts, W, b):
+def _linear(parts, W, b, relu=False):
     """[p_0 | p_1 | ...] @ W + b, the parts taking consecutive row blocks of W.
 
-    Matrix parts (n, k) are multiplied and summed in order; vector parts (k,)
-    fold into the bias in order as b + v @ W_block, one matmul node each. The
-    first part is a matrix and fixes the row count (even zero-width, when
-    Lx = 0); later parts that are None or zero-width are dropped. W is sliced
-    only when more than one part is left: a full-row slice is a tape node and
-    can move rounding.
+    Matrix parts (n, k) go to one ad.linear node, in order, which also applies
+    relu when asked; vector parts (k,) fold into its bias in order as
+    b + v @ W_block, one matmul node each. The first part is a matrix and
+    fixes the row count (even zero-width, when Lx = 0); later parts that are
+    None or zero-width are dropped. W is sliced only when more than one part
+    is left: a full-row slice is a tape node and can move rounding.
     """
     parts = parts[:1] + [p for p in parts[1:] if p is not None and p.shape[-1]]
-    out, bias, off = None, b, 0
+    mats, Ws, bias, off = [], [], b, 0
     for p in parts:
         k = p.shape[-1]
         Wp = W[off:off + k] if len(parts) > 1 else W
         off += k
         if len(p.shape) == 2:
-            out = ad.matmul(p, Wp) if out is None else ad.add(out, ad.matmul(p, Wp))
+            mats.append(p)
+            Ws.append(Wp)
         else:
             bias = ad.add(bias, ad.matmul(p, Wp))
-    return ad.add(out, bias)
+    return ad.linear(mats, Ws, bias, relu)
 
 
 def _normalize_dirs(V: np.ndarray) -> np.ndarray:
@@ -146,14 +147,14 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     """
     w = weights
     x = [enc_x, cond, latent]
-    h = ad.relu(_linear(x, w["W0"], w["b0"]))
+    h = _linear(x, w["W0"], w["b0"], relu=True)
     for j in range(1, arch.layers):
         parts = [h] + x if arch.has_skip and j == _SKIP_LAYER else [h]
-        h = ad.relu(_linear(parts, w[f"W{j}"], w[f"b{j}"]))
+        h = _linear(parts, w[f"W{j}"], w[f"b{j}"], relu=True)
     sigma = ad.softplus(_linear([h], w["Wsig"], w["bsig"])[:, 0])
     c = [h, enc_v]
     for j in range(arch.color_layers):
-        c = [ad.relu(_linear(c, w[f"Wc{j}"], w[f"bc{j}"]))]
+        c = [_linear(c, w[f"Wc{j}"], w[f"bc{j}"], relu=True)]
     rgb = ad.sigmoid(_linear(c, w["Wrgb"], w["brgb"]))
     return rgb, sigma
 

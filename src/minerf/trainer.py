@@ -437,6 +437,10 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
     the clip update with fresh Adam state; every other identity's code and
     every other frame's latent are untouched, and cond.* stays bit-identical.
     """
+    if steps < 0:
+        raise UsageError(f"personalize steps must be >= 0, got {steps}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise UsageError(f"personalize lr must be a positive finite number, got {lr}")
     check_expression_dim(state.cfg, clip)
     clip_idn = clip.by_name(identity_name)
     if not clip_idn.train_idx:

@@ -118,17 +118,11 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
     rng = _rng(11)
     checks = []
 
-    def away_from_kinks(x, eps=1e-3):
-        x = x.copy()
-        x[np.abs(x) < eps] += 2 * eps
-        return x
-
     unary = {
         "neg": (ad.neg, lambda r, n: r.standard_normal(n)),
         "square": (ad.square, lambda r, n: r.standard_normal(n)),
         "exp": (ad.exp, lambda r, n: r.standard_normal(n)),
         "sqrt": (ad.sqrt, lambda r, n: r.uniform(0.5, 3.0, n)),
-        "relu": (ad.relu, lambda r, n: away_from_kinks(r.standard_normal(n))),
         "sigmoid": (ad.sigmoid, lambda r, n: r.standard_normal(n)),
         "softplus": (ad.softplus, lambda r, n: r.standard_normal(n)),
     }
@@ -175,6 +169,25 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
                 lambda Av, Bv: ad.sum_(ad.mul(ad.matmul(Av, Bv), w)), [A, B])
             worst = max(worst, rep.max_rel_err)
         checks.append(_check(f"fd_{name}", worst, 1e-5))
+
+    # the fused layer node over two matrix parts, without and with relu; cases
+    # whose pre-activations come near relu's kink are drawn again
+    worst = 0.0
+    for relu in (False, True):
+        for _ in range(per_primitive):
+            n, k1, k2, m = (int(rng.integers(2, 5)) for _ in range(4))
+            while True:
+                A1, A2 = rng.standard_normal((n, k1)), rng.standard_normal((n, k2))
+                W1, W2 = rng.standard_normal((k1, m)), rng.standard_normal((k2, m))
+                b = rng.standard_normal(m)
+                if np.min(np.abs(A1 @ W1 + A2 @ W2 + b)) > 1e-2:
+                    break
+            w = rng.standard_normal((n, m))
+            rep = ad.finite_diff_check(
+                lambda *v: ad.sum_(ad.mul(ad.linear(v[:2], v[2:4], v[4], relu), w)),
+                [A1, A2, W1, W2, b])
+            worst = max(worst, rep.max_rel_err)
+    checks.append(_check("fd_linear", worst, 1e-5))
 
     shape_ops = {
         "sum": lambda xv: ad.sum_(xv),
@@ -246,19 +259,17 @@ def suite_render(cases: int = 100) -> dict:
     rng = _rng(23)
     checks = []
 
-    # partition of unity on arbitrary sorted samples
+    # partition of unity on arbitrary sorted samples, from the compositor's own
+    # transmittances and weights (the arrays resampling and the VJP read)
     err = 0.0
     for _ in range(cases):
         n = int(rng.integers(1, 40))
         t = np.sort(rng.uniform(0.1, 3.9, n))
-        t_far = 4.0
         sigma = rng.uniform(0.0, 30.0, n)
-        rng.uniform(0, 1, (n, 3))  # colors: unused, drawn to keep the case stream fixed
-        deltas = renderer._deltas(t[None, :], t_far)[0]
-        alpha = 1.0 - np.exp(-sigma * deltas)
-        T = np.concatenate([[1.0], np.cumprod(1.0 - alpha)[:-1]])
-        t_end = np.prod(1.0 - alpha)
-        err = max(err, abs(t_end + float((T * alpha).sum()) - 1.0))
+        colors = rng.uniform(0, 1, (n, 3))
+        _, trans, w = renderer.composite_batch(t[None, :], sigma[None, :], colors[None],
+                                               4.0, np.zeros((1, 3)))
+        err = max(err, abs(trans[0, -1] + float(w.sum()) - 1.0))
     checks.append(_check("transmittance_partition_of_unity", err, 1e-12))
 
     # homogeneous medium vs closed form at 256 samples
@@ -285,15 +296,15 @@ def suite_render(cases: int = 100) -> dict:
     err = float(np.max(np.abs(got - [0.9, 0.1, 0.3])))
     checks.append(_check("opaque_saturation", err, 1e-12))
 
-    # monotone transmittance
+    # monotone transmittance, from 1 before the first sample to T_end
     err = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 30))
         t = np.sort(rng.uniform(0.1, 3.9, n))
         sigma = rng.uniform(0.0, 5.0, n)
-        alpha = 1.0 - np.exp(-sigma * renderer._deltas(t[None, :], 4.0)[0])
-        T = np.concatenate([[1.0], np.cumprod(1.0 - alpha)[:-1]])
-        err = max(err, float(np.max(np.diff(T))))
+        trans = renderer.composite_batch(t[None, :], sigma[None, :], np.zeros((1, n, 3)),
+                                         4.0, np.zeros((1, 3)))[1]
+        err = max(err, float(np.max(np.diff(trans[0], prepend=1.0))))
     checks.append(_check("transmittance_monotone", max(err, 0.0), 1e-15))
 
     # the batched pixel streams against numpy's own Philox generator, exactly:

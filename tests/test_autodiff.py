@@ -11,12 +11,13 @@ from minerf.errors import DimensionError, UsageError
 
 
 def test_relu_forward_backward():
+    # linear's relu: x @ I + 0 passes x through, and the derivative at 0 is 0
     t = ad.Tape()
-    x = ad.leaf(t, np.array([-1.0, 2.0]))
-    y = ad.relu(x)
-    assert np.array_equal(y.value, [0.0, 2.0])
+    x = ad.leaf(t, np.array([[-1.0, 0.0, 2.0]]))
+    y = ad.linear([x], [np.eye(3)], np.zeros(3), relu=True)
+    assert np.array_equal(y.value, [[0.0, 0.0, 2.0]])
     g = ad.grad(t, ad.sum_(y), [x])[0]
-    assert np.array_equal(g, [0.0, 1.0])
+    assert np.array_equal(g, [[0.0, 0.0, 1.0]])
 
 
 def test_sigmoid_at_zero():
@@ -65,6 +66,28 @@ def test_matmul_rejects_vector_vector_and_higher_rank():
                  (ad.leaf(t, np.ones((2, 3))), np.ones((2, 3))), (np.ones(()), v)):
         with pytest.raises(DimensionError):
             ad.matmul(A, B)
+
+
+def test_linear_matches_the_numpy_layer_bit_for_bit():
+    # forward in the order A1 @ W1, + A2 @ W2, + b, relu; backward through the mask
+    rng = np.random.default_rng(3)
+    A1, A2 = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    W1, W2, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), rng.standard_normal(4)
+    seed = rng.standard_normal((5, 4))
+    z = A1 @ W1 + A2 @ W2 + b
+    for relu in (False, True):
+        t = ad.Tape()
+        leaves = [ad.leaf(t, x) for x in (A1, A2, W1, W2, b)]
+        y = ad.linear(leaves[:2], leaves[2:4], leaves[4], relu)
+        g = seed * (z > 0) if relu else seed
+        assert y.value.tobytes() == (np.maximum(z, 0.0) if relu else z).tobytes()
+        got = ad.grad(t, ad.sum_(ad.mul(y, seed)), leaves)
+        want = [g @ W1.T, g @ W2.T, A1.T @ g, A2.T @ g, g.sum(axis=0)]
+        assert all(a.tobytes() == w.tobytes() for a, w in zip(got, want))
+    for mats, Ws, bias in (([A1], [W1, W2], b), ([A1, A2], [W1, W1], b),
+                           ([A1], [W1], np.ones(3)), ([], [], b), ([A1[0]], [W1], b)):
+        with pytest.raises(DimensionError):
+            ad.linear([ad.leaf(t, A) for A in mats], Ws, ad.leaf(t, bias))
 
 
 def test_every_tape_primitive_has_a_verify_fd_check():
@@ -196,8 +219,8 @@ def test_tape_topological_by_construction():
 
 def test_non_recording_tape_keeps_values_not_nodes():
     t = ad.Tape(record=False)
-    x = ad.leaf(t, np.array([-1.0, 2.0]))
-    y = ad.sum_(ad.relu(ad.mul(x, 3.0)))
+    x = ad.leaf(t, np.array([[-1.0, 2.0]]))
+    y = ad.sum_(ad.linear([ad.mul(x, 3.0)], [np.eye(2)], np.zeros(2), relu=True))
     assert float(y.value) == 6.0
     assert len(t.nodes) == 0 and not t.values and not y.requires_grad
     with pytest.raises(UsageError):

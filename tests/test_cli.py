@@ -66,7 +66,7 @@ def test_gen_data_deterministic_checksum(tiny_cfg_file, tmp_path, capsys):
 
 
 def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path, capsys):
-    for bad in ("scene.n_identities=0", "field.Lx=-1", "field.Lv=-2",
+    for bad in ("seed=-1", "scene.n_identities=0", "field.Lx=-1", "field.Lv=-2",
                 "scene.background=[0.1,0.2]", "scene.background=[0.1,0.2,0.3,0.4]",
                 "scene.background=[0.1,NaN,0.2]", 'scene.background=[0.1,"a",0.2]'):
         rc = cli.main(["gen-data", "--config", str(tiny_cfg_file),
@@ -75,6 +75,18 @@ def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (bad, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_negative_seed_exit_2(command, tiny_cfg_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x"
+    argv = [command, "--config", str(tiny_cfg_file), "--out", str(out)]
+    assert cli.main(argv + ["--set", "seed=-1"]) == 2
+    _one_line_error(capsys, "seed")
+    monkeypatch.setenv("MINERF_SEED", "-1")
+    assert cli.main(argv) == 2
+    _one_line_error(capsys, "seed")
+    assert not out.exists()
 
 
 def test_train_render_transfer_roundtrip(tiny_cfg_file, tmp_path, capsys):
@@ -195,6 +207,21 @@ def test_render_suite_detects_shifted_pixel_streams(monkeypatch):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("check,fault", [
+    # trans[:, k] read as the transmittance before sample k, one sample late
+    ("transmittance_partition_of_unity",
+     lambda c, T, w: (c, np.concatenate([np.ones((len(T), 1)), T[:, :-1]], axis=1), w)),
+    # a transmittance that grows where it should fall
+    ("transmittance_monotone", lambda c, T, w: (c, 2.0 - T, w)),
+])
+def test_render_suite_reads_the_compositor_arrays(check, fault, monkeypatch):
+    import minerf.renderer as rd
+    real = rd.composite_batch
+    monkeypatch.setattr(rd, "composite_batch", lambda *a: fault(*real(*a)))
+    report = verify.suite_render(cases=5)
+    assert not next(c for c in report["checks"] if c["name"] == check)["passed"]
+
+
 def test_eval_and_inspect(tiny_cfg_file, tmp_path, capsys):
     data = tmp_path / "data"
     ckpt = tmp_path / "model.ckpt"
@@ -289,6 +316,23 @@ def test_personalize_cli(tiny_cfg_file, tmp_path, capsys):
     for k in a.params:
         if k.startswith("cond."):
             assert np.array_equal(a.params[k], b.params[k])
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "-3"), ("--lr", "-1"), ("--lr", "0"),
+                                        ("--lr", "nan")])
+def test_personalize_bad_steps_or_lr_exit_2(flag, value, tiny_ckpt, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "p.ckpt"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    args = {"--steps": "2", "--lr": "1e-4", flag: value}
+    rc = cli.main(["personalize", "--ckpt", str(tiny_ckpt), "--data", str(data),
+                   "--identity", "id00", "--steps", args["--steps"], "--lr", args["--lr"],
+                   "--out", str(out)])
+    assert rc == 2
+    _one_line_error(capsys, flag[2:])
+    assert not out.exists()
 
 
 def _one_line_error(capsys, *needles):

@@ -173,12 +173,12 @@ def test_composite_partition_of_unity_and_monotone_T():
         t = np.sort(rng.uniform(0.01, 0.99, n))
         sigma = rng.uniform(0, 50, n)
         rgb = rng.uniform(0, 1, (n, 3))
-        deltas = rd._deltas(t[None, :], 1.0)[0]
-        alpha = 1.0 - np.exp(-sigma * deltas)
-        T = np.concatenate([[1.0], np.cumprod(1.0 - alpha)[:-1]])
-        assert abs(np.prod(1.0 - alpha) + (T * alpha).sum() - 1.0) < 1e-12
-        assert np.all(np.diff(T) <= 1e-15)
-        out = _composite_one(t, sigma, rgb, rng.uniform(0, 1, 3))
+        bg = rng.uniform(0, 1, 3)
+        # the transmittances and weights the resampler and the composite VJP read
+        (out,), (trans,), (w,) = rd.composite_batch(t[None, :], sigma[None, :], rgb[None],
+                                                    1.0, bg[None, :])
+        assert abs(trans[-1] + w.sum() - 1.0) < 1e-12
+        assert np.all(np.diff(trans, prepend=1.0) <= 1e-15)
         assert np.all(out >= -1e-12) and np.all(out <= 1 + 1e-12)
 
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -182,8 +184,30 @@ def test_toy_training_tape_size(monkeypatch):
     monkeypatch.setattr(tr.ad, "grad", recording_grad)
     tr.train(sc.dataset_from_config(cfg), cfg)
     (ops,) = tapes
-    assert sum(ops.values()) == 145
-    assert ops["matmul"] == 27 and ops["reshape"] == 0 and ops["matvec"] == 0
+    assert sum(ops.values()) == 113
+    assert ops["linear"] == 16 and ops["matmul"] == 9 and ops["relu"] == 0
+    assert ops["reshape"] == 0 and ops["matvec"] == 0
+
+
+def test_training_tapes_die_with_their_step(tiny_ds, monkeypatch):
+    # with the cycle collector off, a tape kept alive by a reference cycle
+    # (tape -> node -> VJP closure -> Var -> tape) would outlive its step
+    tapes = []
+    grad = tr.ad.grad
+
+    def recording_grad(tape, *args):
+        tapes.append(weakref.ref(tape))
+        return grad(tape, *args)
+
+    monkeypatch.setattr(tr.ad, "grad", recording_grad)
+    gc.collect()
+    gc.disable()
+    try:
+        tr.train(tiny_ds, tiny_config("train.steps=3"))
+        alive = sum(ref() is not None for ref in tapes)
+    finally:
+        gc.enable()
+    assert len(tapes) == 3 and alive == 0
 
 
 def test_nonfinite_loss_aborts(tiny_ds):
