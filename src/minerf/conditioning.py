@@ -154,7 +154,7 @@ def _xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 
 def init_variant_params(variant: str, d: int, k: int, o: int, rng: np.random.Generator,
-                        d_latent: int = 0, n_levels: int = 2) -> dict[str, np.ndarray]:
+                        d_latent: int, n_levels: int) -> dict[str, np.ndarray]:
     check_variant_dims(variant, d, k, o, d_latent)
     p: dict[str, np.ndarray] = {}
     if variant == "Baseline":

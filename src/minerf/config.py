@@ -1,151 +1,152 @@
 """Strict JSON run configuration: unknown keys rejected, defaults materialized.
 
+SCHEMA is the one source of defaults and ranges: one (default, range) row per
+key. _merge walks it once and checks each given value's JSON type, that a
+number is finite, then its range; validate holds only the rules between keys.
 The materialized dict is what lands in checkpoint headers, so a checkpoint is
 always sufficient to regenerate its scene and re-render without the original
-config file.
+config file, and loading one runs its header through the same checks.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
+import numbers
 import os
+import sys
 from pathlib import Path
 
 from .conditioning import check_variant_dims
 from .errors import ConfigError
 
-DEFAULTS = {
-    "seed": 0,
+# A row's default fixes the key's JSON type (an int default makes it an
+# integer key); its range is a key of _RANGES, or None for any finite value.
+SCHEMA = {
+    "seed": (0, ">= 0"),
     "scene": {
-        "n_identities": 2,
-        "n_frames": 60,
-        "resolution": 32,
-        "d_expression": 8,
-        "orbit_radius": 2.8,
-        "orbit_elevation": 0.35,
-        "focal_factor": 1.2,
-        "gt_samples": 256,
-        "expr_smoothness": 0.85,
-        "background": [0.08, 0.10, 0.14],
-        "share_expressions": False,
-        "deform_budget": 0.5,
-        "tint_strength": 0.35,
+        "n_identities": (2, "> 0"),
+        "n_frames": (60, "> 0"),
+        "resolution": (32, "> 0"),
+        "d_expression": (8, "> 0"),
+        "orbit_radius": (2.8, "> 0"),
+        "orbit_elevation": (0.35, None),
+        "focal_factor": (1.2, "> 0"),
+        "gt_samples": (256, "> 0"),
+        "expr_smoothness": (0.85, "in [0, 1]"),
+        "background": ([0.08, 0.10, 0.14], None),
+        "share_expressions": (False, None),
+        "deform_budget": (0.5, ">= 0"),
+        "tint_strength": (0.35, ">= 0"),
     },
     "conditioning": {
-        "variant": "M",
-        "d": 8,
-        "k": 4,
-        "o": 8,
-        "n_levels": 2,
-        "d_latent": 8,
+        "variant": ("M", None),
+        "d": (8, "> 0"),
+        "k": (4, "> 0"),
+        "o": (8, "> 0"),
+        "n_levels": (2, "> 0"),
+        "d_latent": (8, "> 0"),
     },
     "field": {
-        "layers": 4,
-        "hidden": 64,
-        "Lx": 6,
-        "Lv": 2,
-        "color_layers": 2,
-        "color_hidden": 32,
+        "layers": (4, "> 0"),
+        "hidden": (64, "> 0"),
+        "Lx": (6, ">= 0"),
+        "Lv": (2, ">= 0"),
+        "color_layers": (2, ">= 0"),
+        "color_hidden": (32, None),
     },
     "render": {
-        "n_coarse": 16,
-        "n_fine": 32,
+        "n_coarse": (16, "> 0"),
+        "n_fine": (32, ">= 0"),
     },
     "train": {
-        "steps": 3000,
-        "rays_per_step": 256,
-        "lr0": 5e-4,
-        "lr1": 5e-5,
-        "lambda_latent": 0.01,
-        "lambda_identity": 1e-4,
-        "in_box_fraction": 0.95,
-        "eval_every": 500,
-        "eval_frames": 1,
-        "squared_code_norms": False,
-        "divergence_factor": 10.0,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
+        "steps": (3000, ">= 0"),
+        "rays_per_step": (256, "> 0"),
+        "lr0": (5e-4, "> 0"),
+        "lr1": (5e-5, "> 0"),
+        "lambda_latent": (0.01, ">= 0"),
+        "lambda_identity": (1e-4, ">= 0"),
+        "in_box_fraction": (0.95, "in [0, 1]"),
+        "eval_every": (500, ">= 0"),
+        "eval_frames": (1, "> 0"),
+        "squared_code_norms": (False, None),
+        "divergence_factor": (10.0, "> 0"),
+        "beta1": (0.9, "in [0, 1)"),
+        "beta2": (0.999, "in [0, 1)"),
+        "eps": (1e-8, "> 0"),
     },
     "eval": {
-        "ssim_window": 8,
+        "ssim_window": (8, "> 0"),
     },
 }
 
+_RANGES = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+}
 
-def _merge(defaults, user, path=""):
-    out = copy.deepcopy(defaults)
-    for key, val in user.items():
-        here = f"{path}{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {here!r}")
-        dv = defaults[key]
-        if isinstance(dv, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{here!r} must be a section object")
-            out[key] = _merge(dv, val, here + ".")
+
+def check_number(name: str, val, rule=None, integer: bool = False):
+    """val as a finite number within rule, an int if `integer`; else ConfigError naming name."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:  # NaN, an infinity, or an int beyond any float
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    if integer and not isinstance(val, numbers.Integral):
+        if val != int(val):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+        val = int(val)
+    if rule is not None and not _RANGES[rule](val):
+        raise ConfigError(f"{name} must be {rule}, got {val!r}")
+    return val
+
+
+def _merge(schema: dict, user, path: str = "") -> dict:
+    """user's values over the schema's defaults, each checked against its row."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path[:-1] or 'config root'} must be an object, got {user!r}")
+    for key in user:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {path + key!r}")
+    out = {}
+    for key, row in schema.items():
+        if isinstance(row, dict):
+            out[key] = _merge(row, user.get(key, {}), f"{path}{key}.")
+        elif key not in user:
+            out[key] = copy.deepcopy(row[0])
+        elif isinstance(row[0], (bool, str, list)):
+            if not isinstance(user[key], type(row[0])):
+                raise ConfigError(f"{path}{key} must be a JSON {type(row[0]).__name__}, "
+                                  f"got {user[key]!r}")
+            out[key] = user[key]
         else:
-            if isinstance(dv, bool) != isinstance(val, bool):
-                raise ConfigError(f"{here!r} must be a boolean")
-            if isinstance(dv, (int, float)) and not isinstance(val, (int, float)):
-                raise ConfigError(f"{here!r} must be a number, got {val!r}")
-            if isinstance(dv, str) and not isinstance(val, str):
-                raise ConfigError(f"{here!r} must be a string")
-            if isinstance(dv, list) and not isinstance(val, list):
-                raise ConfigError(f"{here!r} must be a list")
-            if isinstance(dv, int) and not isinstance(dv, bool) and isinstance(val, float):
-                if val != int(val):
-                    raise ConfigError(f"{here!r} must be an integer")
-                val = int(val)
-            out[key] = val
+            out[key] = check_number(path + key, user[key], row[1], isinstance(row[0], int))
     return out
 
 
-def _positive(cfg, section, keys):
-    for k in keys:
-        if cfg[section][k] <= 0:
-            raise ConfigError(f"{section}.{k} must be positive")
-
-
-def _nonnegative(cfg, section, keys):
-    for k in keys:
-        if cfg[section][k] < 0:
-            raise ConfigError(f"{section}.{k} must be >= 0")
-
-
-def validate(cfg: dict):
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be >= 0")
-    _positive(cfg, "scene", ["n_identities", "n_frames", "resolution", "d_expression",
-                             "orbit_radius", "gt_samples", "focal_factor"])
-    _positive(cfg, "conditioning", ["d", "k", "o", "n_levels", "d_latent"])
-    _positive(cfg, "field", ["layers", "hidden"])
-    _positive(cfg, "render", ["n_coarse"])
-    _positive(cfg, "train", ["rays_per_step", "lr0", "lr1"])
-    _positive(cfg, "eval", ["ssim_window"])
-    _nonnegative(cfg, "train", ["steps"])
-    _nonnegative(cfg, "render", ["n_fine"])
-    _nonnegative(cfg, "field", ["Lx", "Lv", "color_layers"])
+def validate(cfg: dict) -> dict:
+    """The rules that relate keys; each key's own type and range are _merge's."""
     bg = cfg["scene"]["background"]
-    if len(bg) != 3 or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                               and math.isfinite(c) for c in bg):
+    if len(bg) != 3:
         raise ConfigError("scene.background must be a list of three finite numbers")
+    for c in bg:
+        check_number("scene.background", c)
     if cfg["field"]["color_layers"] > 0 and cfg["field"]["color_hidden"] <= 0:
-        raise ConfigError("field.color_hidden must be positive")
-    tr = cfg["train"]
-    if tr["lr1"] >= tr["lr0"]:
+        raise ConfigError("field.color_hidden must be > 0 when field.color_layers > 0")
+    if cfg["train"]["lr1"] >= cfg["train"]["lr0"]:
         raise ConfigError("train.lr1 must be below train.lr0 (decaying schedule)")
-    if tr["lambda_latent"] < 0 or tr["lambda_identity"] < 0:
-        raise ConfigError("regularizer weights must be nonnegative")
-    if not 0.0 <= tr["in_box_fraction"] <= 1.0:
-        raise ConfigError("train.in_box_fraction must lie in [0, 1]")
     cc = cfg["conditioning"]
     if cc["d"] != cfg["scene"]["d_expression"]:
         raise ConfigError("conditioning.d must equal scene.d_expression")
     check_variant_dims(cc["variant"], cc["d"], cc["k"], cc["o"], cc["d_latent"])
     return cfg
+
+
+def materialize(user: dict) -> dict:
+    """The full, checked config for a partial one; materialize({}) is the defaults."""
+    return validate(_merge(SCHEMA, user))
 
 
 def _parse_set(expr: str):
@@ -154,7 +155,7 @@ def _parse_set(expr: str):
     key, raw = expr.split("=", 1)
     try:
         val = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an int literal past Python's digit limit
         val = raw
     return key.strip(), val
 
@@ -180,7 +181,7 @@ def load_config(path=None, sets=(), env=None) -> dict:
     if path is not None:
         try:
             user = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError("config root must be an object")
@@ -191,4 +192,4 @@ def load_config(path=None, sets=(), env=None) -> dict:
             user["seed"] = int(env["MINERF_SEED"])
         except ValueError as e:
             raise ConfigError(f"MINERF_SEED must be an integer: {e}") from e
-    return validate(_merge(DEFAULTS, user))
+    return materialize(user)

@@ -35,7 +35,7 @@ def to_gray(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 8, max_val: float = 1.0) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, window: int, max_val: float = 1.0) -> float:
     """Mean windowed SSIM over a uniform window x window kernel at stride 1."""
     ga, gb = to_gray(a), to_gray(b)
     if ga.shape != gb.shape:
@@ -144,13 +144,12 @@ def transfer_matrix(state, dataset, heldout: dict) -> np.ndarray:
 def evaluate_images(state, dataset, max_frames: int | None = None) -> dict:
     """Per-frame PSNR/SSIM on each identity's first max_frames held-out frames
     (all by default), plus means and variant label; zero latent codes."""
-    window = state.cfg.get("eval", {}).get("ssim_window", 8)
     per_frame = []
     for idn in dataset.identities:
         for fidx, img, gt in _renders(state, dataset, idn.name, idn.name,
                                       idn.test_idx[:max_frames]):
             per_frame.append({"identity": idn.name, "frame": fidx, "psnr": psnr(img, gt),
-                              "ssim": ssim(img, gt, window=window)})
+                              "ssim": ssim(img, gt, state.cfg["eval"]["ssim_window"])})
     finite = [r["psnr"] for r in per_frame if np.isfinite(r["psnr"])]
     return {
         "variant": state.cfg["conditioning"]["variant"],

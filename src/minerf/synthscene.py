@@ -23,6 +23,7 @@ from .errors import ConfigError, UsageError
 from .renderer import CameraPose, render_image
 
 GT_FRAME_STRIDE = 100003  # spreads per-frame render streams across identities
+SUPPORT_MARGIN = 0.25  # free space between the near/far bounds and the deformed support
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,8 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
                      np.cos(phi)], axis=1)
 
 
-def sample_scene(n_identities: int, d: int, rng: np.random.Generator,
-                 background=None, deform_budget: float = 0.5,
-                 tint_strength: float = 0.35) -> SceneSpec:
+def sample_scene(n_identities: int, d: int, rng: np.random.Generator, background,
+                 deform_budget: float, tint_strength: float) -> SceneSpec:
     """Draw a random scene: global mode bank plus per-identity ellipsoids.
 
     deform_budget bounds sum_m |amplitude_m|, so the deformed support stays
@@ -121,9 +121,8 @@ def sample_scene(n_identities: int, d: int, rng: np.random.Generator,
             base_color=rng.uniform(0.25, 0.85, size=3),
             density_scale=float(rng.uniform(9.0, 14.0)),
         ))
-    bg = np.array([0.08, 0.10, 0.14]) if background is None else np.asarray(background, float)
     return SceneSpec(modes=ModeBank(centers, widths, directions, amplitudes, tints),
-                     identities=identities, background=bg)
+                     identities=identities, background=np.asarray(background, float))
 
 
 def _bump_weights(modes: ModeBank, X: np.ndarray) -> np.ndarray:
@@ -153,7 +152,7 @@ def deformation_margin(spec: SceneSpec) -> float:
 
 
 def smooth_trajectory(n_frames: int, d: int, rng: np.random.Generator,
-                      smoothness: float = 0.85, amplitude: float = 0.85) -> np.ndarray:
+                      smoothness: float, amplitude: float = 0.85) -> np.ndarray:
     """Low-pass filtered Gaussian noise in [-1,1]^d (two cascaded one-pole filters)."""
     burn = 32
     w = rng.standard_normal((n_frames + burn, d))
@@ -167,7 +166,7 @@ def smooth_trajectory(n_frames: int, d: int, rng: np.random.Generator,
 
 
 def orbit_pose(frame: int, n_frames: int, radius: float, elevation: float,
-               resolution: int, focal_factor: float = 1.2) -> CameraPose:
+               resolution: int, focal_factor: float) -> CameraPose:
     az = 2.0 * np.pi * frame / max(n_frames, 1)
     eye = radius * np.array([np.cos(elevation) * np.sin(az), np.sin(elevation),
                              np.cos(elevation) * np.cos(az)])
@@ -196,38 +195,38 @@ def project_box(pose: CameraPose, half_extent: np.ndarray):
     return (r0, r1, c0, c1)
 
 
-def make_dataset(n_identities: int, n_frames: int, resolution: int, d: int, seed: int,
-                 *, orbit_radius: float = 2.8, orbit_elevation: float = 0.35,
-                 focal_factor: float = 1.2, gt_samples: int = 256,
-                 expr_smoothness: float = 0.85, background=None,
-                 share_expressions: bool = False, support_margin: float = 0.25,
-                 deform_budget: float = 0.5, tint_strength: float = 0.35,
-                 render_images: bool = True) -> Dataset:
-    """Generate scene, trajectories, poses, and ground-truth frames; deterministic per seed."""
-    if n_identities < 1 or n_frames < 1 or resolution < 1:
-        raise ConfigError("counts must be positive")
+def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
+    """Scene, trajectories, poses and ground-truth frames of cfg's scene section;
+    deterministic per cfg["seed"]. ConfigError when the camera orbit reaches into
+    the near bound (t_near <= 0)."""
+    s, seed = cfg["scene"], cfg["seed"]
+    n_frames, resolution, d = s["n_frames"], s["resolution"], s["d_expression"]
     scene_rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    scene = sample_scene(n_identities, d, scene_rng, background=background,
-                         deform_budget=deform_budget, tint_strength=tint_strength)
-    t_near = orbit_radius - (0.42 + deformation_margin(scene) + support_margin)
-    t_far = orbit_radius + (0.42 + deformation_margin(scene) + support_margin)
-    half_extent = np.full(3, 0.42 + deformation_margin(scene))
+    scene = sample_scene(s["n_identities"], d, scene_rng, s["background"],
+                         s["deform_budget"], s["tint_strength"])
+    reach = 0.42 + deformation_margin(scene)
+    t_near = s["orbit_radius"] - (reach + SUPPORT_MARGIN)
+    t_far = s["orbit_radius"] + (reach + SUPPORT_MARGIN)
+    if t_near <= 0:
+        raise ConfigError(f"scene.orbit_radius={s['orbit_radius']} puts the camera inside "
+                          f"the scene support (t_near={t_near:.3g} <= 0)")
+    half_extent = np.full(3, reach)
 
     identities = []
     n_test = max(1, int(round(0.1 * n_frames)))
-    for k in range(n_identities):
-        traj_rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(1, 0 if share_expressions else k))))
-        traj = smooth_trajectory(n_frames, d, traj_rng, smoothness=expr_smoothness)
+    for k in range(s["n_identities"]):
+        traj_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=(1, 0 if s["share_expressions"] else k))))
+        traj = smooth_trajectory(n_frames, d, traj_rng, s["expr_smoothness"])
         frames = []
         for f in range(n_frames):
-            pose = orbit_pose(f, n_frames, orbit_radius, orbit_elevation, resolution,
-                              focal_factor)
+            pose = orbit_pose(f, n_frames, s["orbit_radius"], s["orbit_elevation"],
+                              resolution, s["focal_factor"])
             img = None
             if render_images:
                 img = render_gt_frame(scene, k, traj[f], pose, t_near, t_far,
-                                      gt_samples, seed, k * GT_FRAME_STRIDE + f)
+                                      s["gt_samples"], seed, k * GT_FRAME_STRIDE + f)
             frames.append(Frame(index=f, pose=pose, e=traj[f].copy(), image=img,
                                 box=project_box(pose, half_extent)))
         identities.append(IdentityData(
@@ -235,18 +234,7 @@ def make_dataset(n_identities: int, n_frames: int, resolution: int, d: int, seed
             train_idx=list(range(n_frames - n_test)),
             test_idx=list(range(n_frames - n_test, n_frames))))
     return Dataset(scene=scene, identities=identities, resolution=resolution,
-                   t_near=t_near, t_far=t_far, seed=seed, gt_samples=gt_samples)
-
-
-def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
-    s = cfg["scene"]
-    return make_dataset(
-        s["n_identities"], s["n_frames"], s["resolution"], s["d_expression"],
-        cfg["seed"], orbit_radius=s["orbit_radius"], orbit_elevation=s["orbit_elevation"],
-        focal_factor=s["focal_factor"], gt_samples=s["gt_samples"],
-        expr_smoothness=s["expr_smoothness"], background=s["background"],
-        share_expressions=s["share_expressions"], deform_budget=s["deform_budget"],
-        tint_strength=s["tint_strength"], render_images=render_images)
+                   t_near=t_near, t_far=t_far, seed=seed, gt_samples=s["gt_samples"])
 
 
 def render_gt_frame(scene: SceneSpec, identity_index: int, e: np.ndarray,

@@ -30,6 +30,7 @@ from . import autodiff as ad
 from . import conditioning as cond_mod
 from . import metrics as metrics_mod
 from .autodiff import Tape
+from .config import check_number, materialize
 from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
 from .field import FieldArch, forward_encoded, init_field_params, positional_encode
@@ -54,8 +55,7 @@ def lr_schedule(step: int, total: int, lr0: float, lr1: float) -> float:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+              t: int, lr: float, beta1: float, beta2: float, eps: float):
     """One bias-corrected Adam update, in place on (param, m, v). t counts from 1."""
     if not (param.shape == grad.shape == m.shape == v.shape):
         raise ConfigError("adam_step shape mismatch")
@@ -148,21 +148,23 @@ def check_expression_dim(cfg: dict, dataset: Dataset):
                           f"{dataset.scene.modes.d}")
 
 
+def model_params(cfg: dict, rng: np.random.Generator) -> dict:
+    """Fresh cond.*, coarse.* and fine.* arrays for cfg, drawn from rng in that order."""
+    c, arch = cfg["conditioning"], TrainState(cfg=cfg, params={}).arch()
+    groups = {"cond": cond_mod.init_variant_params(c["variant"], c["d"], c["k"], c["o"], rng,
+                                                   c["d_latent"], c["n_levels"]),
+              "coarse": init_field_params(arch, rng), "fine": init_field_params(arch, rng)}
+    return {f"{g}.{name}": arr for g, arrs in groups.items() for name, arr in arrs.items()}
+
+
 def init_state(cfg: dict, dataset: Dataset) -> TrainState:
     check_expression_dim(cfg, dataset)
     c = cfg["conditioning"]
     seed = cfg["seed"]
-    state = TrainState(cfg=cfg, params={}, identities=dataset.identity_names())
     prng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(3,))))
-    for name, arr in cond_mod.init_variant_params(
-            c["variant"], c["d"], c["k"], c["o"], prng,
-            d_latent=c["d_latent"], n_levels=c["n_levels"]).items():
-        state.params[f"cond.{name}"] = arr
-    arch = state.arch()
-    for prefix in ("coarse", "fine"):
-        for name, arr in init_field_params(arch, prng).items():
-            state.params[f"{prefix}.{name}"] = arr
+    state = TrainState(cfg=cfg, params=model_params(cfg, prng),
+                       identities=dataset.identity_names())
     for idn in dataset.identities:
         state.params[f"identity.{idn.name}"] = (
             0.01 * _code_rng(seed, f"i/{idn.name}").standard_normal(c["d"]))
@@ -201,8 +203,9 @@ def save_checkpoint(path, state: TrainState):
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read a checkpoint; ConfigError when the header is unreadable, an entry runs
-    past the payload, or a name lacks any of its param/m/v entries or Adam count."""
+    """Read a checkpoint; ConfigError when the header is unreadable or its config
+    invalid, an entry runs past the payload, a name lacks any of its param/m/v
+    entries or Adam count, or a model entry's shape is not model_params's."""
     with open(path, "rb") as f:
         first = f.readline()
         payload = f.read()
@@ -210,7 +213,8 @@ def load_checkpoint(path) -> TrainState:
         header = json.loads(first.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
             raise ValueError(f"no {CKPT_FORMAT} format tag")
-        state = TrainState(cfg=header["config"], params={}, step=int(header["step"]),
+        state = TrainState(cfg=materialize(header["config"]), params={},
+                           step=int(header["step"]),
                            identities=list(header["identities"]),
                            adam_t={k: int(v) for k, v in header["adam_t"].items()})
         stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
@@ -231,6 +235,13 @@ def load_checkpoint(path) -> TrainState:
         if set(store) != names:
             missing = sorted(names ^ set(store), key=str)[0]
             raise ConfigError(f"checkpoint {path}: incomplete entries for {missing!r}")
+    want = {n: a.shape for n, a in model_params(state.cfg, np.random.default_rng(0)).items()}
+    have = {n: a.shape for n, a in state.params.items()
+            if n.startswith(("cond.", "coarse.", "fine."))}
+    for name in sorted(want.keys() | have.keys()):
+        if want.get(name) != have.get(name):
+            raise ConfigError(f"checkpoint {path}: entry {name!r} has shape {have.get(name)}, "
+                              f"its config gives {want.get(name)}")
     return state
 
 
@@ -437,10 +448,8 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
     the clip update with fresh Adam state; every other identity's code and
     every other frame's latent are untouched, and cond.* stays bit-identical.
     """
-    if steps < 0:
-        raise UsageError(f"personalize steps must be >= 0, got {steps}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise UsageError(f"personalize lr must be a positive finite number, got {lr}")
+    steps = check_number("personalize steps", steps, ">= 0", integer=True)
+    check_number("personalize lr", lr, "> 0")
     check_expression_dim(state.cfg, clip)
     clip_idn = clip.by_name(identity_name)
     if not clip_idn.train_idx:

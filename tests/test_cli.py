@@ -68,13 +68,24 @@ def test_gen_data_deterministic_checksum(tiny_cfg_file, tmp_path, capsys):
 def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path, capsys):
     for bad in ("seed=-1", "scene.n_identities=0", "field.Lx=-1", "field.Lv=-2",
                 "scene.background=[0.1,0.2]", "scene.background=[0.1,0.2,0.3,0.4]",
-                "scene.background=[0.1,NaN,0.2]", 'scene.background=[0.1,"a",0.2]'):
+                "scene.background=[0.1,NaN,0.2]", 'scene.background=[0.1,"a",0.2]',
+                "field.hidden=NaN", "scene.orbit_radius=NaN", "train.steps=Infinity",
+                "train.eval_every=-1", "train.eval_frames=0", "train.beta2=1.5",
+                "train.eps=-1", "train.divergence_factor=-1", "scene.orbit_radius=1" + "0" * 400,
+                "scene.background=[1" + "0" * 400 + ",0.1,0.2]"):
         rc = cli.main(["gen-data", "--config", str(tiny_cfg_file),
                        "--set", bad, "--out", str(tmp_path / "x")])
         assert rc == 2, bad
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (bad, err)
         assert "Traceback" not in err
+
+
+def test_camera_inside_scene_exit_2(tiny_cfg_file, tmp_path, capsys):
+    rc = cli.main(["gen-data", "--config", str(tiny_cfg_file), "--set",
+                   "scene.orbit_radius=0.5", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    _one_line_error(capsys, "scene.orbit_radius")
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
@@ -435,6 +446,23 @@ def tiny_ckpt(tmp_path_factory):
     assert cli.main(["train", "--config", str(cfg), "--set", "train.steps=0",
                      "--out", str(ckpt)]) == 0
     return ckpt
+
+
+@pytest.mark.parametrize("section, key, value, needle", [
+    ("field", "Lx", 3, "coarse.W0"), ("render", "n_fine", -4, "render.n_fine"),
+    ("scene", "resolution", -8, "scene.resolution")])
+def test_edited_checkpoint_config_exit_2(section, key, value, needle, tiny_ckpt, tmp_path,
+                                         capsys):
+    header, payload = tiny_ckpt.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    meta["config"][section][key] = value
+    edited = tmp_path / "edited.ckpt"
+    edited.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+    capsys.readouterr()
+    rc = cli.main(["render", "--ckpt", str(edited), "--identity", "id00", "--frames", "0",
+                   "--out", str(tmp_path / "r")])
+    assert rc == 2
+    _one_line_error(capsys, str(edited), needle)
 
 
 @pytest.mark.parametrize("frames", ["abc", "99", "3:1", "-1", "0:99", "1,,2", "2:x"])

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
+from minerf import config
 from minerf import synthscene as sc
 from minerf import ppm
 from minerf.errors import ConfigError
 
+BG = [0.08, 0.10, 0.14]
 
-def _tiny(seed=0, **kw):
-    kw.setdefault("gt_samples", 64)
-    return sc.make_dataset(2, 10, 16, 8, seed, **kw)
+
+def _dataset(*sets):
+    return sc.dataset_from_config(config.load_config(sets=sets, env={}))
+
+
+def _tiny(seed=0, *sets):
+    return _dataset("scene.n_identities=2", "scene.n_frames=10", "scene.resolution=16",
+                    "scene.gt_samples=64", f"seed={seed}", *sets)
 
 
 def test_analytic_field_center_and_far():
     rng = np.random.default_rng(0)
-    spec = sc.sample_scene(1, 8, rng)
+    spec = sc.sample_scene(1, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
     idp = spec.identities[0]
     rgb, sigma = sc.analytic_field(spec, 0, np.zeros(8), np.zeros((1, 3)))
     assert sigma[0] == pytest.approx(idp.density_scale)
@@ -24,7 +31,7 @@ def test_analytic_field_center_and_far():
 
 def test_analytic_field_continuous_in_expression():
     rng = np.random.default_rng(1)
-    spec = sc.sample_scene(1, 8, rng)
+    spec = sc.sample_scene(1, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
     X = rng.uniform(-0.5, 0.5, (64, 3))
     e = rng.uniform(-1, 1, 8)
     base_rgb, base_sig = sc.analytic_field(spec, 0, e, X)
@@ -37,7 +44,7 @@ def test_analytic_field_continuous_in_expression():
 
 def test_deformed_support_stays_in_bounds():
     rng = np.random.default_rng(2)
-    spec = sc.sample_scene(4, 8, rng)
+    spec = sc.sample_scene(4, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
     margin = sc.deformation_margin(spec)
     for idp in spec.identities:
         assert np.max(idp.semi_axes) + margin < 1.0
@@ -58,7 +65,7 @@ def test_dataset_deterministic():
 
 
 def test_identity_dependence_with_shared_expressions():
-    ds = _tiny(seed=4, share_expressions=True)
+    ds = _tiny(4, "scene.share_expressions=true")
     a, b = ds.identities
     assert np.array_equal(a.frames[0].e, b.frames[0].e)
     diff = np.linalg.norm(a.frames[0].image - b.frames[0].image)
@@ -75,8 +82,8 @@ def test_gt_frame_self_consistency():
 
 def test_gt_quadrature_convergence():
     rng = np.random.default_rng(6)
-    spec = sc.sample_scene(1, 8, rng)
-    pose = sc.orbit_pose(0, 10, 2.8, 0.35, 16)
+    spec = sc.sample_scene(1, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
+    pose = sc.orbit_pose(0, 10, 2.8, 0.35, 16, focal_factor=1.2)
     e = rng.uniform(-1, 1, 8)
     imgs = [sc.render_gt_frame(spec, 0, e, pose, 1.6, 4.0, n, 0, 0)
             for n in (256, 512)]
@@ -85,7 +92,7 @@ def test_gt_quadrature_convergence():
 
 def test_expressions_only_act_through_modes_and_tint():
     rng = np.random.default_rng(7)
-    spec = sc.sample_scene(1, 8, rng, deform_budget=0.0, tint_strength=0.0)
+    spec = sc.sample_scene(1, 8, rng, BG, deform_budget=0.0, tint_strength=0.0)
     X = rng.uniform(-0.5, 0.5, (32, 3))
     r0, s0 = sc.analytic_field(spec, 0, np.zeros(8), X)
     r1, s1 = sc.analytic_field(spec, 0, rng.uniform(-1, 1, 8), X)
@@ -99,13 +106,14 @@ def test_split_last_ten_percent():
         assert idn.test_idx == [n - 1]
         assert sorted(idn.train_idx + idn.test_idx) == list(range(n))
         assert not set(idn.train_idx) & set(idn.test_idx)
-    ds60 = sc.make_dataset(1, 60, 8, 8, 0, gt_samples=8)
+    ds60 = _dataset("scene.n_identities=1", "scene.n_frames=60", "scene.resolution=8",
+                    "scene.gt_samples=8", "seed=0")
     assert ds60.identities[0].test_idx == list(range(54, 60))
 
 
 def test_expression_trajectories_bounded_and_smooth():
     rng = np.random.default_rng(9)
-    traj = sc.smooth_trajectory(200, 8, rng)
+    traj = sc.smooth_trajectory(200, 8, rng, smoothness=0.85)
     assert np.all(np.abs(traj) <= 1.0)
     jumps = np.abs(np.diff(traj, axis=0)).max()
     assert jumps < 0.35  # low-pass: no frame-to-frame snapping
@@ -139,8 +147,8 @@ def test_checksum_stable(tmp_path):
 
 
 def test_counts_validated():
-    with pytest.raises(ConfigError):
-        sc.make_dataset(0, 10, 16, 8, 0)
+    with pytest.raises(ConfigError, match="scene.n_identities"):
+        config.load_config(sets=["scene.n_identities=0"], env={})
 
 
 def test_projected_box_contains_object():

@@ -59,7 +59,7 @@ def test_adam_zero_grad_is_noop():
     p = np.array([1.0, -2.0])
     m = np.zeros(2)
     v = np.zeros(2)
-    tr.adam_step(p, np.zeros(2), m, v, t=1, lr=0.1)
+    tr.adam_step(p, np.zeros(2), m, v, t=1, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     assert np.array_equal(p, [1.0, -2.0])
 
 
@@ -67,7 +67,8 @@ def test_adam_first_step_closed_form():
     for g0 in (0.5, -3.0, 1e-6):
         p = np.zeros(1)
         m, v = np.zeros(1), np.zeros(1)
-        tr.adam_step(p, np.array([g0]), m, v, t=1, lr=0.01)
+        tr.adam_step(p, np.array([g0]), m, v, t=1, lr=0.01,
+                      beta1=0.9, beta2=0.999, eps=1e-8)
         # bias-corrected first step: lr * g / (|g| + eps)
         want = -0.01 * g0 / (abs(g0) + 1e-8)
         assert p[0] == pytest.approx(want, rel=1e-12)
@@ -80,7 +81,7 @@ def test_adam_converges_on_quadratic():
     m, v = np.zeros(1), np.zeros(1)
     for t in range(1, 101):
         g = 2.0 * (p - 2.0)
-        tr.adam_step(p, g, m, v, t=t, lr=0.1)
+        tr.adam_step(p, g, m, v, t=t, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     assert abs(p[0] - 2.0) < 0.1
 
 
