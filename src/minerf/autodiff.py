@@ -7,19 +7,17 @@ vectors, matrices, or higher-rank arrays. Parameters live outside the tape
 and are re-registered as leaves every step; a tape is built, differentiated,
 and dropped.
 
-Leaves registered with leaf() are differentiable; raw arrays mixed into ops
-become constants, and the expensive primitives skip the vector-Jacobian
-products feeding pure-constant subgraphs.
+An op records a node only when an operand is a Var, so every Var descends
+from a leaf() and needs a gradient. Raw arrays mixed into ops stay arrays
+(parent -1 on the node, no gradient), and an op on arrays alone returns its
+plain numpy value: evaluating without gradients is calling the same
+primitives on arrays, with no tape at all.
 
 A tape holds what its reverse sweep reads: each node's forward value and the
 arrays its vector-Jacobian closure captures. Closures capture arrays, never
 Vars, so a dropped tape is freed at once rather than by the cycle collector.
 linear fuses a network layer (block products, bias and relu) into one node
 that keeps a single output array, which is also relu's mask.
-
-A Tape(record=False) evaluates the same primitives without keeping any node,
-the usual no-grad mode: each Var carries its own value, so intermediates are
-freed as soon as the caller drops them, and grad() refuses such a tape.
 """
 
 from __future__ import annotations
@@ -64,37 +62,21 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of primitive ops plus their forward values.
+    """Append-only record of primitive ops plus their forward values."""
 
-    With record=False nothing is appended: ops only compute forward values.
-    """
-
-    def __init__(self, record: bool = True):
-        self.record = record
+    def __init__(self):
         self.nodes: list[_Node] = []
         self.values: list[np.ndarray] = []
-        self.requires: list[bool] = []
-
-    def _push(self, op: str, value: np.ndarray, parents: tuple = (), vjp=None,
-              requires: bool | None = None) -> "Var":
-        if not self.record:
-            return Var(self, -1, value)
-        idx = len(self.nodes)
-        self.nodes.append(_Node(op, parents, vjp))
-        self.values.append(value)
-        if requires is None:
-            requires = any(self.requires[p] for p in parents)
-        self.requires.append(requires)
-        return Var(self, idx, value)
 
     def __len__(self):
         return len(self.nodes)
 
 
 class Var:
-    """A forward value plus its tape node (idx -1 on a non-recording tape)."""
+    """A forward value plus its tape node; every Var descends from a leaf."""
 
     __slots__ = ("tape", "idx", "value")
+    __array_ufunc__ = None  # array + Var defers to Var.__radd__
 
     def __init__(self, tape: Tape, idx: int, value: np.ndarray):
         self.tape = tape
@@ -105,12 +87,11 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    @property
-    def requires_grad(self) -> bool:
-        return self.idx >= 0 and self.tape.requires[self.idx]
-
     def __add__(self, other):
         return add(self, other)
+
+    def __radd__(self, other):
+        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -129,39 +110,46 @@ def _f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def value(x) -> np.ndarray:
+    """The array behind an operand: a Var's forward value, or x as float64."""
+    return x.value if isinstance(x, Var) else _f64(x)
+
+
 def leaf(tape: Tape, value) -> Var:
     """Register a differentiable input array as a tape leaf."""
-    return tape._push("leaf", _f64(value), requires=True)
+    value = _f64(value)
+    tape.nodes.append(_Node("leaf", (), None))
+    tape.values.append(value)
+    return Var(tape, len(tape.nodes) - 1, value)
 
 
-def const(tape: Tape, value) -> Var:
-    """Register a non-differentiable array (no gradients flow into it)."""
-    return tape._push("const", _f64(value), requires=False)
+def _node(op: str, val, operands: Sequence, vjp):
+    """val as a node of op on its operands' tape, or val itself when no operand is a Var.
 
-
-def _coerce(tape: Tape, x) -> Var:
-    if isinstance(x, Var):
-        if x.tape is not tape:
-            raise UsageError("cannot mix variables from different tapes")
-        return x
-    return const(tape, x)
-
-
-def _tape_of(*xs) -> Tape:
-    for x in xs:
+    The node's parents are the operands' indices, -1 for an array; vjp maps
+    the output adjoint to one gradient per operand (None for any it skips).
+    """
+    tape = None
+    for x in operands:
         if isinstance(x, Var):
-            return x.tape
-    raise UsageError("at least one operand must be a Var")
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                raise UsageError("cannot mix variables from different tapes")
+    if tape is None:
+        return val
+    tape.nodes.append(_Node(op, tuple(x.idx if isinstance(x, Var) else -1 for x in operands),
+                            vjp))
+    tape.values.append(val)
+    return Var(tape, len(tape.nodes) - 1, val)
 
 
 # ---------------------------------------------------------------------------
 # elementwise primitives
 
-def add(a, b) -> Var:
-    tape = _tape_of(a, b)
-    a, b = _coerce(tape, a), _coerce(tape, b)
-    av, bv = a.value, b.value
-    na, nb = a.requires_grad, b.requires_grad
+def add(a, b):
+    av, bv = value(a), value(b)
+    na, nb = isinstance(a, Var), isinstance(b, Var)
     if av.shape == bv.shape:
         def vjp(g):
             return g if na else None, g if nb else None
@@ -172,19 +160,17 @@ def add(a, b) -> Var:
             return ga, gb
     else:
         raise DimensionError(f"add: shapes {av.shape} vs {bv.shape}")
-    return tape._push("add", av + bv, (a.idx, b.idx), vjp)
+    return _node("add", av + bv, (a, b), vjp)
 
 
-def sub(a, b) -> Var:
+def sub(a, b):
     return add(a, neg(b) if isinstance(b, Var) else -_f64(b))
 
 
-def mul(a, b) -> Var:
+def mul(a, b):
     """Elementwise (Hadamard) product; scalars broadcast."""
-    tape = _tape_of(a, b)
-    a, b = _coerce(tape, a), _coerce(tape, b)
-    av, bv = a.value, b.value
-    na, nb = a.requires_grad, b.requires_grad
+    av, bv = value(a), value(b)
+    na, nb = isinstance(a, Var), isinstance(b, Var)
     if not (av.shape == bv.shape or av.shape == () or bv.shape == ()):
         raise DimensionError(f"mul: shapes {av.shape} vs {bv.shape}")
 
@@ -200,31 +186,31 @@ def mul(a, b) -> Var:
                 gb = gb.sum()
         return ga, gb
 
-    return tape._push("mul", av * bv, (a.idx, b.idx), vjp)
+    return _node("mul", av * bv, (a, b), vjp)
 
 
-def neg(a: Var) -> Var:
-    return a.tape._push("neg", -a.value, (a.idx,), lambda g: (-g,))
+def neg(a):
+    return _node("neg", -value(a), (a,), lambda g: (-g,))
 
 
-def scale(a: Var, c: float) -> Var:
+def scale(a, c: float):
     c = float(c)
-    return a.tape._push("scale", c * a.value, (a.idx,), lambda g: (c * g,))
+    return _node("scale", c * value(a), (a,), lambda g: (c * g,))
 
 
-def square(a: Var) -> Var:
-    av = a.value
-    return a.tape._push("square", av * av, (a.idx,), lambda g: (2.0 * av * g,))
+def square(a):
+    av = value(a)
+    return _node("square", av * av, (a,), lambda g: (2.0 * av * g,))
 
 
-def sqrt(a: Var) -> Var:
-    out = np.sqrt(a.value)
-    return a.tape._push("sqrt", out, (a.idx,), lambda g: (g / (2.0 * out),))
+def sqrt(a):
+    out = np.sqrt(value(a))
+    return _node("sqrt", out, (a,), lambda g: (g / (2.0 * out),))
 
 
-def exp(a: Var) -> Var:
-    out = np.exp(a.value)
-    return a.tape._push("exp", out, (a.idx,), lambda g: (g * out,))
+def exp(a):
+    out = np.exp(value(a))
+    return _node("exp", out, (a,), lambda g: (g * out,))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -236,30 +222,27 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Var) -> Var:
-    out = _stable_sigmoid(a.value)
-    return a.tape._push("sigmoid", out, (a.idx,), lambda g: (g * out * (1.0 - out),))
+def sigmoid(a):
+    out = _stable_sigmoid(value(a))
+    return _node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def softplus(a: Var) -> Var:
-    av = a.value
+def softplus(a):
+    av = value(a)
     out = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
-    return a.tape._push("softplus", out, (a.idx,),
-                        lambda g: (g * _stable_sigmoid(av),))
+    return _node("softplus", out, (a,), lambda g: (g * _stable_sigmoid(av),))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(A, B) -> Var:
+def matmul(A, B):
     """A @ B as numpy's @ for matrix @ matrix, matrix @ vector and vector @ matrix."""
-    tape = _tape_of(A, B)
-    A, B = _coerce(tape, A), _coerce(tape, B)
-    Av, Bv = A.value, B.value
+    Av, Bv = value(A), value(B)
     if Av.ndim not in (1, 2) or Bv.ndim not in (1, 2) or Av.ndim + Bv.ndim == 2 \
             or Av.shape[-1] != Bv.shape[0]:
         raise DimensionError(f"matmul: {Av.shape} @ {Bv.shape}")
-    nA, nB = A.requires_grad, B.requires_grad
+    nA, nB = isinstance(A, Var), isinstance(B, Var)
 
     def vjp(g):
         gA = gB = None
@@ -269,10 +252,10 @@ def matmul(A, B) -> Var:
             gB = np.outer(Av, g) if Av.ndim == 1 else Av.T @ g
         return gA, gB
 
-    return tape._push("matmul", Av @ Bv, (A.idx, B.idx), vjp)
+    return _node("matmul", Av @ Bv, (A, B), vjp)
 
 
-def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False) -> Var:
+def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False):
     """mats[0] @ Ws[0] + mats[1] @ Ws[1] + ... + bias, then max(., 0) if relu: one node.
 
     mats are (n, k_j), Ws (k_j, m) and bias (m,). The block products are summed
@@ -282,20 +265,16 @@ def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False) -> Var:
     (out > 0 is relu's mask, with derivative 0 at 0), so a layer keeps one
     (n, m) array on the tape.
     """
-    tape = _tape_of(*mats, *Ws, bias)
-    mats = [_coerce(tape, A) for A in mats]
-    Ws = [_coerce(tape, W) for W in Ws]
-    bias = _coerce(tape, bias)
     # arrays, not Vars, in the closure: a Var refers to its tape, and a
     # tape -> node -> closure -> Var -> tape cycle outlives the step
-    Avs, Wvs, bv = [A.value for A in mats], [W.value for W in Ws], bias.value
+    Avs, Wvs, bv = [value(A) for A in mats], [value(W) for W in Ws], value(bias)
     if not Avs or len(Avs) != len(Wvs) or bv.ndim != 1 or any(
             A.ndim != 2 or W.ndim != 2 or A.shape != (Avs[0].shape[0], W.shape[0])
             or W.shape[1] != bv.shape[0] for A, W in zip(Avs, Wvs)):
         raise DimensionError(f"linear: {[A.shape for A in Avs]} @ {[W.shape for W in Wvs]}"
                              f" + {bv.shape}")
-    nAs, nWs = [A.requires_grad for A in mats], [W.requires_grad for W in Ws]
-    nb = bias.requires_grad
+    nAs, nWs = [isinstance(A, Var) for A in mats], [isinstance(W, Var) for W in Ws]
+    nb = isinstance(bias, Var)
     out = Avs[0] @ Wvs[0]
     for A, W in zip(Avs[1:], Wvs[1:]):
         out += A @ W
@@ -310,46 +289,43 @@ def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False) -> Var:
                 + tuple(A.T @ g if n else None for A, n in zip(Avs, nWs))
                 + (g.sum(axis=0) if nb else None,))
 
-    return tape._push("linear", out, tuple(v.idx for v in (*mats, *Ws, bias)), vjp)
+    return _node("linear", out, (*mats, *Ws, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
-def sum_(a: Var, axis=None) -> Var:
-    av = a.value
+def sum_(a, axis=None):
+    av = value(a)
 
     def vjp(g):
         if axis is None:
             return (np.broadcast_to(g, av.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
 
-    return a.tape._push("sum", av.sum(axis=axis), (a.idx,), vjp)
+    return _node("sum", av.sum(axis=axis), (a,), vjp)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Var:
-    tape = _tape_of(*parts)
-    parts = [_coerce(tape, p) for p in parts]
-    vals = [p.value for p in parts]
+def concat(parts: Sequence, axis: int = 0):
+    vals = [value(p) for p in parts]
     ndim = vals[0].ndim
     for v in vals[1:]:
         if v.ndim != ndim:
             raise DimensionError("concat: rank mismatch")
     sizes = [v.shape[axis] for v in vals]
     offs = np.cumsum([0] + sizes)
-    needs = [p.requires_grad for p in parts]
+    needs = [isinstance(p, Var) for p in parts]
 
     def vjp(g):
         return tuple(
             np.take(g, np.arange(offs[j], offs[j + 1]), axis=axis) if needs[j] else None
             for j in range(len(vals)))
 
-    return tape._push("concat", np.concatenate(vals, axis=axis),
-                      tuple(p.idx for p in parts), vjp)
+    return _node("concat", np.concatenate(vals, axis=axis), parts, vjp)
 
 
-def slice_(a: Var, key) -> Var:
-    av = a.value
+def slice_(a, key):
+    av = value(a)
     out = av[key]
 
     def vjp(g):
@@ -357,35 +333,33 @@ def slice_(a: Var, key) -> Var:
         ga[key] = g
         return (ga,)
 
-    return a.tape._push("slice", np.array(out, dtype=np.float64, copy=True), (a.idx,), vjp)
+    return _node("slice", np.array(out, dtype=np.float64, copy=True), (a,), vjp)
 
 
-def reshape(a: Var, shape) -> Var:
-    av = a.value
+def reshape(a, shape):
+    av = value(a)
 
     def vjp(g):
         return (g.reshape(av.shape),)
 
-    return a.tape._push("reshape", av.reshape(shape), (a.idx,), vjp)
+    return _node("reshape", av.reshape(shape), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
-    """d(output)/d(w) for each w in wrt; output must be scalar.
+    """d(output)/d(w) for each w in wrt; output must be a scalar Var of tape.
 
-    Fan-out accumulates by addition, in strictly reverse creation order.
+    Fan-out accumulates by addition, in strictly reverse creation order;
+    array operands (parent -1) receive nothing.
     """
-    if not tape.record:
-        raise UsageError("cannot differentiate on a non-recording tape")
-    if output.tape is not tape:
-        raise UsageError("output does not belong to this tape")
+    if not isinstance(output, Var) or output.tape is not tape:
+        raise UsageError("grad output must be a Var of this tape")
     if output.value.shape != ():
         raise UsageError(f"grad output must be scalar, got shape {output.value.shape}")
     adj: list = [None] * len(tape.nodes)
     adj[output.idx] = np.ones(())
-    requires = tape.requires
     for idx in range(output.idx, -1, -1):
         g = adj[idx]
         if g is None:
@@ -394,7 +368,7 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
         if not node.parents:
             continue
         for pidx, pg in zip(node.parents, node.vjp(g)):
-            if pg is None or not requires[pidx]:
+            if pg is None or pidx < 0:
                 continue
             adj[pidx] = pg if adj[pidx] is None else adj[pidx] + pg
     out = []

@@ -10,9 +10,8 @@ Every forward reads its parameters from the name->array mapping that
 init_variant_params builds and checkpoints store (U1, U2, C, W2, W3 for M;
 U{n}_e, U{n}_i per level n and C for H), as arrays or as Vars. All forwards
 are built from autodiff primitives so they are differentiable w.r.t. every
-parameter and input; pass numpy arrays for plain evaluation (a throwaway
-tape is created; variant_value's records nothing) or Vars bound to a
-training tape.
+parameter and input: given Vars of a training tape they return a Var, and
+given numpy arrays alone they return the plain array.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
 from .errors import ConfigError
 
 VARIANTS = (
@@ -35,13 +33,6 @@ VARIANTS = (
 _SQUARE_ONLY = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "LearnableConcat")
 
 
-def _find_tape(*objs, tape=None) -> Tape:
-    for o in objs:
-        if isinstance(o, Var):
-            return o.tape
-    return tape if tape is not None else Tape()
-
-
 def _levels(p: Mapping) -> list:
     """The recursion's per-level (U{n}_e, U{n}_i) pairs, n = 1, 2, ... in order."""
     levels = []
@@ -51,19 +42,16 @@ def _levels(p: Mapping) -> list:
     return levels
 
 
-def m_forward(p: Mapping, e, i, tape=None) -> Var:
+def m_forward(p: Mapping, e, i):
     """Factored multiplicative interaction plus linear terms.
 
     p holds U1, U2 (k x d), C (o x k), W2 and W3 (o x d).
     """
-    t = _find_tape(*p.values(), e, i, tape=tape)
-    e = ad._coerce(t, e)
-    i = ad._coerce(t, i)
     mixed = ad.mul(ad.matmul(p["U1"], e), ad.matmul(p["U2"], i))
     return ad.matmul(p["C"], mixed) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)
 
 
-def h_forward(p: Mapping, e, i, tape=None) -> Var:
+def h_forward(p: Mapping, e, i):
     """High-degree interaction: recursive Hadamard mixing of shared embeddings.
 
     p holds U{n}_e and U{n}_i (k x d) for n = 1..N, and C (o x k).
@@ -71,9 +59,6 @@ def h_forward(p: Mapping, e, i, tape=None) -> Var:
     levels = _levels(p)
     if not levels:
         raise ConfigError("H needs at least one level")
-    t = _find_tape(*p.values(), e, i, tape=tape)
-    e = ad._coerce(t, e)
-    i = ad._coerce(t, i)
     (U_e, U_i), *rest = levels
     x = ad.matmul(U_e, e) + ad.matmul(U_i, i)
     for U_e, U_i in rest:
@@ -82,11 +67,8 @@ def h_forward(p: Mapping, e, i, tape=None) -> Var:
     return ad.matmul(p["C"], x)
 
 
-def h_multiplicative_forward(p: Mapping, e, i, tape=None) -> Var:
+def h_multiplicative_forward(p: Mapping, e, i):
     """The recursion with the additive carry dropped: C[z_N * ... * z_2 * x_1]."""
-    t = _find_tape(*p.values(), e, i, tape=tape)
-    e = ad._coerce(t, e)
-    i = ad._coerce(t, i)
     (U_e, U_i), *rest = _levels(p)
     x = ad.matmul(U_e, e) + ad.matmul(U_i, i)
     for U_e, U_i in rest:
@@ -95,7 +77,7 @@ def h_multiplicative_forward(p: Mapping, e, i, tape=None) -> Var:
     return ad.matmul(p["C"], x)
 
 
-def h_expand_oracle(p: Mapping, e, i, tape=None) -> Var:
+def h_expand_oracle(p: Mapping, e, i):
     """Symbolic distribution of the recursion into monomials of (U e)/(U i) factors.
 
     Supported for N in {2, 3}: 6 terms for N=2, 18 for N=3 (the 8 degree-3
@@ -104,9 +86,6 @@ def h_expand_oracle(p: Mapping, e, i, tape=None) -> Var:
     levels = _levels(p)
     if len(levels) not in (2, 3):
         raise ConfigError(f"expansion oracle supports N in {{2, 3}}, got {len(levels)}")
-    t = _find_tape(*p.values(), e, i, tape=tape)
-    e = ad._coerce(t, e)
-    i = ad._coerce(t, i)
     (U_e, U_i), *rest = levels
     monomials = [ad.matmul(U_e, e), ad.matmul(U_i, i)]
     for U_e, U_i in rest:
@@ -193,12 +172,8 @@ def init_variant_params(variant: str, d: int, k: int, o: int, rng: np.random.Gen
     return p
 
 
-def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> Var:
-    """Evaluate the selected conditioning variant; returns a differentiable Var."""
-    t = _find_tape(e, i, l, *params.values(), tape=tape)
-    e = ad._coerce(t, e)
-    i = ad._coerce(t, i)
-
+def variant_forward(variant: str, params: Mapping, e, i, l=None):
+    """Evaluate the selected conditioning variant: a Var, or an array given arrays alone."""
     if variant == "Baseline":
         return ad.concat([e, i])
     if variant == "A1":
@@ -218,21 +193,20 @@ def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> V
         return (ad.matmul(params["W1"], ad.mul(e, i))
                 + ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i))
     if variant == "A7":
-        W = ad._coerce(t, params["W_tensor"])
+        W = params["W_tensor"]
         o, d = W.shape[0], W.shape[1]
         # W x_2 e x_3 i: contract i over the flattened (o*d, d) tensor, then e
         Yi = ad.matmul(ad.reshape(W, (o * d, d)), i)
         return ad.matmul(ad.reshape(Yi, (o, d)), e)
     if variant in ("M", "HigherOut_o256"):
-        return m_forward(params, e, i, tape=t)
+        return m_forward(params, e, i)
     if variant == "H":
-        return h_forward(params, e, i, tape=t)
+        return h_forward(params, e, i)
     if variant == "LearnableConcat":
         return ad.concat([ad.matmul(params["W2"], e), ad.matmul(params["W3"], i)])
     if variant == "LatentInM":
         if l is None:
             raise ConfigError("LatentInM needs the latent code l")
-        l = ad._coerce(t, l)
         ue = ad.matmul(params["U1"], e)
         ui = ad.matmul(params["U2"], i)
         ul = ad.matmul(params["U3"], l)
@@ -244,5 +218,5 @@ def variant_forward(variant: str, params: Mapping, e, i, l=None, tape=None) -> V
 
 
 def variant_value(variant: str, params: Mapping, e, i, l=None) -> np.ndarray:
-    """Plain-numpy evaluation of a variant (on a tape that records nothing)."""
-    return variant_forward(variant, params, e, i, l, tape=Tape(record=False)).value
+    """variant_forward on arrays, which returns the plain conditioning vector."""
+    return variant_forward(variant, params, e, i, l)

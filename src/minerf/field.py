@@ -9,9 +9,10 @@ forward_encoded is the one forward, written against autodiff primitives.
 Every layer, with its relu, is one ad.linear node over its input parts, never
 a concatenation: encoded points and activations are matrix parts, and the
 conditioning and latent vectors, shared by all samples, fold into the bias.
-trainer.model_fields runs it on a recording tape for training and on a
-non-recording one for rendering, with raw-array weights whose row blocks are
-numpy views; field_forward_np encodes raw points and directions and calls it.
+trainer.model_fields runs it on leaf Vars of a recording tape for training,
+and on the stored arrays for rendering, where every op returns a plain array
+and the weights' row blocks are numpy views; field_forward_np encodes raw
+points and directions and calls it.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     directions enc_v (n, d_enc_v), on the tape of the Vars passed in.
 
     cond and latent are vectors shared by every row (latent may be None when
-    d_latent is 0); weights are Vars, or raw arrays on a non-recording tape.
+    d_latent is 0). Any of the inputs may be Vars of one tape or arrays; with
+    arrays alone the outputs are arrays.
     """
     w = weights
     x = [enc_x, cond, latent]
@@ -162,13 +164,8 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
 def field_forward_np(arch: FieldArch, weights, cond: np.ndarray, latent, X: np.ndarray,
                      V: np.ndarray):
     """Batched numpy evaluation: X, V are (n, 3); returns (rgb (n,3), sigma (n,))."""
-    tape = ad.Tape(record=False)
-    enc_x = ad.const(tape, positional_encode(X, arch.Lx))
-    enc_v = ad.const(tape, positional_encode(_normalize_dirs(V), arch.Lv))
-    rgb, sigma = forward_encoded(arch, weights, ad.const(tape, cond),
-                                 None if latent is None else ad.const(tape, latent),
-                                 enc_x, enc_v)
-    return rgb.value, sigma.value
+    return forward_encoded(arch, weights, cond, latent, positional_encode(X, arch.Lx),
+                           positional_encode(_normalize_dirs(V), arch.Lv))
 
 
 def field_forward(arch: FieldArch, weights, cond, latent, x, v):

@@ -3,15 +3,15 @@
 render_rays is the one hierarchical pipeline (stratify, coarse field,
 composite, importance-resample, fine field, composite) behind ground-truth
 frames, model frames and training; the callers differ only in the field
-functions they pass and the tape those return Vars on.
+functions they pass: Vars on a training tape, or plain arrays for rendering.
 
 Compositing uses the standard alpha estimator for the ray integral:
 alpha_i = 1 - exp(-sigma_i * delta_i), T_i = prod_{j<i} (1 - alpha_j),
 C = sum_i T_i alpha_i c_i + T_end * background. delta_i is the gap to the
 next sample; the last delta runs to t_far. composite_batch is the one
 compositor, over rows of rays (a single ray is a one-row batch); render_rays
-calls it through composite_rays_tape, a single tape node with the
-closed-form vector-Jacobian product.
+calls it through composite_rays_tape, which given Vars is a single tape node
+with the closed-form vector-Jacobian product.
 
 RNG streams are counter-based (Philox-4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC 2011) keyed on (step, frame, pixel),
@@ -224,16 +224,15 @@ def composite_batch(ts: np.ndarray, sigma: np.ndarray, rgb: np.ndarray, t_far: f
 def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray):
     """composite_batch as one tape node: sigma (R*S,) and rgb (R*S,3) Vars, ts (R,S) fixed.
 
-    Returns the colors (R,3) as a Var and the weights (R,S) as an array for
-    importance resampling. With s_k = sigma_k * delta_k, the vector-Jacobian
-    product is dC/ds_k = T_{k+1} c_k - (sum_{i>k} w_i c_i + T_end bg) and
-    dC/dc_k = w_k, from the transmittances and weights of the forward pass.
+    Returns the colors (R,3), a Var unless sigma and rgb are both arrays, and
+    the weights (R,S) as an array for importance resampling. With
+    s_k = sigma_k * delta_k, the vector-Jacobian product is
+    dC/ds_k = T_{k+1} c_k - (sum_{i>k} w_i c_i + T_end bg) and dC/dc_k = w_k,
+    from the transmittances and weights of the forward pass.
     """
-    tape = ad._tape_of(sigma, rgb)
-    sigma, rgb = ad._coerce(tape, sigma), ad._coerce(tape, rgb)
     R, S = ts.shape
-    c = rgb.value.reshape(R, S, 3)
-    colors, trans, w = composite_batch(ts, sigma.value.reshape(R, S), c, t_far, bg)
+    c = ad.value(rgb).reshape(R, S, 3)
+    colors, trans, w = composite_batch(ts, ad.value(sigma).reshape(R, S), c, t_far, bg)
 
     def vjp(g):
         gc = (c * g[:, None, :]).sum(axis=2)
@@ -243,7 +242,7 @@ def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray
         g_sigma = (trans * gc - tail[:, ::-1]) * _deltas(ts, t_far)
         return g_sigma.reshape(R * S), (w[:, :, None] * g[:, None, :]).reshape(R * S, 3)
 
-    return tape._push("composite", colors, (sigma.idx, rgb.idx), vjp), w
+    return ad._node("composite", colors, (sigma, rgb), vjp), w
 
 
 def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
@@ -254,12 +253,12 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     Pixel p = row * width + col draws its coarse jitter, then its fine
     samples, from its stream; one pixel_rng(key, step, frame, ...) call draws
     them for all rays. coarse_fn and fine_fn map points X (R*S, 3) and ray
-    directions (R, 3) to Vars (rgb (R*S, 3), sigma (R*S,)), and compositing
-    runs on their tape: recording for training, Tape(record=False) for
-    rendering. n_fine > 0 adds a fine pass over the coarse t-values merged
-    with importance samples of the coarse weights.
+    directions (R, 3) to (rgb (R*S, 3), sigma (R*S,)): Vars for training, whose
+    tape compositing records onto, or arrays for rendering. n_fine > 0 adds a
+    fine pass over the coarse t-values merged with importance samples of the
+    coarse weights.
     ts=(coarse, merged) replays frozen t-values and draws nothing. Returns
-    (colors Var (R, 3), ts (R, S), weights (R, S)) per pass, coarse first.
+    (colors (R, 3), ts (R, S), weights (R, S)) per pass, coarse first.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     dirs = pixel_dirs(pose, rows, cols)
@@ -292,9 +291,9 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
     """Render every pixel of one frame, row-major, through render_rays.
 
     field_fn and fine_field_fn (default: field_fn) follow render_rays' field
-    contract. Deterministic for a given (seed, frame_index): every render
-    draws from pixel stream step 0, which is why training keys its pixels at
-    step + 1.
+    contract and return arrays. Deterministic for a given (seed, frame_index):
+    every render draws from pixel stream step 0, which is why training keys
+    its pixels at step + 1.
     """
     H, W = pose.height, pose.width
     rows, cols = np.divmod(np.arange(H * W), W)
@@ -302,7 +301,7 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
         pose, rows, cols, key=philox_key(seed), step=0, frame=frame_index, t_near=t_near,
         t_far=t_far, n_coarse=n_coarse, n_fine=n_fine, coarse_fn=field_fn,
         fine_fn=fine_field_fn or field_fn, background=background)[-1]
-    img = colors.value.reshape(H, W, 3)
+    img = colors.reshape(H, W, 3)
     if return_depth:
         return img, (w * ts).sum(axis=1).reshape(H, W)
     return img

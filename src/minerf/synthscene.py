@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import ppm
 from .errors import ConfigError, UsageError
 from .renderer import CameraPose, render_image
@@ -240,13 +239,8 @@ def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
 def render_gt_frame(scene: SceneSpec, identity_index: int, e: np.ndarray,
                     pose: CameraPose, t_near: float, t_far: float, samples: int,
                     seed: int, frame_id: int) -> np.ndarray:
-    tape = ad.Tape(record=False)
-
-    def field(X, dirs):
-        rgb, sigma = analytic_field(scene, identity_index, e, X)
-        return ad.const(tape, rgb), ad.const(tape, sigma)
-
-    return render_image(field, pose, t_near=t_near, t_far=t_far, n_coarse=samples, n_fine=0,
+    return render_image(lambda X, dirs: analytic_field(scene, identity_index, e, X), pose,
+                        t_near=t_near, t_far=t_far, n_coarse=samples, n_fine=0,
                         background=scene.background, seed=seed, frame_index=frame_id)
 
 
@@ -298,8 +292,10 @@ def save_dataset(ds: Dataset, out_dir):
 
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
-    JSON or lacks a key, when a split entry is not a frame index or the test
-    split is empty, or when a frame it lists has no PPM."""
+    JSON or lacks a key, when a frame box is not four integers with
+    0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width, when a split entry is not
+    a frame index or the test split is empty, or when a frame it lists has no
+    PPM or one whose size is not its pose's."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
@@ -322,6 +318,13 @@ def load_dataset(in_dir) -> Dataset:
             frames = [Frame(index=fj["index"], pose=_pose_from_json(fj["pose"]),
                             e=np.array(fj["e"], dtype=np.float64), image=None,
                             box=tuple(fj["box"])) for fj in meta["frames"]]
+            for fr in frames:
+                b, pose = fr.box, fr.pose
+                if not (len(b) == 4 and all(type(x) is int for x in b)
+                        and 0 <= b[0] < b[1] <= pose.height and 0 <= b[2] < b[3] <= pose.width):
+                    raise ValueError(f"frame {fr.index} box {list(b)} is not four integers "
+                                     f"with 0 <= r0 < r1 <= {pose.height} and "
+                                     f"0 <= c0 < c1 <= {pose.width}")
             img_paths = [idir / f"frame_{fr.index:04d}.ppm" for fr in frames]
             idn = IdentityData(name=meta["name"], params=idp, frames=frames,
                                train_idx=list(meta["split"]["train"]),
@@ -342,6 +345,10 @@ def load_dataset(in_dir) -> Dataset:
             if not img_path.exists():
                 raise ConfigError(f"missing frame image {img_path} (listed in {meta_path})")
             fr.image = ppm.read_ppm(img_path)
+            if fr.image.shape != (fr.pose.height, fr.pose.width, 3):
+                raise ConfigError(f"frame image {img_path} is {fr.image.shape[1]}x"
+                                  f"{fr.image.shape[0]}, its pose in {meta_path} is "
+                                  f"{fr.pose.width}x{fr.pose.height}")
         identities.append(idn)
         scene_ids = scene.identities if scene else []
         scene = SceneSpec(modes=modes, identities=scene_ids + [idp],

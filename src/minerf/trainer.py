@@ -9,10 +9,11 @@ regularizers on the two codes touched this step.
 
 One binding serves training and rendering: model_fields builds the field
 functions render_rays takes, from leaf Vars on a recording tape for training
-and from the stored arrays on a Tape(record=False) for render_model_frame.
+and from the stored arrays for render_model_frame, where every autodiff op
+returns a plain array and nothing is recorded.
 
 Learnable arrays live in a flat name -> float64 array dict; each step binds
-the needed ones as tape leaves and reads the rest as constants. Both passes
+the needed ones as tape leaves and passes the rest as arrays. Both passes
 composite through renderer.composite_rays_tape, the renderer's compositor as
 one tape node. Fine-sample positions are stopped gradients (resampling reads
 coarse weights as plain values), the standard estimator.
@@ -77,25 +78,22 @@ def _code_penalty(total, code_var, lam: float, squared: bool):
 
 def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float,
          squared_norms: bool = False):
-    """(total, resid) Vars: resid sums ||pred - gt||^2 over rays and over preds
+    """(total, resid): resid sums ||pred - gt||^2 over rays and over preds
     (one per render pass, coarse first); total adds lam_l ||l||_2 + lam_i ||i||_2.
 
-    preds, l and i may be Vars or arrays; code norms are unsquared 2-norms
-    as written (squared_norms switches to the squared variant).
+    preds, l and i may be Vars or arrays (Vars out unless all are arrays);
+    code norms are unsquared 2-norms as written (squared_norms switches to
+    the squared variant).
     """
-    tape = cond_mod._find_tape(*preds, l, i)
     gt = np.asarray(gt_colors, dtype=np.float64)
     resid = None
     for pred in preds:
-        pred = ad._coerce(tape, pred)
         if pred.shape != gt.shape:
             raise DimensionError(f"ray count mismatch: {pred.shape} vs {gt.shape}")
         term = ad.sum_(ad.square(ad.sub(pred, gt)))
         resid = term if resid is None else resid + term
-    total = _code_penalty(resid, None if l is None else ad._coerce(tape, l),
-                          lam_l, squared_norms)
-    total = _code_penalty(total, None if i is None else ad._coerce(tape, i),
-                          lam_i, squared_norms)
+    total = _code_penalty(resid, l, lam_l, squared_norms)
+    total = _code_penalty(total, i, lam_i, squared_norms)
     return total, resid
 
 
@@ -205,7 +203,8 @@ def save_checkpoint(path, state: TrainState):
 def load_checkpoint(path) -> TrainState:
     """Read a checkpoint; ConfigError when the header is unreadable or its config
     invalid, an entry runs past the payload, a name lacks any of its param/m/v
-    entries or Adam count, or a model entry's shape is not model_params's."""
+    entries or Adam count, a model entry's shape is not model_params's, or an
+    identity code is not (d,) or a latent code (d_latent,)."""
     with open(path, "rb") as f:
         first = f.readline()
         payload = f.read()
@@ -235,9 +234,12 @@ def load_checkpoint(path) -> TrainState:
         if set(store) != names:
             missing = sorted(names ^ set(store), key=str)[0]
             raise ConfigError(f"checkpoint {path}: incomplete entries for {missing!r}")
+    c = state.cfg["conditioning"]
+    codes = {"identity": (c["d"],), "latent": (c["d_latent"],), "plat": (c["d_latent"],)}
     want = {n: a.shape for n, a in model_params(state.cfg, np.random.default_rng(0)).items()}
+    want.update({n: codes[n.split(".")[0]] for n in state.params if n.split(".")[0] in codes})
     have = {n: a.shape for n, a in state.params.items()
-            if n.startswith(("cond.", "coarse.", "fine."))}
+            if n.split(".")[0] in ("cond", "coarse", "fine", *codes)}
     for name in sorted(want.keys() | have.keys()):
         if want.get(name) != have.get(name):
             raise ConfigError(f"checkpoint {path}: entry {name!r} has shape {have.get(name)}, "
@@ -270,19 +272,19 @@ def _sample_pixels(rng, box, H, W, n_in, n_out):
             np.concatenate([cols, out_cols]).astype(np.int64))
 
 
-def model_fields(state: TrainState, params: dict, tape: Tape, e, code, latent):
+def model_fields(state: TrainState, params: dict, e, code, latent):
     """(coarse_fn, fine_fn) for render_rays: the model under expression e.
 
-    params, code and latent are arrays or Vars on tape. The conditioning vector
-    is computed once, the latent feeds the module or the field per
+    params, code and latent are arrays or Vars of one tape. The conditioning
+    vector is computed once, the latent feeds the module or the field per
     latent_inside, and each ray's direction is encoded once for all its samples.
     """
     arch = state.arch()
     variant = state.cfg["conditioning"]["variant"]
     inside = cond_mod.latent_inside(variant)
     cond = cond_mod.variant_forward(variant, _group(params, "cond"), e, code,
-                                    l=latent if inside else None, tape=tape)
-    lat_field = None if inside else ad._coerce(tape, latent)
+                                    l=latent if inside else None)
+    lat_field = None if inside else latent
 
     def field_fn(prefix):
         w = _group(params, prefix)
@@ -290,8 +292,7 @@ def model_fields(state: TrainState, params: dict, tape: Tape, e, code, latent):
         def fn(X, dirs):
             enc_v = np.repeat(positional_encode(dirs, arch.Lv), X.shape[0] // len(dirs), axis=0)
             return forward_encoded(arch, w, cond, lat_field,
-                                   ad.const(tape, positional_encode(X, arch.Lx)),
-                                   ad.const(tape, enc_v))
+                                   positional_encode(X, arch.Lx), enc_v)
         return fn
     return field_fn("coarse"), field_fn("fine")
 
@@ -301,17 +302,16 @@ def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str
     """Build the photoconsistency loss Var of every render pass for one ray batch.
 
     bound maps parameter names to leaf Vars of one tape; every other name is
-    read from state.params as a constant. render_rays draws from the pixel
+    read from state.params as an array. render_rays draws from the pixel
     streams (key, step, frame_id, pixel). ts=(coarse, merged) reruns it on
     frozen sample positions, which is the function the gradient actually
     differentiates (fine-sample placement is a stopped gradient) and what
     finite-difference probes vary. Returns (total, color residual, ts).
     """
     rc, tr = state.cfg["render"], state.cfg["train"]
-    tape = next(iter(bound.values())).tape
     params = {k: bound.get(k, v) for k, v in state.params.items()}
-    i_var, l_var = ad._coerce(tape, params[id_name]), ad._coerce(tape, params[lat_name])
-    coarse_fn, fine_fn = model_fields(state, params, tape, frame.e, i_var, l_var)
+    i_var, l_var = params[id_name], params[lat_name]
+    coarse_fn, fine_fn = model_fields(state, params, frame.e, i_var, l_var)
     passes = render_rays(frame.pose, rows, cols, key=key, step=step, frame=frame_id,
                          t_near=ds.t_near, t_far=ds.t_far, n_coarse=rc["n_coarse"],
                          n_fine=rc["n_fine"], coarse_fn=coarse_fn, fine_fn=fine_fn,
@@ -328,7 +328,7 @@ def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
     rng has already drawn the frame; the pixels come next from the same
     generator. `trainable`, the identity code and lat_name are bound as tape
     leaves and updated in place in state; cond.* names outside `trainable`
-    enter as constants.
+    enter as arrays.
     """
     tr = state.cfg["train"]
     idn = dataset.identities[id_idx]
@@ -431,7 +431,7 @@ def render_model_frame(state: TrainState, dataset: Dataset, identity_name: str,
     if code is None:
         raise UsageError(f"identity {identity_name!r} not in checkpoint")
     lat = np.zeros(state.cfg["conditioning"]["d_latent"]) if latent is None else latent
-    coarse_fn, fine_fn = model_fields(state, state.params, Tape(record=False), e, code, lat)
+    coarse_fn, fine_fn = model_fields(state, state.params, e, code, lat)
     rc = state.cfg["render"]
     return render_image(coarse_fn, pose, t_near=dataset.t_near, t_far=dataset.t_far,
                         n_coarse=rc["n_coarse"], n_fine=rc["n_fine"], fine_field_fn=fine_fn,

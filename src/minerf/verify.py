@@ -357,7 +357,7 @@ def suite_props(cases: int = 200) -> dict:
              "C": rng.standard_normal((o, k)), "W2": rng.standard_normal((o, d)),
              "W3": rng.standard_normal((o, d))}
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = cond.m_forward(p, e, i).value
+        got = cond.m_forward(p, e, i)
         f = tc.FactorTriple.from_arrays(p["C"], p["U1"].T, p["U2"].T)
         want = tc.m_full_oracle(tc.cp_expand(f), p["W2"], p["W3"], e, i)
         err = max(err, float(np.max(np.abs(got - want))))
@@ -371,8 +371,8 @@ def suite_props(cases: int = 200) -> dict:
         o = int(rng.integers(1, 9))
         p = _random_h(rng, 2, d, k, o)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = cond.h_forward(p, e, i).value
-        want = cond.h_expand_oracle(p, e, i).value
+        got = cond.h_forward(p, e, i)
+        want = cond.h_expand_oracle(p, e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop2_recursion_equals_six_terms", err, 1e-10))
 
@@ -382,7 +382,7 @@ def suite_props(cases: int = 200) -> dict:
         d, k, o = (int(rng.integers(1, 7)) for _ in range(3))
         p = _random_h(rng, 3, d, k, o)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = cond.h_multiplicative_forward(p, e, i).value
+        got = cond.h_multiplicative_forward(p, e, i)
         want = _triplet_expansion(p, e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop3_multiplicative_branch_triplets", err, 1e-10))
@@ -396,8 +396,8 @@ def suite_props(cases: int = 200) -> dict:
              "W3": np.zeros((d, d))}
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         a = float(rng.standard_normal())
-        lhs = cond.m_forward(p, a * e, i).value
-        rhs = a * cond.m_forward(p, e, i).value
+        lhs = cond.m_forward(p, a * e, i)
+        rhs = a * cond.m_forward(p, e, i)
         err = max(err, float(np.max(np.abs(lhs - rhs))))
     checks.append(_check("degree_linearity_in_e", err, 1e-12))
 

@@ -92,7 +92,7 @@ def test_linear_matches_the_numpy_layer_bit_for_bit():
 
 def test_every_tape_primitive_has_a_verify_fd_check():
     src = Path(ad.__file__).read_text() + Path(renderer.__file__).read_text()
-    ops = set(re.findall(r'_push\("(\w+)"', src)) - {"leaf", "const"}
+    ops = set(re.findall(r'_node\("(\w+)"', src))
     assert "matmul" in ops and "composite" in ops
     checks = {c["name"] for c in verify.suite_autodiff(per_primitive=1)["checks"]}
     missing = sorted(op for op in ops if f"fd_{op}" not in checks)
@@ -199,11 +199,13 @@ def test_grad_requires_scalar_output():
 
 
 def test_constants_receive_no_gradient_paths():
+    # an array operand is parent -1: no node, and its gradient is never formed
     t = ad.Tape()
-    c = ad.const(t, np.ones(3))
     x = ad.leaf(t, np.full(3, 2.0))
-    out = ad.sum_(ad.mul(c, x))
-    assert not c.requires_grad and x.requires_grad
+    y = ad.mul(np.ones(3), x)
+    out = ad.sum_(y)
+    assert t.nodes[y.idx].parents == (-1, x.idx)
+    assert t.nodes[y.idx].vjp(np.ones(3))[0] is None
     assert np.array_equal(ad.grad(t, out, [x])[0], np.ones(3))
 
 
@@ -217,14 +219,52 @@ def test_tape_topological_by_construction():
     assert out.idx == len(t.nodes) - 1
 
 
-def test_non_recording_tape_keeps_values_not_nodes():
-    t = ad.Tape(record=False)
-    x = ad.leaf(t, np.array([[-1.0, 2.0]]))
+def test_no_grad_ops_return_arrays_and_record_nothing():
+    t = ad.Tape()
+    x = np.array([[-1.0, 2.0]])
     y = ad.sum_(ad.linear([ad.mul(x, 3.0)], [np.eye(2)], np.zeros(2), relu=True))
-    assert float(y.value) == 6.0
-    assert len(t.nodes) == 0 and not t.values and not y.requires_grad
+    assert not isinstance(y, ad.Var) and float(y) == 6.0
+    assert len(t.nodes) == 0 and not t.values
     with pytest.raises(UsageError):
-        ad.grad(t, y, [x])
+        ad.grad(t, y, [])
+
+
+def test_array_operands_give_numpy_values_and_array_plus_var_dispatches():
+    rng = np.random.default_rng(6)
+    A, B = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    x, c = rng.standard_normal(3), rng.standard_normal(3)
+    pairs = [(ad.add(x, c), x + c), (ad.sub(x, c), x + -c), (ad.mul(x, 2.0), x * 2.0),
+             (ad.neg(x), -x), (ad.scale(x, 1.5), 1.5 * x), (ad.square(x), x * x),
+             (ad.exp(x), np.exp(x)), (ad.sqrt(np.abs(x)), np.sqrt(np.abs(x))),
+             (ad.matmul(A, B), A @ B), (ad.matmul(x, A), x @ A),
+             (ad.linear([A], [B], np.ones(2), relu=True), np.maximum(A @ B + np.ones(2), 0.0)),
+             (ad.sum_(A, axis=0), A.sum(axis=0)), (ad.concat([x, c]), np.concatenate([x, c])),
+             (ad.slice_(A, (slice(None), 1)), A[:, 1].copy()), (ad.reshape(A, (4, 3)),
+                                                                A.reshape(4, 3))]
+    for got, want in pairs:
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    t = ad.Tape()
+    with pytest.raises(UsageError):
+        ad.grad(t, ad.sum_(x), [])
+    # array + Var defers to Var.__radd__: the same value and gradient that a
+    # second leaf in the array's place gives for the leaf
+    v = ad.leaf(t, x)
+    y = c + v
+    assert isinstance(y, ad.Var) and t.nodes[y.idx].parents == (-1, v.idx)
+    t2 = ad.Tape()
+    c2, v2 = ad.leaf(t2, c), ad.leaf(t2, x)
+    y2 = c2 + v2
+    assert y.value.tobytes() == y2.value.tobytes()
+    g = ad.grad(t, ad.sum_(ad.square(y)), [v])[0]
+    assert g.tobytes() == ad.grad(t2, ad.sum_(ad.square(y2)), [v2])[0].tobytes()
+    s = np.float64(2.0) + ad.sum_(v)  # numpy scalar + Var, as in the loss
+    assert isinstance(s, ad.Var) and float(s.value) == 2.0 + x.sum()
+    with pytest.raises(UsageError):
+        v + v2
+    with pytest.raises(UsageError):
+        ad.linear([ad.leaf(t, A)], [B], ad.leaf(t2, np.ones(2)))
+    with pytest.raises(UsageError):
+        ad.grad(t, ad.sum_(v2), [v])
 
 
 def test_finite_diff_floor_scales_with_largest_gradient():
@@ -239,7 +279,7 @@ def test_finite_diff_floor_scales_with_largest_gradient():
 
 def test_finite_diff_catches_a_slightly_wrong_vjp():
     def off_by_1e4(x):  # identity forward, backward scaled by 1.0001
-        return x.tape._push("off", x.value, (x.idx,), lambda g: (1.0001 * g,))
+        return ad._node("off", x.value, (x,), lambda g: (1.0001 * g,))
 
     w = np.array([1.0, 1e-6, -2.0])
     rep = ad.finite_diff_check(lambda x: ad.sum_(ad.mul(off_by_1e4(x), w)),

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -438,6 +439,40 @@ def test_train_rejects_truncated_frame(tiny_cfg_file, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny_data") / "data"
+    cfg = data.parent / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    return data
+
+
+def test_train_rejects_a_frame_of_another_size(tiny_data, tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    frame = data / "id00" / "frame_0000.ppm"
+    ppm.write_ppm(frame, np.zeros((4, 4, 3)))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(frame), "4x4")
+
+
+@pytest.mark.parametrize("box", [[5, 2, 0, 8], [0, 8], [0, 20, 0, 8], [0, 8, 0, 8.0]])
+def test_train_rejects_a_bad_frame_box(box, tiny_data, tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    meta_path = data / "id00" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["frames"][0]["box"] = box
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path), "box")
+
+
+@pytest.fixture(scope="module")
 def tiny_ckpt(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ckpt")
     cfg = tmp / "cfg.json"
@@ -463,6 +498,37 @@ def test_edited_checkpoint_config_exit_2(section, key, value, needle, tiny_ckpt,
                    "--out", str(tmp_path / "r")])
     assert rc == 2
     _one_line_error(capsys, str(edited), needle)
+
+
+@pytest.mark.parametrize("entry, shape", [("identity.id00", [4]), ("latent.id00.0000", [2])])
+def test_edited_checkpoint_code_shape_exit_2(entry, shape, tiny_ckpt, tmp_path, capsys):
+    header, payload = tiny_ckpt.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    (param,) = [e for e in meta["entries"] if e["kind"] == "param" and e["name"] == entry]
+    param["shape"] = shape
+    edited = tmp_path / "edited.ckpt"
+    edited.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+    capsys.readouterr()
+    rc = cli.main(["render", "--ckpt", str(edited), "--identity", "id00", "--frames", "0",
+                   "--out", str(tmp_path / "r")])
+    assert rc == 2
+    _one_line_error(capsys, str(edited), repr(entry))
+
+
+def test_checkpoint_personalized_latent_shape_checked(tiny_ckpt, tmp_path):
+    state = trainer.load_checkpoint(tiny_ckpt)
+    d_latent = state.cfg["conditioning"]["d_latent"]
+    for n in (d_latent, 3):
+        for store in (state.params, state.adam_m, state.adam_v):
+            store["plat.id09.0000"] = np.zeros(n)
+        state.adam_t["plat.id09.0000"] = 0
+        path = tmp_path / f"p{n}.ckpt"
+        trainer.save_checkpoint(path, state)
+        if n == d_latent:
+            assert trainer.load_checkpoint(path).params["plat.id09.0000"].shape == (n,)
+        else:
+            with pytest.raises(ConfigError, match=r"p3\.ckpt: entry 'plat\.id09\.0000'"):
+                trainer.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("frames", ["abc", "99", "3:1", "-1", "0:99", "1,,2", "2:x"])

@@ -20,7 +20,7 @@ def test_m_forward_identity_params_is_hadamard():
          "W2": np.zeros((d, d)), "W3": np.zeros((d, d))}
     e = np.array([1.0, 2.0, -1.0])
     i = np.array([0.5, 3.0, 2.0])
-    assert np.allclose(cond.m_forward(p, e, i).value, e * i, atol=1e-15)
+    assert np.allclose(cond.m_forward(p, e, i), e * i, atol=1e-15)
 
 
 def test_m_forward_pure_linear():
@@ -29,14 +29,14 @@ def test_m_forward_pure_linear():
          "W2": np.eye(d), "W3": np.eye(d)}
     e = np.array([1.0, 2.0, -1.0])
     i = np.array([0.5, 3.0, 2.0])
-    assert np.allclose(cond.m_forward(p, e, i).value, e + i, atol=1e-15)
+    assert np.allclose(cond.m_forward(p, e, i), e + i, atol=1e-15)
 
 
 def test_m_forward_matches_full_tensor_oracle():
     rng = np.random.default_rng(0)
     p = _m(rng, d=4, k=2)
     e, i = rng.standard_normal(4), rng.standard_normal(4)
-    got = cond.m_forward(p, e, i).value
+    got = cond.m_forward(p, e, i)
     f = tc.FactorTriple.from_arrays(p["C"], p["U1"].T, p["U2"].T)
     want = tc.m_full_oracle(tc.cp_expand(f), p["W2"], p["W3"], e, i)
     assert np.max(np.abs(got - want)) < 1e-10
@@ -60,12 +60,12 @@ def test_h_forward_base_case():
     p = _h(rng, d=3, k=4, o=2, n=1)
     e, i = rng.standard_normal(3), rng.standard_normal(3)
     want = p["C"] @ (p["U1_e"] @ e + p["U1_i"] @ i)
-    assert np.allclose(cond.h_forward(p, e, i).value, want, atol=1e-14)
+    assert np.allclose(cond.h_forward(p, e, i), want, atol=1e-14)
 
 
 def test_h_forward_zero_params():
     p = _h_zero(3, 2, np.ones((3, 3)))
-    out = cond.h_forward(p, np.ones(3), np.ones(3)).value
+    out = cond.h_forward(p, np.ones(3), np.ones(3))
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -79,13 +79,13 @@ def test_h_forward_n2_matches_six_term_expansion():
     C = p["C"]
     want = (C @ (u2e * u1e) + C @ (u2e * u1i) + C @ (u2i * u1e)
             + C @ (u2i * u1i) + C @ u1e + C @ u1i)
-    assert np.max(np.abs(cond.h_forward(p, e, i).value - want)) < 1e-10
-    assert np.max(np.abs(cond.h_expand_oracle(p, e, i).value - want)) < 1e-12
+    assert np.max(np.abs(cond.h_forward(p, e, i) - want)) < 1e-10
+    assert np.max(np.abs(cond.h_expand_oracle(p, e, i) - want)) < 1e-12
 
 
 def test_h_expand_oracle_trivials():
     p = _h_zero(2, 2, np.ones((2, 2)))
-    assert np.array_equal(cond.h_expand_oracle(p, np.ones(2), np.ones(2)).value,
+    assert np.array_equal(cond.h_expand_oracle(p, np.ones(2), np.ones(2)),
                           np.zeros(2))
     rng = np.random.default_rng(3)
     p = _h(rng, d=2, k=2, o=2, n=2)
@@ -93,7 +93,7 @@ def test_h_expand_oracle_trivials():
     p["U2_i"][:] = 0.0
     e, i = rng.standard_normal(2), rng.standard_normal(2)
     want = p["C"] @ (p["U1_e"] @ e + p["U1_i"] @ i)  # multiplicative factor vanishes
-    assert np.allclose(cond.h_expand_oracle(p, e, i).value, want, atol=1e-14)
+    assert np.allclose(cond.h_expand_oracle(p, e, i), want, atol=1e-14)
 
 
 def test_h_expand_oracle_rejects_large_n():
@@ -112,7 +112,7 @@ def test_h_n3_multiplicative_branch_matches_triplets():
         for b in (p["U1_e"] @ e, p["U1_i"] @ i):
             for c in (p["U3_e"] @ e, p["U3_i"] @ i):
                 terms = terms + p["C"] @ (a * b * c)
-    got = cond.h_multiplicative_forward(p, e, i).value
+    got = cond.h_multiplicative_forward(p, e, i)
     assert np.max(np.abs(got - terms)) < 1e-10
 
 
@@ -121,8 +121,8 @@ def test_h_expand_oracle_full_n3_matches_recursion():
     for _ in range(25):
         p = _h(rng, d=3, k=2, o=4, n=3)
         e, i = rng.standard_normal(3), rng.standard_normal(3)
-        assert np.max(np.abs(cond.h_forward(p, e, i).value
-                             - cond.h_expand_oracle(p, e, i).value)) < 1e-10
+        assert np.max(np.abs(cond.h_forward(p, e, i)
+                             - cond.h_expand_oracle(p, e, i))) < 1e-10
 
 
 def test_variant_baseline_concat():
@@ -189,8 +189,8 @@ def test_degree_property_multiplicative_branch_linear_in_e():
          "W3": np.zeros((d, d))}
     e, i = rng.standard_normal(d), rng.standard_normal(d)
     alpha = 1.7
-    lhs = cond.m_forward(p, alpha * e, i).value
-    rhs = alpha * cond.m_forward(p, e, i).value
+    lhs = cond.m_forward(p, alpha * e, i)
+    rhs = alpha * cond.m_forward(p, e, i)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

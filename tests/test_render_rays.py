@@ -135,12 +135,11 @@ def _batch_loss_ref(state, ds, frame, bound, id_name, lat_name, rngs_pixels, row
     origin = np.asarray(frame.pose.t, dtype=np.float64)
     t_near, t_far = ds.t_near, ds.t_far
     tc = np.stack([_stratified_ref(t_near, t_far, rc["n_coarse"], g) for g in rngs_pixels])
-    tape = next(iter(bound.values())).tape
     params = {k: bound.get(k, v) for k, v in state.params.items()}
-    i_var, l_var = ad._coerce(tape, params[id_name]), ad._coerce(tape, params[lat_name])
+    i_var, l_var = params[id_name], params[lat_name]
     inside = cond_mod.latent_inside(variant)
     cond_var = cond_mod.variant_forward(variant, tr._group(params, "cond"), frame.e, i_var,
-                                        l=l_var if inside else None, tape=tape)
+                                        l=l_var if inside else None)
     bg = np.broadcast_to(ds.scene.background, (rows.size, 3))
     enc_v_ray = positional_encode(dirs, arch.Lv)
 
@@ -195,18 +194,13 @@ def test_ground_truth_render_matches_per_ray_loops(setup):
         n_fine=0, fine_field_fn=None, background=scene.background, seed=ds.seed,
         frame_index=fid)
     assert np.array_equal(frame.image, img)  # the dataset's GT frame, via render_gt_frame
-    tape = ad.Tape(record=False)
-
-    def field(X, dirs):
-        return tuple(ad.const(tape, a) for a in analytic(X, None))
-
     passes = rd.render_rays(frame.pose, *_all_pixels(frame.pose), key=rd.philox_key(ds.seed),
                             step=0, frame=fid, t_near=ds.t_near, t_far=ds.t_far,
-                            n_coarse=ds.gt_samples, n_fine=0, coarse_fn=field, fine_fn=None,
+                            n_coarse=ds.gt_samples, n_fine=0, coarse_fn=analytic, fine_fn=None,
                             background=scene.background)
     assert len(passes) == 1
     assert np.array_equal(passes[0][1], ts)
-    assert np.array_equal(passes[0][0].value.reshape(img.shape), img)
+    assert np.array_equal(passes[0][0].reshape(img.shape), img)
     assert np.array_equal(_depth(passes, frame.pose), depth)
 
 
@@ -221,18 +215,13 @@ def test_model_render_matches_per_ray_loops(setup):
     lat = np.zeros(cfg["conditioning"]["d_latent"])
     # each ray's unit direction encoded once, as _batch_loss_ref does, not per sample
     enc_v_ray = positional_encode(rd.pixel_dirs(frame.pose, *_all_pixels(frame.pose)), arch.Lv)
-    np_tape = ad.Tape(record=False)
 
     def np_field(prefix):
         w = tr._group(state.params, prefix)
 
         def field(X, V):
             enc_v = np.repeat(enc_v_ray, X.shape[0] // len(enc_v_ray), axis=0)
-            rgb, sigma = forward_encoded(arch, w, ad.const(np_tape, cond_vec),
-                                         ad.const(np_tape, lat),
-                                         ad.const(np_tape, positional_encode(X, arch.Lx)),
-                                         ad.const(np_tape, enc_v))
-            return rgb.value, sigma.value
+            return forward_encoded(arch, w, cond_vec, lat, positional_encode(X, arch.Lx), enc_v)
         return field
 
     img, depth, ts = _render_image_ref(
@@ -243,20 +232,18 @@ def test_model_render_matches_per_ray_loops(setup):
                                                frame_id=fid, return_depth=True)
     assert np.array_equal(got_img, img)
     assert np.array_equal(got_depth, depth)
-    tape = ad.Tape(record=False)
 
-    def var_field(prefix):
+    def rays_field(prefix):
         fn = np_field(prefix)
 
         def field(X, dirs):
-            V = np.repeat(dirs, X.shape[0] // len(dirs), axis=0)
-            return tuple(ad.const(tape, a) for a in fn(X, V))
+            return fn(X, np.repeat(dirs, X.shape[0] // len(dirs), axis=0))
         return field
 
     passes = rd.render_rays(frame.pose, *_all_pixels(frame.pose),
                             key=rd.philox_key(cfg["seed"]), step=0, frame=fid,
                             t_near=ds.t_near, t_far=ds.t_far, n_coarse=6, n_fine=7,
-                            coarse_fn=var_field("coarse"), fine_fn=var_field("fine"),
+                            coarse_fn=rays_field("coarse"), fine_fn=rays_field("fine"),
                             background=ds.scene.background)
     assert [p[1].shape[1] for p in passes] == [6, 13]
     assert np.array_equal(passes[1][1], ts)
@@ -312,14 +299,14 @@ def test_training_binding_renders_the_model_frame(setup, sets):
     tape = ad.Tape()
     params = {n: ad.leaf(tape, v) for n, v in state.params.items()}
     lat = ad.leaf(tape, np.zeros(state.cfg["conditioning"]["d_latent"]))
-    coarse_fn, fine_fn = tr.model_fields(state, params, tape, frame.e,
+    coarse_fn, fine_fn = tr.model_fields(state, params, frame.e,
                                          params[f"identity.{idn.name}"], lat)
     passes = rd.render_rays(frame.pose, *_all_pixels(frame.pose),
                             key=rd.philox_key(state.cfg["seed"]), step=0, frame=fid,
                             t_near=ds.t_near, t_far=ds.t_far, n_coarse=6, n_fine=7,
                             coarse_fn=coarse_fn, fine_fn=fine_fn,
                             background=ds.scene.background)
-    assert tape.record and len(tape) > len(params)
+    assert isinstance(passes[-1][0], ad.Var) and len(tape) > len(params)
     img, depth = tr.render_model_frame(state, ds, idn.name, frame.e, frame.pose,
                                        frame_id=fid, return_depth=True)
     assert np.array_equal(passes[-1][0].value.reshape(img.shape), img)

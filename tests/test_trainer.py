@@ -31,28 +31,28 @@ def tiny_ds():
 
 def test_loss_examples():
     assert float(tr.loss([np.zeros((3, 3))], np.zeros((3, 3)), np.zeros(2),
-                         np.zeros(2), 0.01, 1e-4)[0].value) == 0.0
+                         np.zeros(2), 0.01, 1e-4)[0]) == 0.0
     pred = np.array([[0.1, 0.0, 0.0]])
-    assert float(tr.loss([pred], np.zeros((1, 3)), None, None, 0.0, 0.0)[0].value) \
+    assert float(tr.loss([pred], np.zeros((1, 3)), None, None, 0.0, 0.0)[0]) \
         == pytest.approx(0.01)
     l = np.array([3.0, 4.0])
     got, _ = tr.loss([np.zeros((1, 3))], np.zeros((1, 3)), l, np.zeros(2), 0.01, 0.0)
-    assert float(got.value) == pytest.approx(0.05)
+    assert float(got) == pytest.approx(0.05)
 
 
 def test_loss_squared_variant():
     l = np.array([3.0, 4.0])
     got, _ = tr.loss([np.zeros((1, 3))], np.zeros((1, 3)), l, None, 0.01, 0.0,
                      squared_norms=True)
-    assert float(got.value) == pytest.approx(0.25)
+    assert float(got) == pytest.approx(0.25)
 
 
 def test_loss_sums_passes_and_returns_color_residual():
     coarse, fine = np.array([[0.1, 0.0, 0.0]]), np.array([[0.0, 0.2, 0.0]])
     total, resid = tr.loss([coarse, fine], np.zeros((1, 3)), np.array([3.0, 4.0]), None,
                            0.01, 0.0)
-    assert float(resid.value) == pytest.approx(0.05)
-    assert float(total.value) == pytest.approx(0.1)
+    assert float(resid) == pytest.approx(0.05)
+    assert float(total) == pytest.approx(0.1)
 
 
 def test_adam_zero_grad_is_noop():
@@ -185,8 +185,9 @@ def test_toy_training_tape_size(monkeypatch):
     monkeypatch.setattr(tr.ad, "grad", recording_grad)
     tr.train(sc.dataset_from_config(cfg), cfg)
     (ops,) = tapes
-    assert sum(ops.values()) == 113
+    assert sum(ops.values()) == 106
     assert ops["linear"] == 16 and ops["matmul"] == 9 and ops["relu"] == 0
+    assert ops["const"] == 0  # arrays enter ops as parent -1, never as nodes
     assert ops["reshape"] == 0 and ops["matvec"] == 0
 
 
