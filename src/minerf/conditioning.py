@@ -6,31 +6,21 @@ x_n = x_{n-1} + (U_n1 e + U_n2 i) * x_{n-1}. Ablation variants A1..A7 plus
 three extras (higher output dim, learnable concatenation, latent code inside
 the module) are all dispatched through variant_forward.
 
-Every forward reads its parameters from the name->array mapping that
-init_variant_params builds and checkpoints store (U1, U2, C, W2, W3 for M;
-U{n}_e, U{n}_i per level n and C for H), as arrays or as Vars. All forwards
-are built from autodiff primitives so they are differentiable w.r.t. every
-parameter and input: given Vars of a training tape they return a Var, and
-given numpy arrays alone they return the plain array.
+_TABLE declares each variant once, and param_shapes, check_variant_dims,
+variant_output_dim and variant_forward read its row. Each formula is built
+from autodiff primitives over a name->array mapping (U1, U2, C, W2, W3 for M;
+U{n}_e, U{n}_i per level n and C for H): given Vars of a training tape it
+returns a Var, and given numpy arrays alone the plain array.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-
-VARIANTS = (
-    "Baseline", "A1", "A2", "A3", "A4", "A5", "A6", "A7",
-    "M", "H", "HigherOut_o256", "LearnableConcat", "LatentInM",
-)
-
-# variants whose formula only makes sense with o == d (un-projected e*i term
-# or a shared square W1); LatentInM additionally pins o == k == d
-_SQUARE_ONLY = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "LearnableConcat")
 
 
 def _levels(p: Mapping) -> list:
@@ -100,121 +90,110 @@ def h_expand_oracle(p: Mapping, e, i):
 # ---------------------------------------------------------------------------
 # variants
 
+def _a5(p, e, i, l):
+    p2, p3 = ad.matmul(p["W2"], e), ad.matmul(p["W3"], i)
+    return ad.mul(p2, p3) + p2 + p3
+
+
+def _a7(p, e, i, l):
+    W = p["W_tensor"]
+    o, d = W.shape[0], W.shape[1]
+    # W x_2 e x_3 i: contract i over the flattened (o*d, d) tensor, then e
+    Yi = ad.matmul(ad.reshape(W, (o * d, d)), i)
+    return ad.matmul(ad.reshape(Yi, (o, d)), e)
+
+
+def _latent_in_m(p, e, i, l):
+    if l is None:
+        raise ConfigError("LatentInM needs the latent code l")
+    ue, ui, ul = ad.matmul(p["U1"], e), ad.matmul(p["U2"], i), ad.matmul(p["U3"], l)
+    inner = (ad.mul(ad.mul(ue, ui), ul)
+             + ad.mul(ue, ui) + ad.mul(ue, ul) + ad.mul(ui, ul)
+             + ue + ui + ul)
+    return ad.matmul(p["C"], inner)
+
+
+class _Variant(NamedTuple):
+    """params: "name:shape" per learnable array in draw order, shapes in d, k, o;
+    "U{n}_..." entries repeat for n = 1..n_levels first. out: the output width.
+    square: o must equal d. latent: l feeds the module, and o == k == d."""
+
+    params: str
+    out: str
+    forward: Callable
+    square: bool = False
+    latent: bool = False
+
+
+_M = _Variant("U1:kd U2:kd C:ok W2:od W3:od", "o", lambda p, e, i, l: m_forward(p, e, i))
+_TABLE = {
+    "Baseline": _Variant("", "2d", lambda p, e, i, l: ad.concat([e, i])),
+    "A1": _Variant("W2:dd W3:dd", "d", lambda p, e, i, l: (
+        ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)), square=True),
+    "A2": _Variant("W2:dd W3:dd", "d", lambda p, e, i, l: (
+        ad.mul(e, i) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)), square=True),
+    "A3": _Variant("W1:dd", "d", lambda p, e, i, l: (
+        ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W1"], e) + ad.matmul(p["W1"], i)),
+        square=True),
+    "A4": _Variant("W1:dd", "d", lambda p, e, i, l: ad.matmul(p["W1"], ad.mul(e, i)), square=True),
+    "A5": _Variant("W2:dd W3:dd", "d", _a5, square=True),
+    "A6": _Variant("W1:dd W2:dd W3:dd", "d", lambda p, e, i, l: (
+        ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)),
+        square=True),
+    "A7": _Variant("W_tensor:ddd", "d", _a7, square=True),
+    "M": _M,
+    "H": _Variant("U{n}_e:kd U{n}_i:kd C:ok", "o", lambda p, e, i, l: h_forward(p, e, i)),
+    "HigherOut_o256": _M,
+    "LearnableConcat": _Variant("W2:dd W3:dd", "2d", lambda p, e, i, l: ad.concat(
+        [ad.matmul(p["W2"], e), ad.matmul(p["W3"], i)]), square=True),
+    "LatentInM": _Variant("U1:kd U2:kd U3:kd C:ok", "o", _latent_in_m, latent=True),
+}
+
+VARIANTS = tuple(_TABLE)
+
+
+def _row(variant: str) -> _Variant:
+    if variant not in _TABLE:
+        raise ConfigError(f"unknown variant {variant!r}")
+    return _TABLE[variant]
+
+
 def variant_output_dim(variant: str, d: int, o: int) -> int:
-    if variant in ("Baseline", "LearnableConcat"):
-        return 2 * d
-    if variant.startswith("A"):
-        return d
-    if variant in ("M", "H", "HigherOut_o256", "LatentInM"):
-        return o
-    raise ConfigError(f"unknown variant {variant!r}")
+    return {"2d": 2 * d, "d": d, "o": o}[_row(variant).out]
 
 
 def latent_inside(variant: str) -> bool:
     """True when the per-frame latent code feeds the module instead of the field."""
-    return variant == "LatentInM"
+    return variant in _TABLE and _TABLE[variant].latent
 
 
 def check_variant_dims(variant: str, d: int, k: int, o: int, d_latent: int):
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r} (choose from {VARIANTS})")
-    if variant in _SQUARE_ONLY and o != d:
+    row = _TABLE[variant]
+    if row.square and o != d:
         raise ConfigError(f"variant {variant} requires o == d, got o={o}, d={d}")
-    if variant == "LatentInM":
-        if not (o == k == d):
-            raise ConfigError(f"LatentInM requires o == k == d, got o={o}, k={k}, d={d}")
-        if d_latent != d:
-            raise ConfigError(f"LatentInM requires d_latent == d, got {d_latent} != {d}")
+    if row.latent and not (o == k == d):
+        raise ConfigError(f"{variant} requires o == k == d, got o={o}, k={k}, d={d}")
+    if row.latent and d_latent != d:
+        raise ConfigError(f"{variant} requires d_latent == d, got {d_latent} != {d}")
 
 
-def _xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=(fan_out, fan_in))
-
-
-def init_variant_params(variant: str, d: int, k: int, o: int, rng: np.random.Generator,
-                        d_latent: int, n_levels: int) -> dict[str, np.ndarray]:
+def param_shapes(variant: str, d: int, k: int, o: int, n_levels: int,
+                 d_latent: int) -> dict[str, tuple]:
+    """The variant's learnable arrays, name -> shape, in draw order; the
+    arguments are the keys of the config's conditioning section."""
     check_variant_dims(variant, d, k, o, d_latent)
-    p: dict[str, np.ndarray] = {}
-    if variant == "Baseline":
-        return p
-    if variant in ("A1", "A2", "A5"):
-        p["W2"] = _xavier(rng, d, d)
-        p["W3"] = _xavier(rng, d, d)
-    elif variant in ("A3", "A4"):
-        p["W1"] = _xavier(rng, d, d)
-    elif variant == "A6":
-        p["W1"] = _xavier(rng, d, d)
-        p["W2"] = _xavier(rng, d, d)
-        p["W3"] = _xavier(rng, d, d)
-    elif variant == "A7":
-        a = np.sqrt(6.0 / (d * d + d))
-        p["W_tensor"] = rng.uniform(-a, a, size=(d, d, d))
-    elif variant in ("M", "HigherOut_o256"):
-        p["U1"] = _xavier(rng, k, d)
-        p["U2"] = _xavier(rng, k, d)
-        p["C"] = _xavier(rng, o, k)
-        p["W2"] = _xavier(rng, o, d)
-        p["W3"] = _xavier(rng, o, d)
-    elif variant == "H":
-        for n in range(1, n_levels + 1):
-            p[f"U{n}_e"] = _xavier(rng, k, d)
-            p[f"U{n}_i"] = _xavier(rng, k, d)
-        p["C"] = _xavier(rng, o, k)
-    elif variant == "LearnableConcat":
-        p["W2"] = _xavier(rng, d, d)
-        p["W3"] = _xavier(rng, d, d)
-    elif variant == "LatentInM":
-        p["U1"] = _xavier(rng, k, d)
-        p["U2"] = _xavier(rng, k, d)
-        p["U3"] = _xavier(rng, k, d)
-        p["C"] = _xavier(rng, o, k)
-    return p
+    dims = {"d": d, "k": k, "o": o}
+    entries = [e.split(":") for e in _TABLE[variant].params.split()]
+    named = [(n.format(n=j), s) for j in range(1, n_levels + 1) for n, s in entries if "{n}" in n]
+    named += [(n, s) for n, s in entries if "{n}" not in n]
+    return {n: tuple(dims[c] for c in s) for n, s in named}
 
 
 def variant_forward(variant: str, params: Mapping, e, i, l=None):
     """Evaluate the selected conditioning variant: a Var, or an array given arrays alone."""
-    if variant == "Baseline":
-        return ad.concat([e, i])
-    if variant == "A1":
-        return ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i)
-    if variant == "A2":
-        return ad.mul(e, i) + ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i)
-    if variant == "A3":
-        W1 = params["W1"]
-        return ad.matmul(W1, ad.mul(e, i)) + ad.matmul(W1, e) + ad.matmul(W1, i)
-    if variant == "A4":
-        return ad.matmul(params["W1"], ad.mul(e, i))
-    if variant == "A5":
-        p2 = ad.matmul(params["W2"], e)
-        p3 = ad.matmul(params["W3"], i)
-        return ad.mul(p2, p3) + p2 + p3
-    if variant == "A6":
-        return (ad.matmul(params["W1"], ad.mul(e, i))
-                + ad.matmul(params["W2"], e) + ad.matmul(params["W3"], i))
-    if variant == "A7":
-        W = params["W_tensor"]
-        o, d = W.shape[0], W.shape[1]
-        # W x_2 e x_3 i: contract i over the flattened (o*d, d) tensor, then e
-        Yi = ad.matmul(ad.reshape(W, (o * d, d)), i)
-        return ad.matmul(ad.reshape(Yi, (o, d)), e)
-    if variant in ("M", "HigherOut_o256"):
-        return m_forward(params, e, i)
-    if variant == "H":
-        return h_forward(params, e, i)
-    if variant == "LearnableConcat":
-        return ad.concat([ad.matmul(params["W2"], e), ad.matmul(params["W3"], i)])
-    if variant == "LatentInM":
-        if l is None:
-            raise ConfigError("LatentInM needs the latent code l")
-        ue = ad.matmul(params["U1"], e)
-        ui = ad.matmul(params["U2"], i)
-        ul = ad.matmul(params["U3"], l)
-        inner = (ad.mul(ad.mul(ue, ui), ul)
-                 + ad.mul(ue, ui) + ad.mul(ue, ul) + ad.mul(ui, ul)
-                 + ue + ui + ul)
-        return ad.matmul(params["C"], inner)
-    raise ConfigError(f"unknown variant {variant!r}")
+    return _row(variant).forward(params, e, i, l)
 
 
 def variant_value(variant: str, params: Mapping, e, i, l=None) -> np.ndarray:

@@ -12,7 +12,8 @@ conditioning and latent vectors, shared by all samples, fold into the bias.
 trainer.model_fields runs it on leaf Vars of a recording tape for training,
 and on the stored arrays for rendering, where every op returns a plain array
 and the weights' row blocks are numpy views; field_forward_np encodes raw
-points and directions and calls it.
+points and directions and calls it. param_shapes names the learnable arrays
+and their shapes; trainer.init_arrays draws them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _SKIP_MIN_DEPTH = 8
 
 @dataclass(frozen=True)
 class FieldArch:
-    """Architecture constants; the learnable arrays live in a name->array dict."""
+    """Architecture constants; param_shapes derives the learnable arrays from them."""
 
     layers: int = 4
     hidden: int = 64
@@ -85,29 +86,19 @@ def positional_encode(p, L: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def init_field_params(arch: FieldArch, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Xavier-uniform weights (stored fan_in x fan_out), zero biases."""
-
-    def xavier(fan_in, fan_out):
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-a, a, size=(fan_in, fan_out))
-
-    p: dict[str, np.ndarray] = {}
-    d = arch.d_in
+def param_shapes(arch: FieldArch) -> dict[str, tuple]:
+    """Learnable arrays, name -> shape in draw order: weights (fan_in, fan_out), bias vectors."""
+    p: dict[str, tuple] = {}
     for j in range(arch.layers):
-        din = d if j == 0 else arch.hidden
+        din = arch.d_in if j == 0 else arch.hidden
         if arch.has_skip and j == _SKIP_LAYER:
-            din += d
-        p[f"W{j}"] = xavier(din, arch.hidden)
-        p[f"b{j}"] = np.zeros(arch.hidden)
-    p["Wsig"] = xavier(arch.hidden, 1)
-    p["bsig"] = np.zeros(1)
+            din += arch.d_in
+        p[f"W{j}"], p[f"b{j}"] = (din, arch.hidden), (arch.hidden,)
+    p["Wsig"], p["bsig"] = (arch.hidden, 1), (1,)
     for j in range(arch.color_layers):
         din = arch.d_in_color if j == 0 else arch.color_hidden
-        p[f"Wc{j}"] = xavier(din, arch.color_hidden)
-        p[f"bc{j}"] = np.zeros(arch.color_hidden)
-    p["Wrgb"] = xavier(arch.color_hidden if arch.color_layers else arch.d_in_color, 3)
-    p["brgb"] = np.zeros(3)
+        p[f"Wc{j}"], p[f"bc{j}"] = (din, arch.color_hidden), (arch.color_hidden,)
+    p["Wrgb"], p["brgb"] = (arch.color_hidden if arch.color_layers else arch.d_in_color, 3), (3,)
     return p
 
 
@@ -135,10 +126,6 @@ def _linear(parts, W, b, relu=False):
     return ad.linear(mats, Ws, bias, relu)
 
 
-def _normalize_dirs(V: np.ndarray) -> np.ndarray:
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
-
-
 def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     """(rgb (n, 3), sigma (n,)) from encoded points enc_x (n, d_enc_x) and
     directions enc_v (n, d_enc_v), on the tape of the Vars passed in.
@@ -164,8 +151,8 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
 def field_forward_np(arch: FieldArch, weights, cond: np.ndarray, latent, X: np.ndarray,
                      V: np.ndarray):
     """Batched numpy evaluation: X, V are (n, 3); returns (rgb (n,3), sigma (n,))."""
-    return forward_encoded(arch, weights, cond, latent, positional_encode(X, arch.Lx),
-                           positional_encode(_normalize_dirs(V), arch.Lv))
+    enc_v = positional_encode(V / np.linalg.norm(V, axis=-1, keepdims=True), arch.Lv)
+    return forward_encoded(arch, weights, cond, latent, positional_encode(X, arch.Lx), enc_v)
 
 
 def field_forward(arch: FieldArch, weights, cond, latent, x, v):

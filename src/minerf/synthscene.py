@@ -290,19 +290,23 @@ def save_dataset(ds: Dataset, out_dir):
                 ppm.write_ppm(idir / f"frame_{fr.index:04d}.ppm", fr.image)
 
 
+_SCENE_KEYS = ("modes", "background", "bounds", "resolution", "t_near", "t_far", "seed",
+               "gt_samples")
+
+
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
-    JSON or lacks a key, when a frame box is not four integers with
-    0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width, when a split entry is not
-    a frame index or the test split is empty, or when a frame it lists has no
-    PPM or one whose size is not its pose's."""
+    JSON or lacks a key, when its scene-wide keys (_SCENE_KEYS) differ from the
+    first identity's, when a frame's e does not have one entry per mode, when a
+    frame box is not four integers with 0 <= r0 < r1 <= height and
+    0 <= c0 < c1 <= width, when a split entry is not a frame index or the test
+    split is empty, or when a frame it lists has no PPM or one whose size is
+    not its pose's."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
         raise ConfigError(f"no identity directories under {root}")
-    identities = []
-    scene = None
-    top = None
+    identities, first_path, first = [], None, None
     for idir in idirs:
         meta_path = idir / "meta.json"
         try:
@@ -320,6 +324,9 @@ def load_dataset(in_dir) -> Dataset:
                             box=tuple(fj["box"])) for fj in meta["frames"]]
             for fr in frames:
                 b, pose = fr.box, fr.pose
+                if fr.e.shape != (modes.d,):
+                    raise ValueError(f"frame {fr.index} e has shape {fr.e.shape}, the mode "
+                                     f"bank has {modes.d} modes")
                 if not (len(b) == 4 and all(type(x) is int for x in b)
                         and 0 <= b[0] < b[1] <= pose.height and 0 <= b[2] < b[3] <= pose.width):
                     raise ValueError(f"frame {fr.index} box {list(b)} is not four integers "
@@ -329,11 +336,16 @@ def load_dataset(in_dir) -> Dataset:
             idn = IdentityData(name=meta["name"], params=idp, frames=frames,
                                train_idx=list(meta["split"]["train"]),
                                test_idx=list(meta["split"]["test"]))
-            background, bounds = np.array(meta["background"]), meta["bounds"]
-            top = {k: meta[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")}
+            shared = {k: meta[k] for k in _SCENE_KEYS}
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad dataset metadata {meta_path} "
                               f"({type(exc).__name__}: {exc})") from None
+        if first is None:
+            first_path, first, scene_modes = meta_path, shared, modes
+        differ = [k for k in _SCENE_KEYS if shared[k] != first[k]]
+        if differ:
+            raise ConfigError(f"bad dataset metadata {meta_path} ({differ[0]} differs from "
+                              f"{first_path})")
         for part, idx in (("train", idn.train_idx), ("test", idn.test_idx)):
             bad = [j for j in idx if type(j) is not int or not 0 <= j < len(frames)]
             if bad:
@@ -350,10 +362,10 @@ def load_dataset(in_dir) -> Dataset:
                                   f"{fr.image.shape[0]}, its pose in {meta_path} is "
                                   f"{fr.pose.width}x{fr.pose.height}")
         identities.append(idn)
-        scene_ids = scene.identities if scene else []
-        scene = SceneSpec(modes=modes, identities=scene_ids + [idp],
-                          background=background, bounds=bounds)
-    return Dataset(scene=scene, identities=identities, **top)
+    scene = SceneSpec(modes=scene_modes, identities=[idn.params for idn in identities],
+                      background=np.array(first["background"]), bounds=first["bounds"])
+    return Dataset(scene=scene, identities=identities,
+                   **{k: first[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")})
 
 
 def dataset_checksum(dir_path) -> str:

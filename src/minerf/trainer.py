@@ -12,11 +12,13 @@ functions render_rays takes, from leaf Vars on a recording tape for training
 and from the stored arrays for render_model_frame, where every autodiff op
 returns a plain array and nothing is recorded.
 
-Learnable arrays live in a flat name -> float64 array dict; each step binds
-the needed ones as tape leaves and passes the rest as arrays. Both passes
-composite through renderer.composite_rays_tape, the renderer's compositor as
-one tape node. Fine-sample positions are stopped gradients (resampling reads
-coarse weights as plain values), the standard estimator.
+model_shapes names the model's arrays and shapes (the variant's row in
+conditioning, then field.param_shapes); init_arrays draws them under one rule
+and load_checkpoint checks shapes against it. With the codes they live in a
+flat name -> float64 dict; each step binds the needed ones as tape leaves and
+passes the rest as arrays. Both passes composite through composite_rays_tape,
+the compositor as one tape node. Fine-sample positions are stopped gradients
+(resampling reads coarse weights as plain values), the standard estimator.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .autodiff import Tape
 from .config import check_number, materialize
 from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
-from .field import FieldArch, forward_encoded, init_field_params, positional_encode
+from .field import FieldArch, forward_encoded, param_shapes, positional_encode
 # composite_rays_tape stays bound here: perfbench traces it as trainer.composite_rays_tape
 from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F401
                        render_rays, step_rng)
@@ -111,12 +113,11 @@ class TrainState:
     identities: list = dc_field(default_factory=list)
 
     def arch(self) -> FieldArch:
+        """The field section of the config plus the widths the variant feeds the field."""
         c, f = self.cfg["conditioning"], self.cfg["field"]
         d_cond = cond_mod.variant_output_dim(c["variant"], c["d"], c["o"])
         d_lat = 0 if cond_mod.latent_inside(c["variant"]) else c["d_latent"]
-        return FieldArch(layers=f["layers"], hidden=f["hidden"], Lx=f["Lx"], Lv=f["Lv"],
-                         color_layers=f["color_layers"], color_hidden=f["color_hidden"],
-                         d_cond=d_cond, d_latent=d_lat)
+        return FieldArch(**f, d_cond=d_cond, d_latent=d_lat)
 
     def copy(self) -> "TrainState":
         return TrainState(cfg=json.loads(json.dumps(self.cfg)),
@@ -146,13 +147,27 @@ def check_expression_dim(cfg: dict, dataset: Dataset):
                           f"{dataset.scene.modes.d}")
 
 
+def model_shapes(cfg: dict) -> dict:
+    """The model's cond.*, coarse.* and fine.* arrays for cfg, name -> shape, in draw order."""
+    arch = TrainState(cfg=cfg, params={}).arch()
+    groups = {"cond": cond_mod.param_shapes(**cfg["conditioning"]),
+              "coarse": param_shapes(arch), "fine": param_shapes(arch)}
+    return {f"{g}.{name}": shape for g, shapes in groups.items() for name, shape in shapes.items()}
+
+
+def init_arrays(shapes: dict, rng: np.random.Generator) -> dict:
+    """Per name, in order: zeros for a vector, else Xavier-uniform draws from rng
+    with a = sqrt(6 / (shape[0] + prod(shape[1:])))."""
+    out = {}
+    for name, s in shapes.items():
+        a = np.sqrt(6.0 / (s[0] + int(np.prod(s[1:]))))
+        out[name] = np.zeros(s) if len(s) == 1 else rng.uniform(-a, a, size=s)
+    return out
+
+
 def model_params(cfg: dict, rng: np.random.Generator) -> dict:
-    """Fresh cond.*, coarse.* and fine.* arrays for cfg, drawn from rng in that order."""
-    c, arch = cfg["conditioning"], TrainState(cfg=cfg, params={}).arch()
-    groups = {"cond": cond_mod.init_variant_params(c["variant"], c["d"], c["k"], c["o"], rng,
-                                                   c["d_latent"], c["n_levels"]),
-              "coarse": init_field_params(arch, rng), "fine": init_field_params(arch, rng)}
-    return {f"{g}.{name}": arr for g, arrs in groups.items() for name, arr in arrs.items()}
+    """Fresh model arrays for cfg, drawn from rng in model_shapes order."""
+    return init_arrays(model_shapes(cfg), rng)
 
 
 def init_state(cfg: dict, dataset: Dataset) -> TrainState:
@@ -203,7 +218,7 @@ def save_checkpoint(path, state: TrainState):
 def load_checkpoint(path) -> TrainState:
     """Read a checkpoint; ConfigError when the header is unreadable or its config
     invalid, an entry runs past the payload, a name lacks any of its param/m/v
-    entries or Adam count, a model entry's shape is not model_params's, or an
+    entries or Adam count, a model entry's shape is not model_shapes's, or an
     identity code is not (d,) or a latent code (d_latent,)."""
     with open(path, "rb") as f:
         first = f.readline()
@@ -236,7 +251,7 @@ def load_checkpoint(path) -> TrainState:
             raise ConfigError(f"checkpoint {path}: incomplete entries for {missing!r}")
     c = state.cfg["conditioning"]
     codes = {"identity": (c["d"],), "latent": (c["d_latent"],), "plat": (c["d_latent"],)}
-    want = {n: a.shape for n, a in model_params(state.cfg, np.random.default_rng(0)).items()}
+    want = model_shapes(state.cfg)
     want.update({n: codes[n.split(".")[0]] for n in state.params if n.split(".")[0] in codes})
     have = {n: a.shape for n, a in state.params.items()
             if n.split(".")[0] in ("cond", "coarse", "fine", *codes)}
@@ -365,7 +380,9 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
 
     Rows carry step, loss_c, loss_l, loss_i, lr, test_psnr (blank between
     evals). Raises DivergenceError when loss_c exceeds divergence_factor times
-    its step-100 value.
+    its step-100 value. A given state continues from its step: the lr
+    schedule, the guard's window and the final eval count from there, while
+    the pixel and step streams stay keyed on the absolute state.step.
     """
     if not dataset.identities or not any(idn.train_idx for idn in dataset.identities):
         raise ConfigError("empty dataset")
@@ -383,21 +400,21 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
     pairs = [(k, f) for k, idn in enumerate(dataset.identities) for f in idn.train_idx]
     trainable = ([k for k in state.params if k.startswith("cond.")]
                  + [k for k in state.params if k.startswith(("coarse.", "fine."))])
-    for _ in range(tr["steps"]):
+    for s in range(tr["steps"]):
         rng = step_rng(key, state.step)
         id_idx, fidx = pairs[rng.integers(len(pairs))]
         name = dataset.identities[id_idx].name
         lat_name = f"latent.{name}.{fidx:04d}"
-        lr = lr_schedule(state.step, tr["steps"], tr["lr0"], tr["lr1"])
+        lr = lr_schedule(s, tr["steps"], tr["lr0"], tr["lr1"])
         loss_c = _train_step(state, dataset, id_idx, fidx, lat_name, trainable, key,
                              state.step, rng, lr)
         l_norm = float(np.linalg.norm(state.params[lat_name]))
         i_norm = float(np.linalg.norm(state.params[f"identity.{name}"]))
         recent.append(loss_c)
         del recent[:-5]
-        if 90 <= state.step < 110:
+        if 90 <= s < 110:
             baseline_window.append(loss_c)
-            if state.step == 109:
+            if s == 109:
                 guard = float(np.median(baseline_window))
         if guard is not None and float(np.median(recent)) > tr["divergence_factor"] * guard:
             raise DivergenceError(
@@ -409,7 +426,7 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
         state.step += 1
         test_psnr = ""
         if tr["eval_every"] and (state.step % tr["eval_every"] == 0
-                                 or state.step == tr["steps"]):
+                                 or s + 1 == tr["steps"]):
             test_psnr = metrics_mod.evaluate_images(
                 state, dataset, max_frames=tr["eval_frames"])["mean_psnr"]
         row = {"step": state.step, "loss_c": loss_c, "loss_l": l_norm,

@@ -1,14 +1,21 @@
-"""The benchmark tracer (perfbench/spans.py) wraps minerf functions by name.
+"""perfbench reads minerf by name, so a rename inside minerf can break it.
 
-A function it lists that no longer exists would stop `perfbench/run.py
---trace 1` at install time, so every listed name must still resolve.
+The tracer (perfbench/spans.py) wraps the functions its TRACED table lists,
+and the workloads and checks call minerf module attributes directly. A name
+that no longer resolves would stop `perfbench/run.py` at install time or
+mid-run, so every one must still resolve.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+MINERF_MODULES = {p.stem for p in (Path(importlib.import_module("minerf").__file__).parent
+                                   .glob("*.py"))} - {"__init__"}
 
 
 def _traced() -> dict:
@@ -25,3 +32,44 @@ def test_every_traced_name_resolves():
     missing = [f"{mod}.{name}" for mod, names in traced.items() for name in names
                if not callable(getattr(importlib.import_module(f"minerf.{mod}"), name, None))]
     assert not missing, missing
+
+
+def _minerf_reads(tree) -> list:
+    """(module, name) for each minerf name the file reads: `from minerf[.m] import x`
+    targets and attributes of a name bound to a minerf module, by import or as a
+    parameter named after one (checks.reference_pixel takes the field module)."""
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "minerf":
+            for a in node.names:
+                if node.module == "minerf" and a.name in MINERF_MODULES:
+                    bound[a.asname or a.name] = f"minerf.{a.name}"
+                else:
+                    reads.append((node.module, a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "minerf":
+                    bound[a.asname or "minerf"] = a.name if a.asname else "minerf"
+        elif isinstance(node, ast.arg) and node.arg in MINERF_MODULES:
+            bound[node.arg] = f"minerf.{node.arg}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            reads.append((bound[node.value.id], node.attr))
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_minerf_attribute_perfbench_reads_resolves(path):
+    reads = _minerf_reads(ast.parse(path.read_text()))
+    missing = [f"{mod}.{name}" for mod, name in reads
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing, missing
+
+
+def test_perfbench_reads_the_workload_entry_points():
+    reads = {r for p in PERFBENCH.glob("*.py") for r in _minerf_reads(ast.parse(p.read_text()))}
+    assert {("minerf.trainer", "init_state"), ("minerf.field", "field_forward"),
+            ("minerf.synthscene", "GT_FRAME_STRIDE")} <= reads
+    # workloads.py calls state.arch() on a TrainState, which no import shows
+    assert callable(importlib.import_module("minerf.trainer").TrainState.arch)

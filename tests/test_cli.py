@@ -395,6 +395,20 @@ def test_train_rejects_incomplete_dataset(tiny_cfg_file, tmp_path, capsys):
     _one_line_error(capsys, str(meta_path), "t_far")
 
 
+def test_train_rejects_short_expression_vector(tiny_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(data)]) == 0
+    meta_path = data / "id00" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    for fr in meta["frames"]:
+        fr["e"] = fr["e"][:4]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--set", "train.steps=1", "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path), "e has shape (4,)")
+
+
 def test_eval_rejects_missing_test_frame(tiny_cfg_file, tmp_path, capsys):
     data = tmp_path / "data"
     ckpt = tmp_path / "model.ckpt"

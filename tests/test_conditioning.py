@@ -5,6 +5,7 @@ from minerf import autodiff as ad
 from minerf import conditioning as cond
 from minerf import tensor_core as tc
 from minerf.errors import ConfigError
+from minerf.trainer import init_arrays
 
 
 def _m(rng, d, k, o=None):
@@ -200,8 +201,7 @@ def test_all_variant_gradients_pass_finite_differences(variant):
     d = 4
     k = d if variant == "LatentInM" else 3
     o = 6 if variant in ("M", "H", "HigherOut_o256") else d
-    params = cond.init_variant_params(variant, d, k, o, rng,
-                                      d_latent=d, n_levels=2)
+    params = init_arrays(cond.param_shapes(variant, d, k, o, d_latent=d, n_levels=2), rng)
     names = sorted(params)
     e = rng.standard_normal(d)
     i0 = rng.standard_normal(d)
@@ -216,6 +216,33 @@ def test_all_variant_gradients_pass_finite_differences(variant):
     rep = ad.finite_diff_check(f, [i0] + [params[n] for n in names],
                                step=1e-5, tol=1e-4)
     assert rep.passed, (variant, rep.max_rel_err)
+
+
+class _Reads(dict):
+    """A parameter mapping that records the names a formula reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("n_levels", [1, 3])
+@pytest.mark.parametrize("variant", cond.VARIANTS)
+def test_each_row_declares_what_its_formula_reads(variant, n_levels):
+    rng = np.random.default_rng(12)
+    d = 4
+    k = d if variant == "LatentInM" else 3
+    o = 6 if variant in ("M", "H", "HigherOut_o256") else d
+    shapes = cond.param_shapes(variant, d, k, o, n_levels=n_levels, d_latent=d)
+    params = _Reads(init_arrays(shapes, rng))
+    e, i, l = rng.standard_normal((3, d))
+    out = cond.variant_forward(variant, params, e, i, l)
+    assert params.read == set(shapes)
+    assert out.shape == (cond.variant_output_dim(variant, d, o),)
 
 
 def test_variant_dim_rules():

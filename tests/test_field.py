@@ -5,7 +5,8 @@ import pytest
 
 from minerf import autodiff as ad
 from minerf.field import (FieldArch, field_forward, field_forward_np,
-                          forward_encoded, init_field_params, positional_encode)
+                          forward_encoded, param_shapes, positional_encode)
+from minerf.trainer import init_arrays
 
 
 def test_encoding_at_zero():
@@ -49,7 +50,7 @@ def _arch(**kw):
 def test_dead_network_outputs():
     arch = _arch()
     w = {k: np.zeros_like(v) for k, v in
-         init_field_params(arch, np.random.default_rng(0)).items()}
+         init_arrays(param_shapes(arch), np.random.default_rng(0)).items()}
     rgb, sigma = field_forward(arch, w, np.zeros(4), np.zeros(3),
                                np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.0, -1.0]))
     assert np.allclose(rgb, 0.5, atol=1e-15)
@@ -59,7 +60,7 @@ def test_dead_network_outputs():
 def test_sigma_view_independent():
     rng = np.random.default_rng(1)
     arch = _arch()
-    w = init_field_params(arch, rng)
+    w = init_arrays(param_shapes(arch), rng)
     cond = rng.standard_normal(4)
     lat = rng.standard_normal(3)
     x = rng.uniform(-1, 1, 3)
@@ -73,7 +74,7 @@ def test_sigma_view_independent():
 def test_output_ranges():
     rng = np.random.default_rng(2)
     arch = _arch()
-    w = {k: 3.0 * v for k, v in init_field_params(arch, rng).items()}
+    w = {k: 3.0 * v for k, v in init_arrays(param_shapes(arch), rng).items()}
     X = rng.uniform(-1, 1, (64, 3))
     V = rng.standard_normal((64, 3))
     rgb, sigma = field_forward_np(arch, w, rng.standard_normal(4),
@@ -85,7 +86,7 @@ def test_output_ranges():
 def test_nonunit_view_warns_and_normalizes():
     rng = np.random.default_rng(3)
     arch = _arch()
-    w = init_field_params(arch, rng)
+    w = init_arrays(param_shapes(arch), rng)
     x = np.zeros(3)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -102,7 +103,7 @@ def test_tape_and_numpy_paths_agree():
     rng = np.random.default_rng(4)
     for layers in (3, 8):  # 8 exercises the skip connection
         arch = _arch(layers=layers)
-        w = init_field_params(arch, rng)
+        w = init_arrays(param_shapes(arch), rng)
         cond = rng.standard_normal(4)
         lat = rng.standard_normal(3)
         X = rng.uniform(-1, 1, (17, 3))
@@ -142,7 +143,7 @@ def _mlp_reference(arch, w, cond, lat, X, V):
 def test_forward_matches_concatenated_reference(kw):
     rng = np.random.default_rng(7)
     arch = _arch(**kw)
-    w = init_field_params(arch, rng)
+    w = init_arrays(param_shapes(arch), rng)
     cond, lat = rng.standard_normal(4), rng.standard_normal(3)
     X = rng.uniform(-1, 1, (23, 3))
     V = rng.standard_normal((23, 3))
@@ -167,7 +168,7 @@ def test_skip_connection_only_when_deep():
 def test_gradient_wrt_conditioning_through_pixel_loss():
     rng = np.random.default_rng(5)
     arch = _arch()
-    w = init_field_params(arch, rng)
+    w = init_arrays(param_shapes(arch), rng)
     X = rng.uniform(-1, 1, (6, 3))
     V = np.tile(np.array([0.0, 0.0, -1.0]), (6, 1))
     enc_x = positional_encode(X, arch.Lx)
@@ -205,7 +206,7 @@ def test_field_forward_np_creates_no_tape(monkeypatch):
 
     monkeypatch.setattr(ad, "Tape", SpyTape)
     arch = _arch()
-    w = init_field_params(arch, np.random.default_rng(6))
+    w = init_arrays(param_shapes(arch), np.random.default_rng(6))
     rgb, sigma = field_forward_np(arch, w, np.zeros(4), np.zeros(3),
                                   np.zeros((5, 3)), np.tile([0.0, 0.0, -1.0], (5, 1)))
     assert type(rgb) is np.ndarray and rgb.shape == (5, 3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,43 @@ def test_projected_box_contains_object():
             bgdist = np.abs(fr.image - ds.scene.background[None, None, :]).max(axis=2)
             # every non-background pixel lies inside the box
             assert np.all(bgdist[outside] < 1e-9)
+
+
+def _edit_meta(root, name, edit):
+    path = root / name / "meta.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    return path
+
+
+def test_load_rejects_expression_of_wrong_length(tmp_path):
+    sc.save_dataset(_tiny(seed=13), tmp_path)
+
+    def cut(meta):
+        meta["frames"][3]["e"] = meta["frames"][3]["e"][:4]
+    path = _edit_meta(tmp_path, "id00", cut)
+    with pytest.raises(ConfigError, match="frame 3 e has shape") as exc:
+        sc.load_dataset(tmp_path)
+    assert str(path) in str(exc.value)
+
+
+SCENE_EDITS = {
+    "modes": lambda m: m["modes"].update(widths=[5.0] * len(m["modes"]["widths"])),
+    "background": lambda m: m.update(background=[0.5, 0.5, 0.5]),
+    "bounds": lambda m: m.update(bounds=2.0),
+    "resolution": lambda m: m.update(resolution=17),
+    "t_near": lambda m: m.update(t_near=0.5),
+    "t_far": lambda m: m.update(t_far=99.0),
+    "seed": lambda m: m.update(seed=7),
+    "gt_samples": lambda m: m.update(gt_samples=65),
+}
+
+
+@pytest.mark.parametrize("key", SCENE_EDITS)
+def test_load_rejects_scene_keys_that_differ_between_identities(tmp_path, key):
+    sc.save_dataset(_tiny(seed=14), tmp_path)
+    path = _edit_meta(tmp_path, "id00", SCENE_EDITS[key])
+    with pytest.raises(ConfigError, match=f"{key} differs") as exc:
+        sc.load_dataset(tmp_path)
+    assert str(path) in str(exc.value) and str(tmp_path / "id01" / "meta.json") in str(exc.value)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from minerf import conditioning as cond_mod
 from minerf import config as cfg_mod
 from minerf import synthscene as sc
 from minerf import trainer as tr
@@ -93,6 +95,72 @@ def test_lr_schedule():
     assert mid == pytest.approx(1.5811e-4, rel=1e-3)
     with pytest.raises(UsageError):
         tr.lr_schedule(101, 100, 5e-4, 5e-5)
+
+
+def test_train_continues_a_trained_state(tiny_ds):
+    cfg = tiny_config("train.steps=2", "train.eval_every=1000")
+    state, first = tr.train(tiny_ds, cfg)
+    more, rows = tr.train(tiny_ds, cfg, state.copy())
+    assert more.step == 4 and [r["step"] for r in rows] == [3, 4]
+    # the schedule restarts, and the final eval is this call's last step
+    assert [r["lr"] for r in rows] == [r["lr"] for r in first]
+    assert [r["test_psnr"] == "" for r in rows] == [True, False]
+
+
+def test_divergence_guard_counts_from_the_call_start(tiny_ds):
+    cfg = tiny_config("train.steps=130", "train.divergence_factor=1e-12",
+                      "train.rays_per_step=8")
+    state = tr.init_state(cfg, tiny_ds)
+    state.step = 1000
+    with pytest.raises(DivergenceError) as exc:
+        tr.train(tiny_ds, cfg, state)
+    assert exc.value.diagnostics["step"] >= 1109
+
+
+# sha256 over (name, shape, bytes) of model_params(cfg, default_rng(0)) at toy
+# defaults and at field.layers=8 (LatentInM at conditioning.k=8): fresh models,
+# and so every checkpoint, move if a name, shape, draw order or the init rule does
+MODEL_PARAMS_SHA256 = {
+    "Baseline": ("f906d8c54e390be2a87b863d16ef7c591166d6584537af4b892e0992eba89d68",
+                 "2404d8f55f3ae92fc56602dc84d732547a7ea82657db4d633c3e4af440064360"),
+    "A1": ("1474e2ad4aa1d431860e75317483d45f546b2cd0d47490f09c1376ad38ac79bd",
+           "f6519ea44f1acfe96058da5c311cb216b94a6c4a90afa28ed761bd9225b646d5"),
+    "A2": ("1474e2ad4aa1d431860e75317483d45f546b2cd0d47490f09c1376ad38ac79bd",
+           "f6519ea44f1acfe96058da5c311cb216b94a6c4a90afa28ed761bd9225b646d5"),
+    "A3": ("3f2f07e746547a234f089b2820e8ff867f8dbe6d0699572d8e08df88c11b1f11",
+           "a7568909da52aebda9f525c7c2a9333852e1989ee5bcf13f45b4d3c46158d81a"),
+    "A4": ("3f2f07e746547a234f089b2820e8ff867f8dbe6d0699572d8e08df88c11b1f11",
+           "a7568909da52aebda9f525c7c2a9333852e1989ee5bcf13f45b4d3c46158d81a"),
+    "A5": ("1474e2ad4aa1d431860e75317483d45f546b2cd0d47490f09c1376ad38ac79bd",
+           "f6519ea44f1acfe96058da5c311cb216b94a6c4a90afa28ed761bd9225b646d5"),
+    "A6": ("2dacbfb3113b5b9dbb82b492cc1150355d803b4763f1669ee42d9fc047fe5bf1",
+           "93c89bef025dc01a0263338471f42f2bf3c357866989aa2efeb5daad33933273"),
+    "A7": ("989e5d3a8cd2b91babc3fd153a1e7e2bcb35c6bea7aaa62c31dd511ae5bb9c1c",
+           "c16744a7af342165d98f8e1e5ec240985da21dea0d1ea49ca5e81097d14f9df6"),
+    "M": ("45c6e0a55b80a696a61e8089b084e3de8dae9d58ec44a8177ae0208a0c08da46",
+          "ceea218e5f9e94fd4596ffe56ef4d3a80c252e70026e835caa8469b8e488bdb9"),
+    "H": ("de683c899035efac6effa8aaa5e7e0a227ec4ee6ad67f4a354c5b5158266ad5a",
+          "78bad9cef8a3ba1393306cbfd3810baa5b0d32df6342f030ff34967235286985"),
+    "HigherOut_o256": ("45c6e0a55b80a696a61e8089b084e3de8dae9d58ec44a8177ae0208a0c08da46",
+                       "ceea218e5f9e94fd4596ffe56ef4d3a80c252e70026e835caa8469b8e488bdb9"),
+    "LearnableConcat": ("115c9352e0c8bfddbafc584ca490ca3765c25e5e15fa0e14114c9d33508ccf0e",
+                        "8d4997978e5a6bf0d39ef16b1b67273d471549088e84dd0f5d49c95f87c8a06b"),
+    "LatentInM": ("7a8d84a5504834e770365fa47dc92ada9e5e1ef424f1cf554af7abccc4c3e588",
+                  "d92bd06c38b054feab645aa84ac70f37aacdaedb589db15518f45d6d8debc02f"),
+}
+
+
+@pytest.mark.parametrize("variant", cond_mod.VARIANTS)
+def test_model_params_bytes_are_pinned(variant):
+    for sets, want in zip(([], ["field.layers=8"]), MODEL_PARAMS_SHA256[variant]):
+        k = ["conditioning.k=8"] if variant == "LatentInM" else []
+        cfg = cfg_mod.load_config(sets=[f"conditioning.variant={variant}"] + k + sets, env={})
+        h = hashlib.sha256()
+        for name, arr in tr.model_params(cfg, np.random.default_rng(0)).items():
+            h.update(name.encode())
+            h.update(str(arr.shape).encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == want, sets
 
 
 def test_checkpoint_roundtrip_bitexact(tiny_ds, tmp_path):
