@@ -16,8 +16,9 @@ primitives on arrays, with no tape at all.
 A tape holds what its reverse sweep reads: each node's forward value and the
 arrays its vector-Jacobian closure captures. Closures capture arrays, never
 Vars, so a dropped tape is freed at once rather than by the cycle collector.
-linear fuses a network layer (block products, bias and relu) into one node
-that keeps a single output array, which is also relu's mask.
+linear fuses a network layer (products, bias and relu) into one node over
+the layer's whole weight matrix: each input part reads its row block as a
+numpy view, and the node keeps a single output array, also relu's mask.
 """
 
 from __future__ import annotations
@@ -255,29 +256,37 @@ def matmul(A, B):
     return _node("matmul", Av @ Bv, (A, B), vjp)
 
 
-def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False):
-    """mats[0] @ Ws[0] + mats[1] @ Ws[1] + ... + bias, then max(., 0) if relu: one node.
+def linear(parts: Sequence, W, bias, relu: bool = False):
+    """[parts[0] | parts[1] | ...] @ W + bias, then max(., 0) if relu: one node.
 
-    mats are (n, k_j), Ws (k_j, m) and bias (m,). The block products are summed
+    Part j takes the next parts[j].shape[-1] rows of W, as a numpy view. The
+    first part is a matrix (n, k0), possibly zero-width, and fixes n; later
+    parts are matrices (n, kj) or vectors (kj,) shared by every row, and
+    zero-width ones are skipped. bias is (m,) for W (sum kj, m). Vector parts
+    fold into the bias in order as bias + v @ W_j, matrix products are summed
     in order into the first one's buffer, then the bias is added and relu
-    applied in place: the values of the matmul, add and relu nodes this
-    replaces, in their order. The VJP reads the operands and the output only
-    (out > 0 is relu's mask, with derivative 0 at 0), so a layer keeps one
-    (n, m) array on the tape.
+    applied in place. The VJP reads the operands and the output only (out > 0
+    is relu's mask, with derivative 0 at 0), so a layer keeps one (n, m)
+    array on the tape.
     """
+    Pvs, Wv, bv = [value(p) for p in parts], value(W), value(bias)
+    if not Pvs or Pvs[0].ndim != 2 or Wv.ndim != 2 or bv.shape != Wv.shape[1:] \
+            or any(P.ndim not in (1, 2) or P.shape[:-1] not in ((), Pvs[0].shape[:1])
+                   for P in Pvs[1:]) or sum(P.shape[-1] for P in Pvs) != Wv.shape[0]:
+        raise DimensionError(f"linear: {[P.shape for P in Pvs]} @ {Wv.shape} + {bv.shape}")
     # arrays, not Vars, in the closure: a Var refers to its tape, and a
     # tape -> node -> closure -> Var -> tape cycle outlives the step
-    Avs, Wvs, bv = [value(A) for A in mats], [value(W) for W in Ws], value(bias)
-    if not Avs or len(Avs) != len(Wvs) or bv.ndim != 1 or any(
-            A.ndim != 2 or W.ndim != 2 or A.shape != (Avs[0].shape[0], W.shape[0])
-            or W.shape[1] != bv.shape[0] for A, W in zip(Avs, Wvs)):
-        raise DimensionError(f"linear: {[A.shape for A in Avs]} @ {[W.shape for W in Wvs]}"
-                             f" + {bv.shape}")
-    nAs, nWs = [isinstance(A, Var) for A in mats], [isinstance(W, Var) for W in Ws]
-    nb = isinstance(bias, Var)
-    out = Avs[0] @ Wvs[0]
-    for A, W in zip(Avs[1:], Wvs[1:]):
-        out += A @ W
+    keep = [0] + [j for j in range(1, len(Pvs)) if Pvs[j].shape[-1]]
+    parts, Pvs = [parts[j] for j in keep], [Pvs[j] for j in keep]
+    ends = np.cumsum([P.shape[-1] for P in Pvs])
+    Wjs = [Wv[e - P.shape[-1]:e] for P, e in zip(Pvs, ends)]
+    nPs, nW, nb = [isinstance(p, Var) for p in parts], isinstance(W, Var), isinstance(bias, Var)
+    out = Pvs[0] @ Wjs[0]
+    for P, Wj in zip(Pvs[1:], Wjs[1:]):
+        if P.ndim == 1:
+            bv = bv + P @ Wj
+        else:
+            out += P @ Wj
     out += bv
     if relu:
         np.maximum(out, 0.0, out=out)
@@ -285,11 +294,13 @@ def linear(mats: Sequence, Ws: Sequence, bias, relu: bool = False):
     def vjp(g):
         if relu:
             g = g * (out > 0.0)
-        return (tuple(g @ W.T if n else None for W, n in zip(Wvs, nAs))
-                + tuple(A.T @ g if n else None for A, n in zip(Avs, nWs))
-                + (g.sum(axis=0) if nb else None,))
+        gs = g.sum(axis=0)
+        gW = np.concatenate([P.T @ g if P.ndim == 2 else np.outer(P, gs)
+                             for P in Pvs]) if nW else None
+        return (*((g if P.ndim == 2 else gs) @ Wj.T if n else None
+                  for P, Wj, n in zip(Pvs, Wjs, nPs)), gW, gs if nb else None)
 
-    return _node("linear", out, (*mats, *Ws, bias), vjp)
+    return _node("linear", out, (*parts, W, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ def check_number(name: str, val, rule=None, integer: bool = False):
     return val
 
 
+def check_numbers(name: str, val, n: int, rule=None) -> list:
+    """val as a list of n numbers, each passing check_number; else ConfigError naming name."""
+    if not isinstance(val, list) or len(val) != n:
+        raise ConfigError(f"{name} must be a list of {n} finite numbers, got {val!r}")
+    return [check_number(name, v, rule) for v in val]
+
+
 def _merge(schema: dict, user, path: str = "") -> dict:
     """user's values over the schema's defaults, each checked against its row."""
     if not isinstance(user, dict):
@@ -128,11 +135,7 @@ def _merge(schema: dict, user, path: str = "") -> dict:
 
 def validate(cfg: dict) -> dict:
     """The rules that relate keys; each key's own type and range are _merge's."""
-    bg = cfg["scene"]["background"]
-    if len(bg) != 3:
-        raise ConfigError("scene.background must be a list of three finite numbers")
-    for c in bg:
-        check_number("scene.background", c)
+    check_numbers("scene.background", cfg["scene"]["background"], 3)
     if cfg["field"]["color_layers"] > 0 and cfg["field"]["color_hidden"] <= 0:
         raise ConfigError("field.color_hidden must be > 0 when field.color_layers > 0")
     if cfg["train"]["lr1"] >= cfg["train"]["lr0"]:

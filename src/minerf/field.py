@@ -6,14 +6,15 @@ enters, so sigma is view-independent by construction; softplus keeps it
 nonnegative and sigmoid bounds rgb to [0,1].
 
 forward_encoded is the one forward, written against autodiff primitives.
-Every layer, with its relu, is one ad.linear node over its input parts, never
-a concatenation: encoded points and activations are matrix parts, and the
-conditioning and latent vectors, shared by all samples, fold into the bias.
-trainer.model_fields runs it on leaf Vars of a recording tape for training,
-and on the stored arrays for rendering, where every op returns a plain array
-and the weights' row blocks are numpy views; field_forward_np encodes raw
-points and directions and calls it. param_shapes names the learnable arrays
-and their shapes; trainer.init_arrays draws them.
+Every layer, with its relu, is one ad.linear node over its whole weight
+matrix and its input parts, never a concatenation, and the weights' row
+blocks are numpy views: encoded points and activations are matrix parts, and
+the conditioning and latent vectors, shared by all samples, fold into the
+bias. trainer.model_fields runs it on leaf Vars of a recording tape for
+training, and on the stored arrays for rendering, where every op returns a
+plain array; field_forward_np encodes raw points and directions and calls it.
+param_shapes names the learnable arrays and their shapes; trainer.init_arrays
+draws them.
 """
 
 from __future__ import annotations
@@ -102,30 +103,6 @@ def param_shapes(arch: FieldArch) -> dict[str, tuple]:
     return p
 
 
-def _linear(parts, W, b, relu=False):
-    """[p_0 | p_1 | ...] @ W + b, the parts taking consecutive row blocks of W.
-
-    Matrix parts (n, k) go to one ad.linear node, in order, which also applies
-    relu when asked; vector parts (k,) fold into its bias in order as
-    b + v @ W_block, one matmul node each. The first part is a matrix and
-    fixes the row count (even zero-width, when Lx = 0); later parts that are
-    None or zero-width are dropped. W is sliced only when more than one part
-    is left: a full-row slice is a tape node and can move rounding.
-    """
-    parts = parts[:1] + [p for p in parts[1:] if p is not None and p.shape[-1]]
-    mats, Ws, bias, off = [], [], b, 0
-    for p in parts:
-        k = p.shape[-1]
-        Wp = W[off:off + k] if len(parts) > 1 else W
-        off += k
-        if len(p.shape) == 2:
-            mats.append(p)
-            Ws.append(Wp)
-        else:
-            bias = ad.add(bias, ad.matmul(p, Wp))
-    return ad.linear(mats, Ws, bias, relu)
-
-
 def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     """(rgb (n, 3), sigma (n,)) from encoded points enc_x (n, d_enc_x) and
     directions enc_v (n, d_enc_v), on the tape of the Vars passed in.
@@ -135,16 +112,16 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     arrays alone the outputs are arrays.
     """
     w = weights
-    x = [enc_x, cond, latent]
-    h = _linear(x, w["W0"], w["b0"], relu=True)
+    x = [enc_x, cond] if latent is None else [enc_x, cond, latent]
+    h = ad.linear(x, w["W0"], w["b0"], relu=True)
     for j in range(1, arch.layers):
-        parts = [h] + x if arch.has_skip and j == _SKIP_LAYER else [h]
-        h = _linear(parts, w[f"W{j}"], w[f"b{j}"], relu=True)
-    sigma = ad.softplus(_linear([h], w["Wsig"], w["bsig"])[:, 0])
+        parts = [h, *x] if arch.has_skip and j == _SKIP_LAYER else [h]
+        h = ad.linear(parts, w[f"W{j}"], w[f"b{j}"], relu=True)
+    sigma = ad.softplus(ad.linear([h], w["Wsig"], w["bsig"])[:, 0])
     c = [h, enc_v]
     for j in range(arch.color_layers):
-        c = [_linear(c, w[f"Wc{j}"], w[f"bc{j}"], relu=True)]
-    rgb = ad.sigmoid(_linear(c, w["Wrgb"], w["brgb"]))
+        c = [ad.linear(c, w[f"Wc{j}"], w[f"bc{j}"], relu=True)]
+    rgb = ad.sigmoid(ad.linear(c, w["Wrgb"], w["brgb"]))
     return rgb, sigma
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ppm
+from .config import check_number, check_numbers
 from .errors import ConfigError, UsageError
 from .renderer import CameraPose, render_image
 
@@ -252,10 +253,21 @@ def _pose_to_json(p: CameraPose):
             "cx": p.cx, "cy": p.cy, "width": p.width, "height": p.height}
 
 
-def _pose_from_json(j) -> CameraPose:
-    return CameraPose(R=np.array(j["R"], dtype=np.float64).reshape(3, 3),
-                      t=np.array(j["t"], dtype=np.float64), focal=j["focal"],
-                      cx=j["cx"], cy=j["cy"], width=j["width"], height=j["height"])
+def _pose_from_json(j, name: str) -> CameraPose:
+    """The pose in j; ConfigError or UsageError naming name when an entry is
+    malformed or R (nine numbers, row-major) is not a rotation."""
+    R = np.array(check_numbers(f"{name}.R", j["R"], 9), dtype=np.float64).reshape(3, 3)
+    pose = CameraPose(R=R,
+                      t=np.array(check_numbers(f"{name}.t", j["t"], 3), dtype=np.float64),
+                      focal=check_number(f"{name}.focal", j["focal"], "> 0"),
+                      cx=check_number(f"{name}.cx", j["cx"]),
+                      cy=check_number(f"{name}.cy", j["cy"]),
+                      width=check_number(f"{name}.width", j["width"], "> 0", integer=True),
+                      height=check_number(f"{name}.height", j["height"], "> 0", integer=True))
+    try:
+        return pose.validate()
+    except UsageError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def save_dataset(ds: Dataset, out_dir):
@@ -297,7 +309,11 @@ _SCENE_KEYS = ("modes", "background", "bounds", "resolution", "t_near", "t_far",
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
     JSON or lacks a key, when its scene-wide keys (_SCENE_KEYS) differ from the
-    first identity's, when a frame's e does not have one entry per mode, when a
+    first identity's, when its identity block is not three finite semi_axes > 0,
+    three finite base_color numbers and a finite density_scale >= 0, when a
+    frame pose's R is not a rotation, its t not three finite numbers, its focal
+    not finite and > 0, its cx or cy not finite or its width or height not a
+    positive integer, when a frame's e does not have one entry per mode, when a
     frame box is not four integers with 0 <= r0 < r1 <= height and
     0 <= c0 < c1 <= width, when a split entry is not a frame index or the test
     split is empty, or when a frame it lists has no PPM or one whose size is
@@ -316,10 +332,13 @@ def load_dataset(in_dir) -> Dataset:
                              directions=np.array(mm["directions"]),
                              amplitudes=np.array(mm["amplitudes"]),
                              tints=np.array(mm["tints"]))
-            idp = IdentityParams(semi_axes=np.array(meta["identity"]["semi_axes"]),
-                                 base_color=np.array(meta["identity"]["base_color"]),
-                                 density_scale=meta["identity"]["density_scale"])
-            frames = [Frame(index=fj["index"], pose=_pose_from_json(fj["pose"]),
+            ij = meta["identity"]
+            idp = IdentityParams(
+                semi_axes=np.array(check_numbers("identity.semi_axes", ij["semi_axes"], 3, "> 0")),
+                base_color=np.array(check_numbers("identity.base_color", ij["base_color"], 3)),
+                density_scale=check_number("identity.density_scale", ij["density_scale"], ">= 0"))
+            frames = [Frame(index=fj["index"],
+                            pose=_pose_from_json(fj["pose"], f"frame {fj['index']} pose"),
                             e=np.array(fj["e"], dtype=np.float64), image=None,
                             box=tuple(fj["box"])) for fj in meta["frames"]]
             for fr in frames:

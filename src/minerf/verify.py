@@ -170,23 +170,27 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
             worst = max(worst, rep.max_rel_err)
         checks.append(_check(f"fd_{name}", worst, 1e-5))
 
-    # the fused layer node over two matrix parts, without and with relu; cases
-    # whose pre-activations come near relu's kink are drawn again
+    # the fused layer node over a second matrix part, then over a vector part
+    # (from its own generator, so every other check draws what it drew before),
+    # without and with relu; cases whose pre-activations come near relu's kink
+    # are drawn again
     worst = 0.0
-    for relu in (False, True):
-        for _ in range(per_primitive):
-            n, k1, k2, m = (int(rng.integers(2, 5)) for _ in range(4))
-            while True:
-                A1, A2 = rng.standard_normal((n, k1)), rng.standard_normal((n, k2))
-                W1, W2 = rng.standard_normal((k1, m)), rng.standard_normal((k2, m))
-                b = rng.standard_normal(m)
-                if np.min(np.abs(A1 @ W1 + A2 @ W2 + b)) > 1e-2:
-                    break
-            w = rng.standard_normal((n, m))
-            rep = ad.finite_diff_check(
-                lambda *v: ad.sum_(ad.mul(ad.linear(v[:2], v[2:4], v[4], relu), w)),
-                [A1, A2, W1, W2, b])
-            worst = max(worst, rep.max_rel_err)
+    for r, ndim in ((rng, 2), (_rng(13), 1)):
+        for relu in (False, True):
+            for _ in range(per_primitive):
+                n, k1, k2, m = (int(r.integers(2, 5)) for _ in range(4))
+                while True:
+                    A1 = r.standard_normal((n, k1))
+                    A2 = r.standard_normal((n, k2) if ndim == 2 else k2)
+                    W1, W2 = r.standard_normal((k1, m)), r.standard_normal((k2, m))
+                    b = r.standard_normal(m)
+                    if np.min(np.abs(A1 @ W1 + A2 @ W2 + b)) > 1e-2:
+                        break
+                w = r.standard_normal((n, m))
+                rep = ad.finite_diff_check(
+                    lambda *v: ad.sum_(ad.mul(ad.linear(v[:2], v[2], v[3], relu), w)),
+                    [A1, A2, np.vstack([W1, W2]), b])
+                worst = max(worst, rep.max_rel_err)
     checks.append(_check("fd_linear", worst, 1e-5))
 
     shape_ops = {

@@ -14,7 +14,7 @@ def test_relu_forward_backward():
     # linear's relu: x @ I + 0 passes x through, and the derivative at 0 is 0
     t = ad.Tape()
     x = ad.leaf(t, np.array([[-1.0, 0.0, 2.0]]))
-    y = ad.linear([x], [np.eye(3)], np.zeros(3), relu=True)
+    y = ad.linear([x], np.eye(3), np.zeros(3), relu=True)
     assert np.array_equal(y.value, [[0.0, 0.0, 2.0]])
     g = ad.grad(t, ad.sum_(y), [x])[0]
     assert np.array_equal(g, [[0.0, 0.0, 1.0]])
@@ -77,17 +77,88 @@ def test_linear_matches_the_numpy_layer_bit_for_bit():
     z = A1 @ W1 + A2 @ W2 + b
     for relu in (False, True):
         t = ad.Tape()
-        leaves = [ad.leaf(t, x) for x in (A1, A2, W1, W2, b)]
-        y = ad.linear(leaves[:2], leaves[2:4], leaves[4], relu)
+        leaves = [ad.leaf(t, x) for x in (A1, A2, np.vstack([W1, W2]), b)]
+        y = ad.linear(leaves[:2], leaves[2], leaves[3], relu)
         g = seed * (z > 0) if relu else seed
         assert y.value.tobytes() == (np.maximum(z, 0.0) if relu else z).tobytes()
         got = ad.grad(t, ad.sum_(ad.mul(y, seed)), leaves)
-        want = [g @ W1.T, g @ W2.T, A1.T @ g, A2.T @ g, g.sum(axis=0)]
+        want = [g @ W1.T, g @ W2.T, np.vstack([A1.T @ g, A2.T @ g]), g.sum(axis=0)]
         assert all(a.tobytes() == w.tobytes() for a, w in zip(got, want))
-    for mats, Ws, bias in (([A1], [W1, W2], b), ([A1, A2], [W1, W1], b),
-                           ([A1], [W1], np.ones(3)), ([], [], b), ([A1[0]], [W1], b)):
+
+
+def test_linear_rejects_parts_that_do_not_fit_the_weights():
+    rng = np.random.default_rng(3)
+    A1, A2 = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    W, b = rng.standard_normal((5, 4)), rng.standard_normal(4)
+    for parts in ([A1, A2], [A1, A2[0]], [np.zeros((5, 0)), A1, A2[0, :0], A2[0]]):
+        assert ad.linear(parts, W, b).shape == (5, 4)  # widths that add up to W's rows
+    t = ad.Tape()
+    for parts, Wp, bias in (
+            ([A1], W, b), ([A1, A2], W[:4], b), ([A1, A2, A2], W, b),  # W rows != widths
+            ([A1, A2], W, np.ones(3)), ([A1, A2], W, np.ones((1, 4))),  # bias != W's columns
+            ([A1[0], A2], W, b), ([], W, b),  # the first part must be a matrix
+            ([A1, A2[:3]], W, b), ([A1[:4], A2], W, b),  # matrix parts of unequal rows
+            ([A1, A2[None]], W, b), ([A1, A2], W[None], b)):  # other ranks
         with pytest.raises(DimensionError):
-            ad.linear([ad.leaf(t, A) for A in mats], Ws, ad.leaf(t, bias))
+            ad.linear([ad.leaf(t, P) for P in parts], Wp, ad.leaf(t, bias))
+
+
+def _composed_layer(parts, W, bias, relu):
+    """The layer as separate nodes: a slice_ per row block of W, a matmul and an
+    add per vector part folded into the bias, then one fused node summing the
+    matrix products in order into the first one's buffer, adding the bias and
+    applying relu in place."""
+    parts = parts[:1] + [p for p in parts[1:] if p.shape[-1]]
+    mats, Ws, off = [], [], 0
+    for p in parts:
+        Wp = W[off:off + p.shape[-1]] if len(parts) > 1 else W
+        off += p.shape[-1]
+        if len(p.shape) == 2:
+            mats.append(p)
+            Ws.append(Wp)
+        else:
+            bias = ad.add(bias, ad.matmul(p, Wp))
+    Avs, Wvs, bv = [ad.value(A) for A in mats], [ad.value(Wp) for Wp in Ws], ad.value(bias)
+    out = Avs[0] @ Wvs[0]
+    for A, Wp in zip(Avs[1:], Wvs[1:]):
+        out += A @ Wp
+    out += bv
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        if relu:
+            g = g * (out > 0.0)
+        return (*(g @ Wp.T for Wp in Wvs), *(A.T @ g for A in Avs), g.sum(axis=0))
+
+    return ad._node("fused", out, (*mats, *Ws, bias), vjp)
+
+
+def test_linear_matches_the_sliced_composition_bit_for_bit():
+    # one node over the whole W gives the value and every gradient of the slice,
+    # matmul and add nodes it replaces, byte for byte; the one exception is the
+    # sign of an exact zero in W's gradient, which the composition loses when it
+    # sums its slices' zero-padded adjoints (-0.0 + 0.0 is +0.0)
+    rng = np.random.default_rng(8)
+    n, m = 6, 5
+    M1, M2 = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
+    v1, v2 = rng.standard_normal(2), rng.standard_normal(3)
+    cases = [[M1], [M1, M2], [M1, v1], [M1, v1, v2], [M1, M2, v1], [M1, v1, M2],
+             [np.zeros((n, 0)), v1, v2],  # a zero-width first part, as with Lx = 0
+             [M1, np.zeros((n, 0))]]  # a zero-width later part, as with Lv = 0
+    for parts in cases:
+        W = rng.standard_normal((sum(p.shape[-1] for p in parts), m))
+        b, seed = rng.standard_normal(m), rng.standard_normal((n, m))
+        for relu in (False, True):
+            got = []
+            for layer in (ad.linear, _composed_layer):
+                t = ad.Tape()
+                leaves = [ad.leaf(t, x) for x in (*parts, W, b)]
+                y = layer(leaves[:-2], leaves[-2], leaves[-1], relu)
+                grads = ad.grad(t, ad.sum_(ad.mul(y, seed)), leaves)
+                grads[-2] = grads[-2] + 0.0
+                got.append([y.value.tobytes()] + [gr.tobytes() for gr in grads])
+            assert got[0] == got[1], (len(parts), relu)
 
 
 def test_every_tape_primitive_has_a_verify_fd_check():
@@ -222,7 +293,7 @@ def test_tape_topological_by_construction():
 def test_no_grad_ops_return_arrays_and_record_nothing():
     t = ad.Tape()
     x = np.array([[-1.0, 2.0]])
-    y = ad.sum_(ad.linear([ad.mul(x, 3.0)], [np.eye(2)], np.zeros(2), relu=True))
+    y = ad.sum_(ad.linear([ad.mul(x, 3.0)], np.eye(2), np.zeros(2), relu=True))
     assert not isinstance(y, ad.Var) and float(y) == 6.0
     assert len(t.nodes) == 0 and not t.values
     with pytest.raises(UsageError):
@@ -237,7 +308,7 @@ def test_array_operands_give_numpy_values_and_array_plus_var_dispatches():
              (ad.neg(x), -x), (ad.scale(x, 1.5), 1.5 * x), (ad.square(x), x * x),
              (ad.exp(x), np.exp(x)), (ad.sqrt(np.abs(x)), np.sqrt(np.abs(x))),
              (ad.matmul(A, B), A @ B), (ad.matmul(x, A), x @ A),
-             (ad.linear([A], [B], np.ones(2), relu=True), np.maximum(A @ B + np.ones(2), 0.0)),
+             (ad.linear([A], B, np.ones(2), relu=True), np.maximum(A @ B + np.ones(2), 0.0)),
              (ad.sum_(A, axis=0), A.sum(axis=0)), (ad.concat([x, c]), np.concatenate([x, c])),
              (ad.slice_(A, (slice(None), 1)), A[:, 1].copy()), (ad.reshape(A, (4, 3)),
                                                                 A.reshape(4, 3))]
@@ -262,7 +333,7 @@ def test_array_operands_give_numpy_values_and_array_plus_var_dispatches():
     with pytest.raises(UsageError):
         v + v2
     with pytest.raises(UsageError):
-        ad.linear([ad.leaf(t, A)], [B], ad.leaf(t2, np.ones(2)))
+        ad.linear([ad.leaf(t, A)], B, ad.leaf(t2, np.ones(2)))
     with pytest.raises(UsageError):
         ad.grad(t, ad.sum_(v2), [v])
 

@@ -622,3 +622,62 @@ def test_empty_test_split_exit_2(tiny_cfg_file, tmp_path, capsys):
                      "--out", str(tmp_path / "eval")]) == 2
     _one_line_error(capsys, str(meta_path), "split.test is empty")
     assert not (tmp_path / "eval" / "summary.json").exists()
+
+
+def _edit(key, value):
+    def edit(meta):
+        block, name = key.split(".")
+        target = meta["identity"] if block == "identity" else meta["frames"][0]["pose"]
+        target[name] = value(target[name]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (_edit("identity.semi_axes", lambda v: v[:2]), "identity.semi_axes"),
+    (_edit("identity.semi_axes", lambda v: [v[0], 0.0, v[2]]), "identity.semi_axes"),
+    (_edit("identity.semi_axes", lambda v: [v[0], v[1], "x"]), "identity.semi_axes"),
+    (_edit("identity.base_color", lambda v: [v[0], v[1], None]), "identity.base_color"),
+    (_edit("identity.base_color", lambda v: v + [0.5]), "identity.base_color"),
+    (_edit("identity.density_scale", "x"), "identity.density_scale"),
+    (_edit("identity.density_scale", -1.0), "identity.density_scale"),
+    (_edit("identity.density_scale", float("inf")), "identity.density_scale"),
+    (_edit("pose.focal", "x"), "frame 0 pose.focal"),
+    (_edit("pose.focal", 0.0), "frame 0 pose.focal"),
+    (_edit("pose.t", lambda v: v[:2]), "frame 0 pose.t"),
+    (_edit("pose.t", lambda v: [v[0], v[1], float("nan")]), "frame 0 pose.t"),
+    (_edit("pose.cx", None), "frame 0 pose.cx"),
+    (_edit("pose.cy", "x"), "frame 0 pose.cy"),
+    (_edit("pose.R", lambda v: v[:8]), "frame 0 pose.R"),
+    (_edit("pose.R", lambda v: [2.0 * x for x in v]), "not orthonormal"),
+    (_edit("pose.R", lambda v: [-x for x in v]), "not a proper rotation"),
+    (_edit("pose.R", lambda v: v[:8] + [float("nan")]), "frame 0 pose.R"),
+    (_edit("pose.width", 0), "frame 0 pose.width"),
+    (_edit("pose.height", 2.5), "frame 0 pose.height"),
+])
+def test_train_rejects_a_bad_identity_block_or_pose(edit, needle, tiny_data, tiny_cfg_file,
+                                                    tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    meta_path = data / "id01" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--set", "train.steps=1", "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path), needle)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_rejects_short_semi_axes(tiny_data, tiny_ckpt, tmp_path, capsys):
+    # training never reads the identity block; eval renders cross-identity ground truth
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    meta_path = data / "id00" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["identity"]["semi_axes"] = meta["identity"]["semi_axes"][:2]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    _one_line_error(capsys, str(meta_path), "identity.semi_axes")
