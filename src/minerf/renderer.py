@@ -284,24 +284,55 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     return passes
 
 
+def _crosses_box(origin, dirs: np.ndarray, half_extent, t_near: float,
+                 t_far: float) -> np.ndarray:
+    """Whether each ray's segment [t_near, t_far] meets the box |x_j| <= half_extent_j.
+
+    Slab test. A ray in the plane of a face divides 0 by 0 and reads as a miss.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (-half_extent - origin) / dirs
+        b = (half_extent - origin) / dirs
+    lo = np.maximum(np.minimum(a, b).max(axis=1), t_near)
+    hi = np.minimum(np.maximum(a, b).min(axis=1), t_far)
+    return lo <= hi
+
+
 def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
                  n_coarse: int, n_fine: int = 0, fine_field_fn=None,
                  background, seed: int = 0, frame_index: int = 0,
-                 return_depth: bool = False):
+                 return_depth: bool = False, support=None):
     """Render every pixel of one frame, row-major, through render_rays.
 
     field_fn and fine_field_fn (default: field_fn) follow render_rays' field
     contract and return arrays. Deterministic for a given (seed, frame_index):
     every render draws from pixel stream step 0, which is why training keys
     its pixels at step + 1.
+
+    support, a half-extent h (3,), promises that the fields' density is
+    exactly +0.0 outside the box |x_j| <= h_j, with slack enough that every
+    point holding density lies well inside it (as synthscene's
+    support_half_extent gives). Rays whose segment [t_near, t_far] misses
+    the box then read exactly background + 0.0, what compositing zero
+    weights gives, with depth 0.0, and neither draw from their pixel stream
+    nor reach the fields. Pixel streams are per pixel, so the other rays
+    render as they would in the full frame.
     """
     H, W = pose.height, pose.width
     rows, cols = np.divmod(np.arange(H * W), W)
+    img, hit = np.empty((H * W, 3)), slice(None)
+    if support is not None:
+        hit = _crosses_box(np.asarray(pose.t, dtype=np.float64), pixel_dirs(pose, rows, cols),
+                           np.asarray(support, dtype=np.float64), t_near, t_far)
+        img[:] = np.asarray(background, dtype=np.float64) + 0.0
+        rows, cols = rows[hit], cols[hit]
     colors, ts, w = render_rays(
         pose, rows, cols, key=philox_key(seed), step=0, frame=frame_index, t_near=t_near,
         t_far=t_far, n_coarse=n_coarse, n_fine=n_fine, coarse_fn=field_fn,
         fine_fn=fine_field_fn or field_fn, background=background)[-1]
-    img = colors.reshape(H, W, 3)
-    if return_depth:
-        return img, (w * ts).sum(axis=1).reshape(H, W)
-    return img
+    img[hit] = colors
+    if not return_depth:
+        return img.reshape(H, W, 3)
+    depth = np.zeros(H * W)
+    depth[hit] = (w * ts).sum(axis=1)
+    return img.reshape(H, W, 3), depth.reshape(H, W)

@@ -6,6 +6,17 @@ bump modes deforms the lookup point and tints a patch of the surface, driven
 by a per-frame expression vector. Ground-truth frames are rendered from the
 analytic field with a high sample count, so every model prediction can be
 compared against exact ground truth, including under transferred expressions.
+
+The density is exactly +0.0 outside the box |x_j| <= h_j of
+support_half_extent, h_j = (a_j + sum_m |e_m amp_m dir_mj|)(1 + 1e-6) for
+semi-axes a, mode amplitudes amp and mode directions dir.
+So analytic_field evaluates the formula only at points inside the box, and
+render_gt_frame renders only the rays that cross it. Culled samples have
+alpha = -expm1(-0.0) = +0.0, weight +0.0 and transmittance factor 1, and
+w * rgb = +0.0 for any rgb >= 0. A missed ray composites to 0.0 + 1.0 * bg.
+Every ground-truth frame is therefore bit-identical to the dense render,
+given BLAS products whose rows do not depend on the other rows
+(`minerf verify --suite render` checks this: support_culling_exact).
 """
 
 from __future__ import annotations
@@ -133,10 +144,26 @@ def _bump_weights(modes: ModeBank, X: np.ndarray) -> np.ndarray:
     return np.exp(-d2 / (2.0 * modes.widths[None, :] ** 2))
 
 
-def analytic_field(spec: SceneSpec, identity_index: int, e: np.ndarray, X: np.ndarray):
-    """Exact (rgb, sigma) of one identity at points X (n, 3) under expression e."""
+def support_half_extent(spec: SceneSpec, identity_index: int, e: np.ndarray) -> np.ndarray:
+    """Half-extent h (3,) of a box |x_j| <= h_j outside which the density is +0.0.
+
+    With a = semi_axes, the lookup point is y = (x - delta) / a, and
+    |delta_j| = |sum_m g_m e_m amp_m dir_mj| <= sum_m |e_m amp_m| |dir_mj|
+    =: s_j, since the bump weights g_m = exp(-d2 / (2 w_m^2)) are at most 1.
+    If |x_j| > h_j = (a_j + s_j)(1 + 1e-6), then |y_j| > 1, so q > 1 and
+    sigma = density_scale * max(0, 1 - q) is exactly +0.0. The relative slack
+    covers g rounding a little above 1 where the expanded-norm d2 rounds below
+    0, and the rounding of delta and y; it holds with room to spare for mode
+    widths of 1e-4 and above (generated scenes use 0.22).
+    """
+    m = spec.modes
+    s = np.abs(np.asarray(e, dtype=np.float64) * m.amplitudes) @ np.abs(m.directions)
+    return (spec.identities[identity_index].semi_axes + s) * (1.0 + 1e-6)
+
+
+def _analytic_kernel(spec: SceneSpec, identity_index: int, e: np.ndarray, X: np.ndarray):
+    """The analytic (rgb, sigma) formula, evaluated at every row of X (n, 3)."""
     idp = spec.identities[identity_index]
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     g = _bump_weights(spec.modes, X)                                     # (n, d)
     coef = g * (e * spec.modes.amplitudes)[None, :]
     delta = coef @ spec.modes.directions                                 # (n, 3)
@@ -144,6 +171,20 @@ def analytic_field(spec: SceneSpec, identity_index: int, e: np.ndarray, X: np.nd
     q = (y * y).sum(axis=1)
     sigma = idp.density_scale * np.maximum(0.0, 1.0 - q)
     rgb = np.clip(idp.base_color[None, :] + (g * e[None, :]) @ spec.modes.tints, 0.0, 1.0)
+    return rgb, sigma
+
+
+def analytic_field(spec: SceneSpec, identity_index: int, e: np.ndarray, X: np.ndarray):
+    """Exact (rgb, sigma) of one identity at points X (n, 3) under expression e.
+
+    The formula runs only on the rows inside support_half_extent's box; the
+    others are (0, 0, 0) and +0.0.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    inside = np.flatnonzero(
+        (np.abs(X) <= support_half_extent(spec, identity_index, e)).all(axis=1))
+    rgb, sigma = np.zeros((X.shape[0], 3)), np.zeros(X.shape[0])
+    rgb[inside], sigma[inside] = _analytic_kernel(spec, identity_index, e, X[inside])
     return rgb, sigma
 
 
@@ -242,7 +283,8 @@ def render_gt_frame(scene: SceneSpec, identity_index: int, e: np.ndarray,
                     seed: int, frame_id: int) -> np.ndarray:
     return render_image(lambda X, dirs: analytic_field(scene, identity_index, e, X), pose,
                         t_near=t_near, t_far=t_far, n_coarse=samples, n_fine=0,
-                        background=scene.background, seed=seed, frame_index=frame_id)
+                        background=scene.background, seed=seed, frame_index=frame_id,
+                        support=support_half_extent(scene, identity_index, e))
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +348,42 @@ _SCENE_KEYS = ("modes", "background", "bounds", "resolution", "t_near", "t_far",
                "gt_samples")
 
 
+def _matrix(name: str, val, n: int) -> np.ndarray:
+    """val as an (n, 3) array: n lists of three finite numbers; else ConfigError naming name."""
+    if not isinstance(val, list) or len(val) != n:
+        raise ConfigError(f"{name} must be a list of {n} rows of 3 finite numbers, got {val!r}")
+    return np.array([check_numbers(f"{name}[{i}]", row, 3) for i, row in enumerate(val)])
+
+
+def _modes_from_json(mm) -> ModeBank:
+    """The mode bank in mm; ConfigError naming the key when centers is not a
+    non-empty list of d rows of three finite numbers, directions or tints not d
+    such rows, widths not d finite numbers > 0 or amplitudes not d finite numbers."""
+    centers = mm["centers"]
+    if not isinstance(centers, list) or not centers:
+        raise ConfigError(f"modes.centers must be a non-empty list of rows of 3 finite "
+                          f"numbers, got {centers!r}")
+    d = len(centers)
+    return ModeBank(centers=_matrix("modes.centers", centers, d),
+                    widths=np.array(check_numbers("modes.widths", mm["widths"], d, "> 0")),
+                    directions=_matrix("modes.directions", mm["directions"], d),
+                    amplitudes=np.array(check_numbers("modes.amplitudes", mm["amplitudes"], d)),
+                    tints=_matrix("modes.tints", mm["tints"], d))
+
+
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
     JSON or lacks a key, when its scene-wide keys (_SCENE_KEYS) differ from the
-    first identity's, when its identity block is not three finite semi_axes > 0,
-    three finite base_color numbers and a finite density_scale >= 0, when a
-    frame pose's R is not a rotation, its t not three finite numbers, its focal
-    not finite and > 0, its cx or cy not finite or its width or height not a
-    positive integer, when a frame's e does not have one entry per mode, when a
-    frame box is not four integers with 0 <= r0 < r1 <= height and
-    0 <= c0 < c1 <= width, when a split entry is not a frame index or the test
-    split is empty, or when a frame it lists has no PPM or one whose size is
-    not its pose's."""
+    first identity's, when its mode bank does not pass _modes_from_json or its
+    background is not three finite numbers, when its identity block is not three
+    finite semi_axes > 0, three finite base_color numbers and a finite
+    density_scale >= 0, when a frame pose's R is not a rotation, its t not three
+    finite numbers, its focal not finite and > 0, its cx or cy not finite or its
+    width or height not a positive integer, when a frame's e is not one finite
+    number per mode, when a frame box is not four integers with
+    0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width, when a split entry is not
+    a frame index or the test split is empty, or when a frame it lists has no
+    PPM or one whose size is not its pose's."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
@@ -327,11 +393,8 @@ def load_dataset(in_dir) -> Dataset:
         meta_path = idir / "meta.json"
         try:
             meta = json.loads(meta_path.read_text())
-            mm = meta["modes"]
-            modes = ModeBank(centers=np.array(mm["centers"]), widths=np.array(mm["widths"]),
-                             directions=np.array(mm["directions"]),
-                             amplitudes=np.array(mm["amplitudes"]),
-                             tints=np.array(mm["tints"]))
+            modes = _modes_from_json(meta["modes"])
+            background = np.array(check_numbers("background", meta["background"], 3))
             ij = meta["identity"]
             idp = IdentityParams(
                 semi_axes=np.array(check_numbers("identity.semi_axes", ij["semi_axes"], 3, "> 0")),
@@ -339,13 +402,11 @@ def load_dataset(in_dir) -> Dataset:
                 density_scale=check_number("identity.density_scale", ij["density_scale"], ">= 0"))
             frames = [Frame(index=fj["index"],
                             pose=_pose_from_json(fj["pose"], f"frame {fj['index']} pose"),
-                            e=np.array(fj["e"], dtype=np.float64), image=None,
-                            box=tuple(fj["box"])) for fj in meta["frames"]]
+                            e=np.array(check_numbers(f"frame {fj['index']} e", fj["e"],
+                                                     modes.d)),
+                            image=None, box=tuple(fj["box"])) for fj in meta["frames"]]
             for fr in frames:
                 b, pose = fr.box, fr.pose
-                if fr.e.shape != (modes.d,):
-                    raise ValueError(f"frame {fr.index} e has shape {fr.e.shape}, the mode "
-                                     f"bank has {modes.d} modes")
                 if not (len(b) == 4 and all(type(x) is int for x in b)
                         and 0 <= b[0] < b[1] <= pose.height and 0 <= b[2] < b[3] <= pose.width):
                     raise ValueError(f"frame {fr.index} box {list(b)} is not four integers "
@@ -360,7 +421,7 @@ def load_dataset(in_dir) -> Dataset:
             raise ConfigError(f"bad dataset metadata {meta_path} "
                               f"({type(exc).__name__}: {exc})") from None
         if first is None:
-            first_path, first, scene_modes = meta_path, shared, modes
+            first_path, first, scene_modes, scene_bg = meta_path, shared, modes, background
         differ = [k for k in _SCENE_KEYS if shared[k] != first[k]]
         if differ:
             raise ConfigError(f"bad dataset metadata {meta_path} ({differ[0]} differs from "
@@ -382,7 +443,7 @@ def load_dataset(in_dir) -> Dataset:
                                   f"{fr.pose.width}x{fr.pose.height}")
         identities.append(idn)
     scene = SceneSpec(modes=scene_modes, identities=[idn.params for idn in identities],
-                      background=np.array(first["background"]), bounds=first["bounds"])
+                      background=scene_bg, bounds=first["bounds"])
     return Dataset(scene=scene, identities=identities,
                    **{k: first[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")})
 

@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import conditioning as cond
 from . import renderer
+from . import synthscene
 from . import tensor_core as tc
 
 SUITES = ("tensor", "autodiff", "render", "props")
@@ -323,6 +324,24 @@ def suite_render(cases: int = 100) -> dict:
         mismatches += int(np.sum(renderer.pixel_rng(key, step, frame, pixels, n) != want))
     checks.append({"name": "pixel_streams_match_numpy_philox", "passed": mismatches == 0,
                    "max_err": float(mismatches), "tol": 0.0})
+
+    # a ground-truth frame culled to the support box against the dense formula
+    # on every sample, exactly: they agree only where the BLAS products give a
+    # row the same bits whatever the other rows are, so a host where they do
+    # not fails here instead of writing datasets that differ (from its own
+    # generator, so the checks above draw what they drew before)
+    r = _rng(29)
+    spec = synthscene.sample_scene(1, 8, r, [0.08, 0.10, 0.14], deform_budget=0.5,
+                                   tint_strength=0.35)
+    e = r.uniform(-1.7, 1.7, 8)
+    pose = synthscene.orbit_pose(1, 8, 2.8, 0.35, 24, focal_factor=1.2)
+    culled = synthscene.render_gt_frame(spec, 0, e, pose, 1.4, 4.2, 64, 0, 0)
+    dense = renderer.render_image(lambda X, dirs: synthscene._analytic_kernel(spec, 0, e, X),
+                                  pose, t_near=1.4, t_far=4.2, n_coarse=64,
+                                  background=spec.background)
+    differ = int(np.sum(culled.view(np.uint64) != dense.view(np.uint64)))
+    checks.append({"name": "support_culling_exact", "passed": differ == 0,
+                   "max_err": float(differ), "tol": 0.0})
 
     return {"suite": "render", "passed": all(c["passed"] for c in checks),
             "checks": checks}

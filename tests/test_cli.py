@@ -219,6 +219,24 @@ def test_render_suite_detects_shifted_pixel_streams(monkeypatch):
     assert report["passed"] is False
 
 
+def test_render_suite_detects_ground_truth_rows_that_depend_on_the_other_rows(monkeypatch):
+    """A formula whose rows change with the row count, as a host's BLAS might."""
+    import minerf.synthscene as sc
+    report = verify.suite_render(cases=5)
+    assert next(c for c in report["checks"] if c["name"] == "support_culling_exact")["passed"]
+    real = sc._analytic_kernel
+
+    def row_dependent(spec, k, e, X):
+        rgb, sigma = real(spec, k, e, X)
+        return rgb, sigma * (1.0 + 1e-18 * len(X))
+
+    monkeypatch.setattr(sc, "_analytic_kernel", row_dependent)
+    report = verify.suite_render(cases=5)
+    check = next(c for c in report["checks"] if c["name"] == "support_culling_exact")
+    assert not check["passed"] and check["max_err"] > 0
+    assert report["passed"] is False
+
+
 @pytest.mark.parametrize("check,fault", [
     # trans[:, k] read as the transmittance before sample k, one sample late
     ("transmittance_partition_of_unity",
@@ -406,7 +424,7 @@ def test_train_rejects_short_expression_vector(tiny_cfg_file, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
                      "--set", "train.steps=1", "--out", str(tmp_path / "m.ckpt")]) == 2
-    _one_line_error(capsys, str(meta_path), "e has shape (4,)")
+    _one_line_error(capsys, str(meta_path), "e must be a list of 8 finite numbers")
 
 
 def test_eval_rejects_missing_test_frame(tiny_cfg_file, tmp_path, capsys):
@@ -681,3 +699,52 @@ def test_eval_rejects_short_semi_axes(tiny_data, tiny_ckpt, tmp_path, capsys):
     assert cli.main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 2
     _one_line_error(capsys, str(meta_path), "identity.semi_axes")
+
+
+def _modes(key, value):
+    def edit(meta):
+        meta["modes"][key] = value(meta["modes"][key])
+    return edit
+
+
+def _nan_expression(meta):
+    meta["frames"][2]["e"][5] = float("nan")
+
+
+BAD_SCENE_LEAVES = {
+    "widths_7": (_modes("widths", lambda v: v[:7]), "modes.widths"),
+    "widths_0": (_modes("widths", lambda v: [0.0] * len(v)), "modes.widths must be > 0"),
+    "widths_nan": (_modes("widths", lambda v: v[:-1] + [float("nan")]),
+                   "modes.widths must be finite"),
+    "centers_short_row": (_modes("centers", lambda v: v[:-1] + [v[-1][:2]]), "modes.centers[7]"),
+    "centers_empty": (_modes("centers", lambda v: []), "modes.centers"),
+    "directions_7": (_modes("directions", lambda v: v[:7]), "modes.directions"),
+    "amplitudes_inf": (_modes("amplitudes", lambda v: v[:-1] + [float("inf")]),
+                       "modes.amplitudes"),
+    "tints_string": (_modes("tints", lambda v: v[:-1] + [[0.1, "x", 0.1]]), "modes.tints[7]"),
+    "background_2": (lambda m: m.update(background=[0.1, 0.1]), "background"),
+    "background_nan": (lambda m: m.update(background=[0.1, float("nan"), 0.1]), "background"),
+    "e_nan": (_nan_expression, "frame 2 e must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCENE_LEAVES)
+def test_train_and_eval_reject_a_bad_mode_bank_background_or_expression(
+        case, tiny_data, tiny_cfg_file, tiny_ckpt, tmp_path, capsys):
+    # both identities carry the same damage, so no "differs" check can catch it first
+    edit, needle = BAD_SCENE_LEAVES[case]
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    for name in ("id00", "id01"):
+        meta_path = data / name / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--set", "train.steps=1", "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(data / "id00" / "meta.json"), needle)
+    assert cli.main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    _one_line_error(capsys, str(data / "id00" / "meta.json"), needle)
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "eval").exists()

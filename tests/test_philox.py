@@ -49,3 +49,12 @@ def test_pixel_rng_splits_into_coarse_then_fine_draws():
 def test_pixel_rng_rejects_a_frame_word_overflow():
     with pytest.raises(UsageError):
         rd.pixel_rng(rd.philox_key(0), 2**64 - 1, 2**64 - 1, [0], 4)
+
+
+def test_pixel_rng_on_a_subset_of_pixels_draws_those_rows_of_the_full_call():
+    """Ground truth draws only for the rays that cross the support box."""
+    key = rd.philox_key(5)
+    pixels = np.arange(1024)
+    full = rd.pixel_rng(key, 0, 7, pixels, 64)
+    for keep in (pixels[::3], pixels[[5, 6, 1023]], pixels[:0]):
+        assert np.array_equal(rd.pixel_rng(key, 0, 7, keep, 64), full[keep])

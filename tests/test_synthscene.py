@@ -6,6 +6,7 @@ import pytest
 from minerf import config
 from minerf import synthscene as sc
 from minerf import ppm
+from minerf import renderer as rd
 from minerf.errors import ConfigError
 
 BG = [0.08, 0.10, 0.14]
@@ -179,7 +180,7 @@ def test_load_rejects_expression_of_wrong_length(tmp_path):
     def cut(meta):
         meta["frames"][3]["e"] = meta["frames"][3]["e"][:4]
     path = _edit_meta(tmp_path, "id00", cut)
-    with pytest.raises(ConfigError, match="frame 3 e has shape") as exc:
+    with pytest.raises(ConfigError, match="frame 3 e must be a list of 8 finite numbers") as exc:
         sc.load_dataset(tmp_path)
     assert str(path) in str(exc.value)
 
@@ -203,3 +204,113 @@ def test_load_rejects_scene_keys_that_differ_between_identities(tmp_path, key):
     with pytest.raises(ConfigError, match=f"{key} differs") as exc:
         sc.load_dataset(tmp_path)
     assert str(path) in str(exc.value) and str(tmp_path / "id01" / "meta.json") in str(exc.value)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _scene_with(e_scale, density_scale=None, seed=15):
+    rng = np.random.default_rng(seed)
+    spec = sc.sample_scene(1, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
+    if density_scale is not None:
+        idp = spec.identities[0]
+        spec = sc.SceneSpec(modes=spec.modes, background=spec.background, identities=[
+            sc.IdentityParams(idp.semi_axes, idp.base_color, density_scale)])
+    e = rng.uniform(-1.0, 1.0, 8)
+    return spec, e_scale * e / np.max(np.abs(e))
+
+
+@pytest.mark.parametrize("e_scale, density_scale", [(0.0, None), (1.0, None), (1.7, None),
+                                                    (1.0, 0.0)])
+def test_analytic_field_equals_the_dense_kernel_on_the_support_box(e_scale, density_scale):
+    spec, e = _scene_with(e_scale, density_scale)
+    h = sc.support_half_extent(spec, 0, e)
+    unslacked = h / (1.0 + 1e-6)
+    # the 26 face, edge and corner directions of the box, just inside and just
+    # outside it and its unslacked core, then random points around it
+    signs = np.array([s for s in np.ndindex(3, 3, 3) if s != (1, 1, 1)], float) - 1.0
+    X = np.concatenate([signs * box * f for box in (h, unslacked)
+                        for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+                       + [np.random.default_rng(16).uniform(-1.3, 1.3, (4000, 3)) * h])
+    rgb, sigma = sc.analytic_field(spec, 0, e, X)
+    dense_rgb, dense_sigma = sc._analytic_kernel(spec, 0, e, X)
+    inside = np.all(np.abs(X) <= h, axis=1)
+    assert 0 < inside.sum() < len(X)
+    assert np.array_equal(_bits(sigma), _bits(dense_sigma))  # +0.0 outside, sign bit too
+    assert np.array_equal(_bits(rgb[inside]), _bits(dense_rgb[inside]))
+    assert not np.any(rgb[~inside]) and not np.any(np.signbit(dense_sigma[~inside]))
+    if density_scale is None and e_scale == 0.0:
+        # the unslacked box is tight: density just inside its face centers
+        faces = np.flatnonzero(np.abs(signs).sum(axis=1) == 1)
+        assert np.all(dense_sigma[faces] == 0.0) and np.all(dense_sigma[2 * 26 + faces] > 0.0)
+
+
+def _look_at(eye, target, res):
+    """A pose whose pixel (res // 2, res // 2) looks from eye straight at target."""
+    z = (eye - target) / np.linalg.norm(eye - target)
+    x = np.cross([0.0, 1.0, 0.0], z)
+    x /= np.linalg.norm(x)
+    return rd.CameraPose(R=np.column_stack([x, np.cross(z, x), z]), t=eye, focal=1.2 * res,
+                         cx=res // 2 + 0.5, cy=res // 2 + 0.5, width=res, height=res)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("res", [8, 17, 32])
+def test_culled_ground_truth_equals_the_dense_render_on_grazing_rays(seed, res):
+    ds = _dataset("scene.n_identities=2", "scene.n_frames=2", f"scene.resolution={res}",
+                  "scene.gt_samples=64", f"seed={seed}")
+    rng = np.random.default_rng(seed)
+    hit_share = []
+    for k in range(2):
+        for e_scale in (0.0, 1.0, 1.7):
+            e = rng.uniform(-1.0, 1.0, 8)
+            e = e_scale * e / np.max(np.abs(e))
+            h = sc.support_half_extent(ds.scene, k, e)
+            eye = 2.8 * rng.normal(size=3)
+            eye *= 2.8 / np.linalg.norm(eye)
+            # centre rays through a corner, an edge, a face of the box, and away from it
+            targets = [h * rng.choice([-1.0, 1.0], 3) * (1.0 + rng.choice([-1e-9, 1e-9])),
+                       h * [1.0, -1.0, 0.3], h * [0.2, 1.0 + 1e-12, -0.5], 2.0 * eye]
+            for f, target in enumerate(targets):
+                pose = _look_at(eye, np.asarray(target), res)
+                kw = dict(t_near=ds.t_near, t_far=ds.t_far, n_coarse=ds.gt_samples,
+                          background=ds.scene.background, seed=ds.seed, frame_index=f)
+                img, depth = rd.render_image(lambda X, d: sc.analytic_field(ds.scene, k, e, X),
+                                             pose, support=h, return_depth=True, **kw)
+                dense, dense_depth = rd.render_image(
+                    lambda X, d: sc._analytic_kernel(ds.scene, k, e, X), pose,
+                    return_depth=True, **kw)
+                gt = sc.render_gt_frame(ds.scene, k, e, pose, ds.t_near, ds.t_far,
+                                        ds.gt_samples, ds.seed, f)
+                assert np.array_equal(_bits(gt), _bits(dense))
+                assert np.array_equal(_bits(img), _bits(dense))
+                assert np.array_equal(_bits(depth), _bits(dense_depth))
+                dirs = rd.pixel_dirs(pose, *np.divmod(np.arange(res * res), res))
+                hit_share.append(rd._crosses_box(eye, dirs, h, ds.t_near, ds.t_far).mean())
+    assert min(hit_share) == 0.0 and 0.0 < max(hit_share) < 1.0
+
+
+@pytest.mark.parametrize("res", [8, 17, 32])
+def test_render_image_support_is_exact_for_a_density_that_fills_the_box(res):
+    """render_image's ray culling alone, on a field whose density reaches the box's core."""
+    core = np.array([0.6, 0.45, 0.5])
+    h = core * (1.0 + 1e-6)
+
+    def field(X, dirs):
+        sigma = np.where(np.all(np.abs(X) <= core, axis=1), 8.0, 0.0)
+        return np.clip(0.5 + 0.4 * X, 0.0, 1.0), sigma
+
+    rng = np.random.default_rng(res)
+    for f in range(6):
+        eye = rng.normal(size=3)
+        eye *= 2.0 / np.linalg.norm(eye)
+        target = core * rng.choice([-1.0, 1.0], 3) * (1.0 + rng.choice([-1e-9, 1e-9]))
+        pose = _look_at(eye, target, res)
+        # a segment that starts and ends inside the box for some rays
+        kw = dict(t_near=1.5, t_far=2.3, n_coarse=32, background=np.array(BG),
+                  seed=f, frame_index=f)
+        img, depth = rd.render_image(field, pose, support=h, return_depth=True, **kw)
+        dense, dense_depth = rd.render_image(field, pose, return_depth=True, **kw)
+        assert np.array_equal(_bits(img), _bits(dense))
+        assert np.array_equal(_bits(depth), _bits(dense_depth))
