@@ -17,6 +17,9 @@ w * rgb = +0.0 for any rgb >= 0. A missed ray composites to 0.0 + 1.0 * bg.
 Every ground-truth frame is therefore bit-identical to the dense render,
 given BLAS products whose rows do not depend on the other rows
 (`minerf verify --suite render` checks this: support_culling_exact).
+
+On disk a dataset is one directory per identity, holding frame_NNNN.ppm per
+frame and a meta.json whose leaves _META declares and load_dataset checks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ppm
-from .config import check_number, check_numbers
+from .config import check_number
 from .errors import ConfigError, UsageError
 from .renderer import CameraPose, render_image
 
@@ -288,28 +291,11 @@ def render_gt_frame(scene: SceneSpec, identity_index: int, e: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: one directory per identity with meta.json + PPM frames
+# on-disk layout
 
 def _pose_to_json(p: CameraPose):
     return {"R": p.R.reshape(-1).tolist(), "t": p.t.tolist(), "focal": p.focal,
             "cx": p.cx, "cy": p.cy, "width": p.width, "height": p.height}
-
-
-def _pose_from_json(j, name: str) -> CameraPose:
-    """The pose in j; ConfigError or UsageError naming name when an entry is
-    malformed or R (nine numbers, row-major) is not a rotation."""
-    R = np.array(check_numbers(f"{name}.R", j["R"], 9), dtype=np.float64).reshape(3, 3)
-    pose = CameraPose(R=R,
-                      t=np.array(check_numbers(f"{name}.t", j["t"], 3), dtype=np.float64),
-                      focal=check_number(f"{name}.focal", j["focal"], "> 0"),
-                      cx=check_number(f"{name}.cx", j["cx"]),
-                      cy=check_number(f"{name}.cy", j["cy"]),
-                      width=check_number(f"{name}.width", j["width"], "> 0", integer=True),
-                      height=check_number(f"{name}.height", j["height"], "> 0", integer=True))
-    try:
-        return pose.validate()
-    except UsageError as exc:
-        raise UsageError(f"{name}: {exc}") from None
 
 
 def save_dataset(ds: Dataset, out_dir):
@@ -344,96 +330,130 @@ def save_dataset(ds: Dataset, out_dir):
                 ppm.write_ppm(idir / f"frame_{fr.index:04d}.ppm", fr.image)
 
 
-_SCENE_KEYS = ("modes", "background", "bounds", "resolution", "t_near", "t_far", "seed",
-               "gt_samples")
+# meta.json's leaves. A number leaf is (shape, rule, integer): rule is a key of
+# config._RANGES or None, and a shape entry is a length, "d" (the mode count,
+# fixed by modes.centers, the first "d" row walked) or None (any length). str is
+# a string leaf; a dict is an object; [table] is a list of objects, each a table.
+_POSE = {"R": ((9,), None, False), "t": ((3,), None, False), "focal": ((), "> 0", False),
+         "cx": ((), None, False), "cy": ((), None, False),
+         "width": ((), "> 0", True), "height": ((), "> 0", True)}
+_META = {
+    "name": str,
+    "resolution": ((), "> 0", True),
+    "seed": ((), ">= 0", True),
+    "t_near": ((), "> 0", False),
+    "t_far": ((), "> 0", False),
+    "gt_samples": ((), "> 0", True),
+    "bounds": ((), "> 0", False),
+    "background": ((3,), None, False),
+    "modes": {"centers": (("d", 3), None, False), "widths": (("d",), "> 0", False),
+              "directions": (("d", 3), None, False), "amplitudes": (("d",), None, False),
+              "tints": (("d", 3), None, False)},
+    "identity": {"semi_axes": ((3,), "> 0", False), "base_color": ((3,), None, False),
+                 "density_scale": ((), ">= 0", False)},
+    "split": {"train": ((None,), ">= 0", True), "test": ((None,), ">= 0", True)},
+    "frames": [{"index": ((), ">= 0", True), "pose": _POSE, "e": (("d",), None, False),
+                "box": ((4,), ">= 0", True)}],
+}
+_SHARED = ("modes", "background", "bounds", "resolution", "t_near", "t_far", "seed", "gt_samples")
 
 
-def _matrix(name: str, val, n: int) -> np.ndarray:
-    """val as an (n, 3) array: n lists of three finite numbers; else ConfigError naming name."""
-    if not isinstance(val, list) or len(val) != n:
-        raise ConfigError(f"{name} must be a list of {n} rows of 3 finite numbers, got {val!r}")
-    return np.array([check_numbers(f"{name}[{i}]", row, 3) for i, row in enumerate(val)])
+def _check_leaf(name: str, val, shape: tuple, rule, integer: bool, dims: dict) -> None:
+    """val against one number row of _META; ConfigError naming name when it breaks it."""
+    if not shape:
+        if integer and type(val) is not int:
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+        check_number(name, val, rule)
+        return
+    n = shape[0] if shape[0] != "d" else dims.setdefault(
+        "d", len(val) if isinstance(val, list) else 0)
+    if not isinstance(val, list) or n == 0 or n not in (None, len(val)):
+        count = {None: "", 0: "one or more "}.get(n, f"{n} ")
+        rows = f"rows of {shape[1]} " if len(shape) > 1 else ""
+        raise ConfigError(f"{name} must be a list of {count}{rows}"
+                          f"{'integers' if integer else 'finite numbers'}, got {val!r}")
+    for i, v in enumerate(val):
+        _check_leaf(f"{name}[{i}]" if len(shape) > 1 else name, v, shape[1:], rule, integer, dims)
 
 
-def _modes_from_json(mm) -> ModeBank:
-    """The mode bank in mm; ConfigError naming the key when centers is not a
-    non-empty list of d rows of three finite numbers, directions or tints not d
-    such rows, widths not d finite numbers > 0 or amplitudes not d finite numbers."""
-    centers = mm["centers"]
-    if not isinstance(centers, list) or not centers:
-        raise ConfigError(f"modes.centers must be a non-empty list of rows of 3 finite "
-                          f"numbers, got {centers!r}")
-    d = len(centers)
-    return ModeBank(centers=_matrix("modes.centers", centers, d),
-                    widths=np.array(check_numbers("modes.widths", mm["widths"], d, "> 0")),
-                    directions=_matrix("modes.directions", mm["directions"], d),
-                    amplitudes=np.array(check_numbers("modes.amplitudes", mm["amplitudes"], d)),
-                    tints=_matrix("modes.tints", mm["tints"], d))
+def _walk(table: dict, obj, path: str, dims: dict) -> None:
+    """obj against an object table of _META; ConfigError naming the first bad leaf."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path.rstrip('. ') or 'the root'} must be an object, got {obj!r}")
+    for key, row in table.items():
+        if key not in obj:
+            raise ConfigError(f"{path}{key} is missing")
+        val, kind = obj[key], row if row is str else list
+        if isinstance(row, dict):
+            _walk(row, val, f"{path}{key}.", dims)
+        elif isinstance(row, tuple):
+            _check_leaf(path + key, val, *row, dims)
+        elif not isinstance(val, kind):
+            raise ConfigError(f"{path}{key} must be a JSON {kind.__name__}, got {val!r}")
+        elif kind is list:
+            for i, item in enumerate(val):
+                _walk(row[0], item, f"frame {i} ", dims)
+
+
+def _relations(meta: dict, dir_name: str) -> None:
+    """The rules relating a walked meta.json's leaves and its directory's name;
+    each leaf's own shape and range are _META's."""
+    if meta["name"] != dir_name:
+        raise ConfigError(f"name {meta['name']!r} is not its directory's name {dir_name!r}")
+    if not meta["t_near"] < meta["t_far"]:
+        raise ConfigError(f"t_far {meta['t_far']!r} is not above t_near {meta['t_near']!r}")
+    for i, fj in enumerate(meta["frames"]):
+        (r0, r1, c0, c1), h, w = fj["box"], fj["pose"]["height"], fj["pose"]["width"]
+        if fj["index"] != i:
+            raise ConfigError(f"frame {i} index is {fj['index']!r}, not its position {i}")
+        if not (r0 < r1 <= h and c0 < c1 <= w):
+            raise ConfigError(f"frame {i} box {fj['box']} is not four integers with "
+                              f"0 <= r0 < r1 <= {h} and 0 <= c0 < c1 <= {w}")
+    for part in _META["split"]:
+        bad = [j for j in meta["split"][part] if j >= len(meta["frames"])]
+        if bad:
+            raise ConfigError(f"split.{part} entry {bad[0]!r} is not a frame index in "
+                              f"[0, {len(meta['frames'])})")
+    if not meta["split"]["test"]:
+        raise ConfigError("split.test is empty")
 
 
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
-    JSON or lacks a key, when its scene-wide keys (_SCENE_KEYS) differ from the
-    first identity's, when its mode bank does not pass _modes_from_json or its
-    background is not three finite numbers, when its identity block is not three
-    finite semi_axes > 0, three finite base_color numbers and a finite
-    density_scale >= 0, when a frame pose's R is not a rotation, its t not three
-    finite numbers, its focal not finite and > 0, its cx or cy not finite or its
-    width or height not a positive integer, when a frame's e is not one finite
-    number per mode, when a frame box is not four integers with
-    0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width, when a split entry is not
-    a frame index or the test split is empty, or when a frame it lists has no
-    PPM or one whose size is not its pose's."""
+    JSON, breaks a row of _META or a rule of _relations, has a frame pose whose R
+    is not a rotation (CameraPose.validate), or has _SHARED keys that differ from
+    the first identity's; and names the PPM when a frame has none or one whose
+    size is not its pose's."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
         raise ConfigError(f"no identity directories under {root}")
-    identities, first_path, first = [], None, None
+    identities, first, first_path = [], None, idirs[0] / "meta.json"
     for idir in idirs:
-        meta_path = idir / "meta.json"
+        meta_path, frames = idir / "meta.json", []
         try:
             meta = json.loads(meta_path.read_text())
-            modes = _modes_from_json(meta["modes"])
-            background = np.array(check_numbers("background", meta["background"], 3))
-            ij = meta["identity"]
-            idp = IdentityParams(
-                semi_axes=np.array(check_numbers("identity.semi_axes", ij["semi_axes"], 3, "> 0")),
-                base_color=np.array(check_numbers("identity.base_color", ij["base_color"], 3)),
-                density_scale=check_number("identity.density_scale", ij["density_scale"], ">= 0"))
-            frames = [Frame(index=fj["index"],
-                            pose=_pose_from_json(fj["pose"], f"frame {fj['index']} pose"),
-                            e=np.array(check_numbers(f"frame {fj['index']} e", fj["e"],
-                                                     modes.d)),
-                            image=None, box=tuple(fj["box"])) for fj in meta["frames"]]
-            for fr in frames:
-                b, pose = fr.box, fr.pose
-                if not (len(b) == 4 and all(type(x) is int for x in b)
-                        and 0 <= b[0] < b[1] <= pose.height and 0 <= b[2] < b[3] <= pose.width):
-                    raise ValueError(f"frame {fr.index} box {list(b)} is not four integers "
-                                     f"with 0 <= r0 < r1 <= {pose.height} and "
-                                     f"0 <= c0 < c1 <= {pose.width}")
-            img_paths = [idir / f"frame_{fr.index:04d}.ppm" for fr in frames]
-            idn = IdentityData(name=meta["name"], params=idp, frames=frames,
-                               train_idx=list(meta["split"]["train"]),
-                               test_idx=list(meta["split"]["test"]))
-            shared = {k: meta[k] for k in _SCENE_KEYS}
-        except (KeyError, TypeError, ValueError) as exc:
+            _walk(_META, meta, "", {})
+            _relations(meta, idir.name)
+            for i, fj in enumerate(meta["frames"]):
+                p = fj["pose"]
+                pose = CameraPose(np.array(p["R"], float).reshape(3, 3), np.array(p["t"], float),
+                                  *(p[k] for k in ("focal", "cx", "cy", "width", "height")))
+                try:
+                    frames.append(Frame(i, pose.validate(), np.array(fj["e"], float), None,
+                                        tuple(fj["box"])))
+                except UsageError as exc:
+                    raise UsageError(f"frame {i} pose: {exc}") from None
+        except ValueError as exc:
             raise ConfigError(f"bad dataset metadata {meta_path} "
                               f"({type(exc).__name__}: {exc})") from None
-        if first is None:
-            first_path, first, scene_modes, scene_bg = meta_path, shared, modes, background
-        differ = [k for k in _SCENE_KEYS if shared[k] != first[k]]
+        first = first or meta
+        differ = [k for k in _SHARED if meta[k] != first[k]]
         if differ:
             raise ConfigError(f"bad dataset metadata {meta_path} ({differ[0]} differs from "
                               f"{first_path})")
-        for part, idx in (("train", idn.train_idx), ("test", idn.test_idx)):
-            bad = [j for j in idx if type(j) is not int or not 0 <= j < len(frames)]
-            if bad:
-                raise ConfigError(f"bad dataset metadata {meta_path} (split.{part} entry "
-                                  f"{bad[0]!r} is not a frame index in [0, {len(frames)}))")
-        if not idn.test_idx:
-            raise ConfigError(f"bad dataset metadata {meta_path} (split.test is empty)")
-        for fr, img_path in zip(frames, img_paths):
+        for fr in frames:
+            img_path = idir / f"frame_{fr.index:04d}.ppm"
             if not img_path.exists():
                 raise ConfigError(f"missing frame image {img_path} (listed in {meta_path})")
             fr.image = ppm.read_ppm(img_path)
@@ -441,9 +461,14 @@ def load_dataset(in_dir) -> Dataset:
                 raise ConfigError(f"frame image {img_path} is {fr.image.shape[1]}x"
                                   f"{fr.image.shape[0]}, its pose in {meta_path} is "
                                   f"{fr.pose.width}x{fr.pose.height}")
-        identities.append(idn)
-    scene = SceneSpec(modes=scene_modes, identities=[idn.params for idn in identities],
-                      background=scene_bg, bounds=first["bounds"])
+        ij = meta["identity"]
+        idp = IdentityParams(np.array(ij["semi_axes"], float), np.array(ij["base_color"], float),
+                             ij["density_scale"])
+        identities.append(IdentityData(meta["name"], idp, frames, meta["split"]["train"],
+                                       meta["split"]["test"]))
+    modes = ModeBank(**{k: np.array(first["modes"][k], float) for k in _META["modes"]})
+    scene = SceneSpec(modes=modes, identities=[idn.params for idn in identities],
+                      background=np.array(first["background"], float), bounds=first["bounds"])
     return Dataset(scene=scene, identities=identities,
                    **{k: first[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")})
 

@@ -725,6 +725,16 @@ BAD_SCENE_LEAVES = {
     "background_2": (lambda m: m.update(background=[0.1, 0.1]), "background"),
     "background_nan": (lambda m: m.update(background=[0.1, float("nan"), 0.1]), "background"),
     "e_nan": (_nan_expression, "frame 2 e must be finite"),
+    # the scalars that ground-truth rendering reads back, and the frame and identity names
+    "t_near_string": (lambda m: m.update(t_near="x"), "t_near"),
+    "t_far_below_t_near": (lambda m: m.update(t_far=0.1), "t_far"),
+    "gt_samples_0": (lambda m: m.update(gt_samples=0), "gt_samples"),
+    "seed_negative": (lambda m: m.update(seed=-1), "seed"),
+    "resolution_string": (lambda m: m.update(resolution="x"), "resolution"),
+    "bounds_nan": (lambda m: m.update(bounds=float("nan")), "bounds"),
+    "name_7": (lambda m: m.update(name=7), "name"),
+    "index_duplicate": (lambda m: m["frames"][1].update(index=0), "frame 1 index"),
+    "name_duplicate": (lambda m: m.update(name="id01"), "name"),
 }
 
 

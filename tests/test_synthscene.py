@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minerf import config
 from minerf import synthscene as sc
@@ -314,3 +316,88 @@ def test_render_image_support_is_exact_for_a_density_that_fills_the_box(res):
         dense, dense_depth = rd.render_image(field, pose, return_depth=True, **kw)
         assert np.array_equal(_bits(img), _bits(dense))
         assert np.array_equal(_bits(depth), _bits(dense_depth))
+
+
+def _leaf_paths(tree, prefix=""):
+    """Dotted leaf paths of a meta.json or of a _META table; "frames[]" stands for every frame."""
+    if isinstance(tree, dict):
+        return {p for key, sub in tree.items() for p in _leaf_paths(sub, f"{prefix}{key}.")}
+    if isinstance(tree, list) and tree and isinstance(tree[0], dict):
+        return {p for sub in tree for p in _leaf_paths(sub, prefix[:-1] + "[].")}
+    return {prefix[:-1]}
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small_data")
+    sc.save_dataset(_dataset("scene.n_identities=2", "scene.n_frames=4", "scene.resolution=8",
+                             "scene.gt_samples=8", "seed=17"), root)
+    return root
+
+
+def test_save_writes_exactly_the_leaves_load_checks(small_data):
+    for name in ("id00", "id01"):
+        meta = json.loads((small_data / name / "meta.json").read_text())
+        assert _leaf_paths(meta) == _leaf_paths(sc._META)
+
+
+META_LEAVES = sorted(_leaf_paths(sc._META))
+
+
+def _row(path):
+    """The _META row of a leaf path."""
+    row = sc._META
+    for key in path.split("."):
+        row = row[key.removesuffix("[]")]
+        row = row[0] if isinstance(row, list) else row
+    return row
+
+
+def _damages(row):
+    """The damages that break a leaf with this _META row."""
+    if row is str:
+        return ["drop", "number"]
+    shape, rule, integer = row
+    return (["drop", "nan", "string"] + ["length"] * (bool(shape) and shape[-1] is not None)
+            + ["range"] * (rule is not None) + ["float"] * integer)
+
+
+DAMAGES = [(path, kind) for path in META_LEAVES for kind in _damages(_row(path))]
+
+
+@pytest.mark.parametrize("path, kind", DAMAGES, ids=[f"{p}-{k}" for p, k in DAMAGES])
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_load_names_the_file_and_leaf_of_every_damaged_leaf(small_data, path, kind, data):
+    row = _row(path)
+    meta_path = small_data / data.draw(st.sampled_from(["id00", "id01"])) / "meta.json"
+    pristine = meta_path.read_text()
+    meta = json.loads(pristine)
+    *parents, key = path.split(".")
+    parent, needle = meta, path
+    if parents and parents[0] == "frames[]":
+        i = data.draw(st.integers(0, len(meta["frames"]) - 1))
+        parent, needle = meta["frames"][i], f"frame {i} " + path.removeprefix("frames[].")
+        parents = parents[1:]
+    for p in parents:
+        parent = parent[p]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "number":
+        parent[key] = 7
+    else:
+        shape, rule, integer = row
+        # descend to one number; "length" stops one level short and cuts that list
+        for _ in shape[:-1] if kind == "length" else shape:
+            parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
+        damaged = {"nan": lambda v: math.nan, "string": lambda v: "x",
+                   "length": lambda v: v[:-1], "float": float,
+                   "range": lambda v: {"> 0": 0, ">= 0": -1}[rule]}[kind]
+        parent[key] = damaged(parent[key])
+    meta_path.write_text(json.dumps(meta))
+    try:
+        with pytest.raises(ConfigError) as exc:
+            sc.load_dataset(small_data)
+    finally:
+        meta_path.write_text(pristine)
+    assert str(meta_path) in str(exc.value) and needle in str(exc.value), (kind, str(exc.value))
