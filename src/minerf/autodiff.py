@@ -13,6 +13,12 @@ from a leaf() and needs a gradient. Raw arrays mixed into ops stay arrays
 plain numpy value: evaluating without gradients is calling the same
 primitives on arrays, with no tape at all.
 
+The primitives: add and mul, the one elementwise product (sub and negation
+multiply by -1.0, and a constant factor is a mul by a scalar, both exact in
+IEEE arithmetic); square, sqrt, exp, sigmoid and softplus; matmul and the
+fused layer linear; sum_, concat, slice_ and reshape. The renderer adds the
+compositing node, composite_rays_tape.
+
 A tape holds what its reverse sweep reads: each node's forward value and the
 arrays its vector-Jacobian closure captures. Closures capture arrays, never
 Vars, so a dropped tape is freed at once rather than by the cycle collector.
@@ -101,7 +107,7 @@ class Var:
         return mul(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -165,7 +171,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    return add(a, neg(b) if isinstance(b, Var) else -_f64(b))
+    return add(a, mul(b, -1.0) if isinstance(b, Var) else -_f64(b))
 
 
 def mul(a, b):
@@ -188,15 +194,6 @@ def mul(a, b):
         return ga, gb
 
     return _node("mul", av * bv, (a, b), vjp)
-
-
-def neg(a):
-    return _node("neg", -value(a), (a,), lambda g: (-g,))
-
-
-def scale(a, c: float):
-    c = float(c)
-    return _node("scale", c * value(a), (a,), lambda g: (c * g,))
 
 
 def square(a):

@@ -49,6 +49,10 @@ def _write_metrics_csv(path, rows):
 
 def cmd_gen_data(args):
     cfg = load_config(args.config, args.set)
+    out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):
+        raise UsageError(f"--out {out} is not empty; gen-data writes into a new or empty "
+                         "directory")
     ds = dataset_from_config(cfg)
     save_dataset(ds, args.out)
     n = sum(len(i.frames) for i in ds.identities)

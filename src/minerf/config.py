@@ -103,11 +103,28 @@ def check_number(name: str, val, rule=None, integer: bool = False):
     return val
 
 
-def check_numbers(name: str, val, n: int, rule=None) -> list:
-    """val as a list of n numbers, each passing check_number; else ConfigError naming name."""
-    if not isinstance(val, list) or len(val) != n:
-        raise ConfigError(f"{name} must be a list of {n} finite numbers, got {val!r}")
-    return [check_number(name, v, rule) for v in val]
+def check_leaf(name: str, val, shape: tuple, rule=None, integer: bool = False,
+               dims: dict | None = None) -> None:
+    """val as a number (shape ()) or nested lists of numbers of that shape, each
+    passing check_number and a JSON integer if `integer`; else ConfigError naming name.
+
+    A shape entry is a length, None (any length) or "d", a length that the
+    first list checked against it fixes in dims for every later one.
+    """
+    if not shape:
+        if integer and type(val) is not int:
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+        check_number(name, val, rule)
+        return
+    n = shape[0] if shape[0] != "d" else dims.setdefault(
+        "d", len(val) if isinstance(val, list) else 0)
+    if not isinstance(val, list) or n == 0 or n not in (None, len(val)):
+        count = {None: "", 0: "one or more "}.get(n, f"{n} ")
+        rows = f"rows of {shape[1]} " if len(shape) > 1 else ""
+        raise ConfigError(f"{name} must be a list of {count}{rows}"
+                          f"{'integers' if integer else 'finite numbers'}, got {val!r}")
+    for i, v in enumerate(val):
+        check_leaf(f"{name}[{i}]" if len(shape) > 1 else name, v, shape[1:], rule, integer, dims)
 
 
 def _merge(schema: dict, user, path: str = "") -> dict:
@@ -135,7 +152,7 @@ def _merge(schema: dict, user, path: str = "") -> dict:
 
 def validate(cfg: dict) -> dict:
     """The rules that relate keys; each key's own type and range are _merge's."""
-    check_numbers("scene.background", cfg["scene"]["background"], 3)
+    check_leaf("scene.background", cfg["scene"]["background"], (3,))
     if cfg["field"]["color_layers"] > 0 and cfg["field"]["color_hidden"] <= 0:
         raise ConfigError("field.color_hidden must be > 0 when field.color_layers > 0")
     if cfg["train"]["lr1"] >= cfg["train"]["lr0"]:

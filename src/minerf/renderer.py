@@ -4,6 +4,7 @@ render_rays is the one hierarchical pipeline (stratify, coarse field,
 composite, importance-resample, fine field, composite) behind ground-truth
 frames, model frames and training; the callers differ only in the field
 functions they pass: Vars on a training tape, or plain arrays for rendering.
+Every call draws its sample positions from the pixel streams below.
 
 Compositing uses the standard alpha estimator for the ray integral:
 alpha_i = 1 - exp(-sigma_i * delta_i), T_i = prod_{j<i} (1 - alpha_j),
@@ -247,7 +248,7 @@ def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray
 
 def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
                 t_near: float, t_far: float, n_coarse: int, n_fine: int, coarse_fn, fine_fn,
-                background, ts=None):
+                background):
     """Hierarchical volume rendering of the rays through pixels (rows, cols) of pose.
 
     Pixel p = row * width + col draws its coarse jitter, then its fine
@@ -256,9 +257,8 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     directions (R, 3) to (rgb (R*S, 3), sigma (R*S,)): Vars for training, whose
     tape compositing records onto, or arrays for rendering. n_fine > 0 adds a
     fine pass over the coarse t-values merged with importance samples of the
-    coarse weights.
-    ts=(coarse, merged) replays frozen t-values and draws nothing. Returns
-    (colors (R, 3), ts (R, S), weights (R, S)) per pass, coarse first.
+    coarse weights. Returns (colors (R, 3), ts (R, S), weights (R, S)) per
+    pass, coarse first.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     dirs = pixel_dirs(pose, rows, cols)
@@ -271,16 +271,11 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
         colors, w = composite_rays_tape(sigma, rgb, t, t_far, bg)
         return colors, t, w
 
-    if ts is None:
-        u = pixel_rng(key, step, frame, rows * pose.width + cols, n_coarse + n_fine)
-        tc = stratified_t(t_near, t_far, u[:, :n_coarse])
-    else:
-        tc = ts[0]
-    passes = [run(coarse_fn, tc)]
+    u = pixel_rng(key, step, frame, rows * pose.width + cols, n_coarse + n_fine)
+    passes = [run(coarse_fn, stratified_t(t_near, t_far, u[:, :n_coarse]))]
     if n_fine > 0:
-        merged = ts[1] if ts is not None else hierarchical_resample(
-            tc, passes[0][2], u[:, n_coarse:], t_near, t_far)
-        passes.append(run(fine_fn, merged))
+        passes.append(run(fine_fn, hierarchical_resample(
+            passes[0][1], passes[0][2], u[:, n_coarse:], t_near, t_far)))
     return passes
 
 

@@ -20,6 +20,8 @@ given BLAS products whose rows do not depend on the other rows
 
 On disk a dataset is one directory per identity, holding frame_NNNN.ppm per
 frame and a meta.json whose leaves _META declares and load_dataset checks.
+load_dataset reads no key outside _META, so a meta.json that still carries
+the scene-bounds key older versions wrote (always 1.0, never read) loads.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ppm
-from .config import check_number
+from .config import check_leaf
 from .errors import ConfigError, UsageError
 from .renderer import CameraPose, render_image
 
@@ -67,7 +69,6 @@ class SceneSpec:
     modes: ModeBank
     identities: list
     background: np.ndarray  # (3,)
-    bounds: float = 1.0
 
 
 @dataclass
@@ -121,7 +122,7 @@ def sample_scene(n_identities: int, d: int, rng: np.random.Generator, background
     """Draw a random scene: global mode bank plus per-identity ellipsoids.
 
     deform_budget bounds sum_m |amplitude_m|, so the deformed support stays
-    inside the [-1,1]^3 scene bounds for any |e|_inf <= 1.
+    inside the cube [-1,1]^3 for any |e|_inf <= 1.
     """
     centers = 0.3 * _fibonacci_sphere(d)
     widths = np.full(d, 0.22)
@@ -313,7 +314,6 @@ def save_dataset(ds: Dataset, out_dir):
             "seed": ds.seed,
             "gt_samples": ds.gt_samples,
             "background": ds.scene.background.tolist(),
-            "bounds": ds.scene.bounds,
             "modes": {"centers": m.centers.tolist(), "widths": m.widths.tolist(),
                       "directions": m.directions.tolist(),
                       "amplitudes": m.amplitudes.tolist(), "tints": m.tints.tolist()},
@@ -330,10 +330,11 @@ def save_dataset(ds: Dataset, out_dir):
                 ppm.write_ppm(idir / f"frame_{fr.index:04d}.ppm", fr.image)
 
 
-# meta.json's leaves. A number leaf is (shape, rule, integer): rule is a key of
-# config._RANGES or None, and a shape entry is a length, "d" (the mode count,
-# fixed by modes.centers, the first "d" row walked) or None (any length). str is
-# a string leaf; a dict is an object; [table] is a list of objects, each a table.
+# meta.json's leaves. A number leaf is (shape, rule, integer), config.check_leaf's
+# arguments: rule is a key of config._RANGES or None, and a shape entry is a
+# length, "d" (the mode count, fixed by modes.centers, the first "d" row walked)
+# or None (any length). str is a string leaf; a dict is an object; [table] is a
+# list of objects, each a table. Keys outside the table are not read.
 _POSE = {"R": ((9,), None, False), "t": ((3,), None, False), "focal": ((), "> 0", False),
          "cx": ((), None, False), "cy": ((), None, False),
          "width": ((), "> 0", True), "height": ((), "> 0", True)}
@@ -344,7 +345,6 @@ _META = {
     "t_near": ((), "> 0", False),
     "t_far": ((), "> 0", False),
     "gt_samples": ((), "> 0", True),
-    "bounds": ((), "> 0", False),
     "background": ((3,), None, False),
     "modes": {"centers": (("d", 3), None, False), "widths": (("d",), "> 0", False),
               "directions": (("d", 3), None, False), "amplitudes": (("d",), None, False),
@@ -355,25 +355,7 @@ _META = {
     "frames": [{"index": ((), ">= 0", True), "pose": _POSE, "e": (("d",), None, False),
                 "box": ((4,), ">= 0", True)}],
 }
-_SHARED = ("modes", "background", "bounds", "resolution", "t_near", "t_far", "seed", "gt_samples")
-
-
-def _check_leaf(name: str, val, shape: tuple, rule, integer: bool, dims: dict) -> None:
-    """val against one number row of _META; ConfigError naming name when it breaks it."""
-    if not shape:
-        if integer and type(val) is not int:
-            raise ConfigError(f"{name} must be an integer, got {val!r}")
-        check_number(name, val, rule)
-        return
-    n = shape[0] if shape[0] != "d" else dims.setdefault(
-        "d", len(val) if isinstance(val, list) else 0)
-    if not isinstance(val, list) or n == 0 or n not in (None, len(val)):
-        count = {None: "", 0: "one or more "}.get(n, f"{n} ")
-        rows = f"rows of {shape[1]} " if len(shape) > 1 else ""
-        raise ConfigError(f"{name} must be a list of {count}{rows}"
-                          f"{'integers' if integer else 'finite numbers'}, got {val!r}")
-    for i, v in enumerate(val):
-        _check_leaf(f"{name}[{i}]" if len(shape) > 1 else name, v, shape[1:], rule, integer, dims)
+_SHARED = ("modes", "background", "resolution", "t_near", "t_far", "seed", "gt_samples")
 
 
 def _walk(table: dict, obj, path: str, dims: dict) -> None:
@@ -387,7 +369,7 @@ def _walk(table: dict, obj, path: str, dims: dict) -> None:
         if isinstance(row, dict):
             _walk(row, val, f"{path}{key}.", dims)
         elif isinstance(row, tuple):
-            _check_leaf(path + key, val, *row, dims)
+            check_leaf(path + key, val, *row, dims)
         elif not isinstance(val, kind):
             raise ConfigError(f"{path}{key} must be a JSON {kind.__name__}, got {val!r}")
         elif kind is list:
@@ -416,6 +398,9 @@ def _relations(meta: dict, dir_name: str) -> None:
                               f"[0, {len(meta['frames'])})")
     if not meta["split"]["test"]:
         raise ConfigError("split.test is empty")
+    shared = sorted(set(meta["split"]["train"]) & set(meta["split"]["test"]))
+    if shared:
+        raise ConfigError(f"split.train and split.test share frame {shared[0]}")
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -468,7 +453,7 @@ def load_dataset(in_dir) -> Dataset:
                                        meta["split"]["test"]))
     modes = ModeBank(**{k: np.array(first["modes"][k], float) for k in _META["modes"]})
     scene = SceneSpec(modes=modes, identities=[idn.params for idn in identities],
-                      background=np.array(first["background"], float), bounds=first["bounds"])
+                      background=np.array(first["background"], float))
     return Dataset(scene=scene, identities=identities,
                    **{k: first[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")})
 

@@ -75,7 +75,7 @@ def _code_penalty(total, code_var, lam: float, squared: bool):
     if code_var is None or lam == 0.0:
         return total
     sq = ad.sum_(ad.square(code_var))
-    return total + ad.scale(sq if squared else ad.sqrt(sq), lam)
+    return total + ad.mul(sq if squared else ad.sqrt(sq), lam)
 
 
 def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float,
@@ -313,15 +313,14 @@ def model_fields(state: TrainState, params: dict, e, code, latent):
 
 
 def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str,
-                lat_name: str, key, step: int, frame_id: int, rows, cols, ts=None):
+                lat_name: str, key, step: int, frame_id: int, rows, cols):
     """Build the photoconsistency loss Var of every render pass for one ray batch.
 
     bound maps parameter names to leaf Vars of one tape; every other name is
     read from state.params as an array. render_rays draws from the pixel
-    streams (key, step, frame_id, pixel). ts=(coarse, merged) reruns it on
-    frozen sample positions, which is the function the gradient actually
-    differentiates (fine-sample placement is a stopped gradient) and what
-    finite-difference probes vary. Returns (total, color residual, ts).
+    streams (key, step, frame_id, pixel); fine-sample placement is a stopped
+    gradient, so the gradient is that of the loss on fixed sample positions.
+    Returns (total, color residual).
     """
     rc, tr = state.cfg["render"], state.cfg["train"]
     params = {k: bound.get(k, v) for k, v in state.params.items()}
@@ -330,10 +329,9 @@ def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str
     passes = render_rays(frame.pose, rows, cols, key=key, step=step, frame=frame_id,
                          t_near=ds.t_near, t_far=ds.t_far, n_coarse=rc["n_coarse"],
                          n_fine=rc["n_fine"], coarse_fn=coarse_fn, fine_fn=fine_fn,
-                         background=ds.scene.background, ts=ts)
-    total, resid = loss([c for c, _, _ in passes], frame.image[rows, cols], l_var, i_var,
-                        tr["lambda_latent"], tr["lambda_identity"], tr["squared_code_norms"])
-    return total, resid, tuple(t for _, t, _ in passes)
+                         background=ds.scene.background)
+    return loss([c for c, _, _ in passes], frame.image[rows, cols], l_var, i_var,
+                tr["lambda_latent"], tr["lambda_identity"], tr["squared_code_norms"])
 
 
 def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
@@ -358,8 +356,8 @@ def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
     id_name = f"identity.{idn.name}"
     bound = {n: ad.leaf(tape, state.params[n]) for n in trainable + [id_name, lat_name]}
     # step + 1: the step-0 pixel stream is the ground-truth render stream
-    total, resid, _ = _batch_loss(state, dataset, frame, bound, id_name, lat_name, key,
-                                  step + 1, id_idx * GT_FRAME_STRIDE + fidx, rows, cols)
+    total, resid = _batch_loss(state, dataset, frame, bound, id_name, lat_name, key,
+                               step + 1, id_idx * GT_FRAME_STRIDE + fidx, rows, cols)
     loss_c = float(resid.value)
     if not np.isfinite(float(total.value)):
         raise NumericError(
@@ -441,13 +439,14 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
 # model rendering / evaluation / personalization
 
 def render_model_frame(state: TrainState, dataset: Dataset, identity_name: str,
-                       e: np.ndarray, pose, *, latent: np.ndarray | None = None,
-                       frame_id: int = 0, return_depth: bool = False) -> np.ndarray:
-    """Render one frame from the trained model (fine pass over coarse proposals)."""
+                       e: np.ndarray, pose, *, frame_id: int = 0,
+                       return_depth: bool = False) -> np.ndarray:
+    """Render one frame from the trained model (fine pass over coarse proposals)
+    under the zero latent code."""
     code = state.params.get(f"identity.{identity_name}")
     if code is None:
         raise UsageError(f"identity {identity_name!r} not in checkpoint")
-    lat = np.zeros(state.cfg["conditioning"]["d_latent"]) if latent is None else latent
+    lat = np.zeros(state.cfg["conditioning"]["d_latent"])
     coarse_fn, fine_fn = model_fields(state, state.params, e, code, lat)
     rc = state.cfg["render"]
     return render_image(coarse_fn, pose, t_near=dataset.t_near, t_far=dataset.t_far,

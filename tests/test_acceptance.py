@@ -72,7 +72,27 @@ def test_criterion_2_proposition_2_and_3_oracles():
 # criterion 3: autodiff against central finite differences
 
 def _e2e_gradient_probe():
-    """Full-pipeline loss gradient on a random 16-parameter subset vs central FD."""
+    """Full-pipeline loss gradient on a random 16-parameter subset vs central FD.
+
+    Fine-sample placement is a stopped gradient, so the finite differences
+    replay the first build's fine-pass t-values: the probe patches
+    hierarchical_resample to return them again. The coarse t-values repeat
+    on their own, as every build draws the same pixel streams.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        merged = []
+        resample = rd.hierarchical_resample
+
+        def replay(*args):
+            if not merged:
+                merged.append(resample(*args))
+            return merged[0]
+
+        mp.setattr(rd, "hierarchical_resample", replay)
+        return _e2e_gradient_error()
+
+
+def _e2e_gradient_error():
     sets = ["scene.n_identities=1", "scene.n_frames=4", "scene.resolution=10",
             "scene.gt_samples=32", "render.n_coarse=5", "render.n_fine=6",
             "field.layers=2", "field.hidden=12", "field.Lx=2", "field.Lv=1",
@@ -88,18 +108,18 @@ def _e2e_gradient_probe():
     H = W = ds.resolution
     rows, cols = tr._sample_pixels(rng, frame.box, H, W, 4, 0)
 
-    def build(params, ts=None):
+    def build(params):
         tape = ad.Tape()
         bound = {n: ad.leaf(tape, params[n]) for n in sorted(params)}
-        total, _, ts = tr._batch_loss(
+        total, _ = tr._batch_loss(
             state, ds, frame, bound, "identity.id00", "latent.id00.0000",
-            key, 1, 0, rows, cols, ts=ts)
-        return tape, bound, total, ts
+            key, 1, 0, rows, cols)
+        return tape, bound, total
 
     params = {k: v.copy() for k, v in state.params.items()
               if k.startswith(("cond.", "coarse.", "fine."))
               or k in ("identity.id00", "latent.id00.0000")}
-    tape, bound, total, fixed = build(params)
+    tape, bound, total = build(params)
     names = sorted(params)
     grads = dict(zip(names, ad.grad(tape, total, [bound[n] for n in names])))
 
@@ -115,9 +135,9 @@ def _e2e_gradient_probe():
         flat = params[n].reshape(-1)
         orig = flat[j]
         flat[j] = orig + h
-        fp = float(build(params, ts=fixed)[2].value)
+        fp = float(build(params)[2].value)
         flat[j] = orig - h
-        fm = float(build(params, ts=fixed)[2].value)
+        fm = float(build(params)[2].value)
         flat[j] = orig
         numeric = (fp - fm) / (2 * h)
         analytic = grads[n].reshape(-1)[j]

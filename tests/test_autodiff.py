@@ -193,7 +193,7 @@ def test_grad_full_interaction_module_vs_finite_differences():
 
     def f(U1, U2, C, W2, W3, e, i):
         out = cond.m_forward({"U1": U1, "U2": U2, "C": C, "W2": W2, "W3": W3}, e, i)
-        return ad.scale(ad.sum_(ad.square(out)), 1 / d)
+        return ad.mul(ad.sum_(ad.square(out)), 1 / d)
 
     rep = ad.finite_diff_check(f, arrays, step=1e-5, tol=1e-5)
     assert rep.passed, rep.max_rel_err
@@ -220,13 +220,13 @@ def test_finite_diff_composited_pixel():
         rgb = ad.sigmoid(rgb_raw)
         sd = ad.mul(sigma, deltas)
         cum = ad.matmul(ad.reshape(sd, (1, 8)), np.triu(np.ones((8, 8)), k=1))
-        T = ad.exp(ad.neg(ad.reshape(cum, (8,))))
-        alpha = ad.sub(np.ones(8), ad.exp(ad.neg(sd)))
+        T = ad.exp(ad.mul(ad.reshape(cum, (8,)), -1.0))
+        alpha = ad.sub(np.ones(8), ad.exp(ad.mul(sd, -1.0)))
         w = ad.mul(T, alpha)
-        t_end = ad.exp(ad.neg(ad.sum_(sd)))
+        t_end = ad.exp(ad.mul(ad.sum_(sd), -1.0))
         acc = []
         for ch in range(3):
-            pred = ad.sum_(ad.mul(w, rgb[:, ch])) + ad.scale(t_end, 0.5)
+            pred = ad.sum_(ad.mul(w, rgb[:, ch])) + ad.mul(t_end, 0.5)
             acc.append(ad.square(ad.sub(pred, gt[ch])))
         return acc[0] + acc[1] + acc[2]
 
@@ -238,7 +238,7 @@ def test_finite_diff_composited_pixel():
 def test_fanout_accumulates():
     t = ad.Tape()
     x = ad.leaf(t, np.asarray(2.0))
-    y = ad.mul(x, x) + ad.scale(x, 3.0)  # x^2 + 3x
+    y = ad.mul(x, x) + ad.mul(x, 3.0)  # x^2 + 3x
     assert ad.grad(t, y, [x])[0] == pytest.approx(7.0)
 
 
@@ -249,7 +249,7 @@ def test_backward_determinism_bit_identical():
     for _ in range(2):
         t = ad.Tape()
         xv = ad.leaf(t, x)
-        out = ad.sum_(ad.mul(ad.sigmoid(xv), ad.exp(ad.scale(xv, 0.3))))
+        out = ad.sum_(ad.mul(ad.sigmoid(xv), ad.exp(ad.mul(xv, 0.3))))
         runs.append((out.value.tobytes(), ad.grad(t, out, [xv])[0].tobytes()))
     assert runs[0] == runs[1]
 
@@ -305,7 +305,7 @@ def test_array_operands_give_numpy_values_and_array_plus_var_dispatches():
     A, B = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
     x, c = rng.standard_normal(3), rng.standard_normal(3)
     pairs = [(ad.add(x, c), x + c), (ad.sub(x, c), x + -c), (ad.mul(x, 2.0), x * 2.0),
-             (ad.neg(x), -x), (ad.scale(x, 1.5), 1.5 * x), (ad.square(x), x * x),
+             (ad.square(x), x * x),
              (ad.exp(x), np.exp(x)), (ad.sqrt(np.abs(x)), np.sqrt(np.abs(x))),
              (ad.matmul(A, B), A @ B), (ad.matmul(x, A), x @ A),
              (ad.linear([A], B, np.ones(2), relu=True), np.maximum(A @ B + np.ones(2), 0.0)),

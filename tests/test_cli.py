@@ -66,6 +66,22 @@ def test_gen_data_deterministic_checksum(tiny_cfg_file, tmp_path, capsys):
     assert (tmp_path / "d1" / "id01" / "frame_0003.ppm").exists()
 
 
+def test_gen_data_refuses_a_non_empty_out_dir(tiny_cfg_file, tmp_path, capsys):
+    # a second dataset written over a first would keep the first's extra identities
+    out = tmp_path / "d"
+    argv = ["gen-data", "--config", str(tiny_cfg_file), "--out", str(out)]
+    assert cli.main(argv + ["--set", "scene.n_identities=3"]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    _one_line_error(capsys, str(out), "not empty")
+    assert sorted(p.name for p in out.iterdir()) == before == ["id00", "id01", "id02"]
+    assert [i.name for i in load_dataset(out).identities] == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(empty)]) == 0
+
+
 def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path, capsys):
     for bad in ("seed=-1", "scene.n_identities=0", "field.Lx=-1", "field.Lv=-2",
                 "scene.background=[0.1,0.2]", "scene.background=[0.1,0.2,0.3,0.4]",
@@ -731,10 +747,12 @@ BAD_SCENE_LEAVES = {
     "gt_samples_0": (lambda m: m.update(gt_samples=0), "gt_samples"),
     "seed_negative": (lambda m: m.update(seed=-1), "seed"),
     "resolution_string": (lambda m: m.update(resolution="x"), "resolution"),
-    "bounds_nan": (lambda m: m.update(bounds=float("nan")), "bounds"),
     "name_7": (lambda m: m.update(name=7), "name"),
     "index_duplicate": (lambda m: m["frames"][1].update(index=0), "frame 1 index"),
     "name_duplicate": (lambda m: m.update(name="id01"), "name"),
+    # every held-out frame also listed for training
+    "split_overlap": (lambda m: m["split"]["train"].extend(m["split"]["test"]),
+                      "split.train and split.test share frame 5"),
 }
 
 

@@ -181,9 +181,9 @@ def test_gradient_wrt_conditioning_through_pixel_loss():
     def f(cond):
         rgb, sigma = forward_encoded(arch, w, cond, lat, enc_x, enc_v)
         sd = ad.mul(sigma, deltas)
-        T = ad.exp(ad.neg(ad.reshape(
-            ad.matmul(ad.reshape(sd, (1, 6)), np.triu(np.ones((6, 6)), k=1)), (6,))))
-        alpha = ad.sub(np.ones(6), ad.exp(ad.neg(sd)))
+        T = ad.exp(ad.mul(ad.reshape(
+            ad.matmul(ad.reshape(sd, (1, 6)), np.triu(np.ones((6, 6)), k=1)), (6,)), -1.0))
+        alpha = ad.sub(np.ones(6), ad.exp(ad.mul(sd, -1.0)))
         wgt = ad.mul(T, alpha)
         loss = None
         for ch in range(3):

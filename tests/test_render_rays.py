@@ -161,7 +161,7 @@ def _batch_loss_ref(state, ds, frame, bound, id_name, lat_name, rngs_pixels, row
              + ad.sum_(ad.square(ad.sub(pred_f, gt))))
     total = tr._code_penalty(resid, l_var, tcfg["lambda_latent"], tcfg["squared_code_norms"])
     total = tr._code_penalty(total, i_var, tcfg["lambda_identity"], tcfg["squared_code_norms"])
-    return total, resid, (tc, merged)
+    return total, resid
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +250,7 @@ def test_model_render_matches_per_ray_loops(setup):
     assert np.array_equal(_depth(passes, frame.pose), depth)
 
 
-def test_training_loss_and_gradients_match_per_ray_loops(setup):
+def test_training_loss_and_gradients_match_per_ray_loops(setup, monkeypatch):
     _, ds, state = setup
     key = rd.philox_key(5)
     rng = rd.step_rng(key, 3)
@@ -263,6 +263,13 @@ def test_training_loss_and_gradients_match_per_ray_loops(setup):
     names = sorted(n for n in state.params if n.startswith(("cond.", "coarse.", "fine.")))
     names += [id_name, lat_name]
 
+    composite, seen_ts = rd.composite_rays_tape, []
+
+    def recording(sigma, rgb, ts, *rest):
+        seen_ts[-1].append(ts)
+        return composite(sigma, rgb, ts, *rest)
+
+    monkeypatch.setattr(rd, "composite_rays_tape", recording)
     results = []
     for build in (
             lambda b: tr._batch_loss(state, ds, frame, b, id_name, lat_name, key, 4, fid,
@@ -272,12 +279,14 @@ def test_training_loss_and_gradients_match_per_ray_loops(setup):
                                        for p in rows * W + cols], rows, cols)):
         tape = ad.Tape()
         bound = {n: ad.leaf(tape, state.params[n]) for n in names}
-        total, resid, ts = build(bound)
-        results.append((total.value, resid.value, ts, len(tape),
+        seen_ts.append([])
+        total, resid = build(bound)
+        results.append((total.value, resid.value, seen_ts[-1], len(tape),
                         ad.grad(tape, total, list(bound.values()))))
     (total, resid, ts, n_nodes, grads), (want_total, want_resid, want_ts, want_nodes,
                                          want_grads) = results
     assert np.array_equal(total, want_total) and np.array_equal(resid, want_resid)
+    assert len(ts) == len(want_ts) == 2
     assert all(np.array_equal(a, b) for a, b in zip(ts, want_ts))
     assert n_nodes == want_nodes
     for name, g, want in zip(names, grads, want_grads):

@@ -186,9 +186,9 @@ def _exp_cumsum_composite(sigma, rgb, ts, t_far, bg):
     R, S = ts.shape
     deltas = np.concatenate([np.diff(ts, axis=1), t_far - ts[:, -1:]], axis=1)
     sd = ad.mul(ad.reshape(sigma, (R, S)), deltas)
-    T = ad.exp(ad.neg(ad.matmul(sd, np.triu(np.ones((S, S)), k=1))))
-    w = ad.mul(T, ad.sub(np.ones((R, S)), ad.exp(ad.neg(sd))))
-    t_end = ad.exp(ad.neg(ad.sum_(sd, axis=1)))
+    T = ad.exp(ad.mul(ad.matmul(sd, np.triu(np.ones((S, S)), k=1)), -1.0))
+    w = ad.mul(T, ad.sub(np.ones((R, S)), ad.exp(ad.mul(sd, -1.0))))
+    t_end = ad.exp(ad.mul(ad.sum_(sd, axis=1), -1.0))
     return ad.concat([ad.reshape(ad.sum_(ad.mul(w, ad.reshape(rgb[:, ch], (R, S))), axis=1)
                                  + ad.mul(t_end, bg[:, ch]), (R, 1))
                       for ch in range(3)], axis=1)

@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -190,7 +192,6 @@ def test_load_rejects_expression_of_wrong_length(tmp_path):
 SCENE_EDITS = {
     "modes": lambda m: m["modes"].update(widths=[5.0] * len(m["modes"]["widths"])),
     "background": lambda m: m.update(background=[0.5, 0.5, 0.5]),
-    "bounds": lambda m: m.update(bounds=2.0),
     "resolution": lambda m: m.update(resolution=17),
     "t_near": lambda m: m.update(t_near=0.5),
     "t_far": lambda m: m.update(t_far=99.0),
@@ -333,6 +334,15 @@ def small_data(tmp_path_factory):
     sc.save_dataset(_dataset("scene.n_identities=2", "scene.n_frames=4", "scene.resolution=8",
                              "scene.gt_samples=8", "seed=17"), root)
     return root
+
+
+def test_load_ignores_keys_outside_the_table(small_data, tmp_path):
+    # datasets from older versions carry a scene-bounds key that nothing reads
+    data = tmp_path / "data"
+    shutil.copytree(small_data, data)
+    for name in ("id00", "id01"):
+        _edit_meta(data, name, lambda m: m.update(bounds=1.0))
+    assert pickle.dumps(sc.load_dataset(data)) == pickle.dumps(sc.load_dataset(small_data))
 
 
 def test_save_writes_exactly_the_leaves_load_checks(small_data):
