@@ -38,13 +38,12 @@ def _parse_frames(expr, n_frames):
     return frames
 
 
-def _write_metrics_csv(path, rows):
+def _write_csv(path, keys, rows):
+    """A header row of keys, then each row's values under those keys."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["step", "loss_c", "loss_l", "loss_i", "lr", "test_psnr"])
-        for r in rows:
-            w.writerow([r["step"], r["loss_c"], r["loss_l"], r["loss_i"], r["lr"],
-                        r["test_psnr"]])
+        w.writerow(keys)
+        w.writerows([r[k] for k in keys] for r in rows)
 
 
 def cmd_gen_data(args):
@@ -67,7 +66,7 @@ def cmd_train(args):
     state, rows = trainer.train(ds, cfg)
     trainer.save_checkpoint(args.out, state)
     if args.metrics:
-        _write_metrics_csv(args.metrics, rows)
+        _write_csv(args.metrics, ["step", "loss_c", "loss_l", "loss_i", "lr", "test_psnr"], rows)
     final = [r["test_psnr"] for r in rows if r["test_psnr"] != ""]
     if final:
         print(f"final_test_psnr={final[-1]:.3f}")
@@ -88,15 +87,8 @@ def _load_state_and_scene(ckpt_path, data=None):
 
 def cmd_render(args, expr_from=None):
     state, ds = _load_state_and_scene(args.ckpt, args.data)
-    names = ds.identity_names()
-    if args.identity not in names:
-        raise UsageError(f"unknown identity {args.identity!r} (have {names})")
-    src_name = expr_from or args.identity
-    if src_name not in names:
-        raise UsageError(f"unknown identity {src_name!r} (have {names})")
-    tgt = ds.by_name(args.identity)
-    src = ds.by_name(src_name)
-    tgt_idx = names.index(args.identity)
+    tgt, src = ds.by_name(args.identity), ds.by_name(expr_from or args.identity)
+    tgt_idx = ds.identity_names().index(args.identity)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     frames = _parse_frames(args.frames, min(len(tgt.frames), len(src.frames)))
@@ -150,11 +142,7 @@ def cmd_eval(args):
     tm = metrics.transfer_matrix(state, ds, report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "frames.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["identity", "frame", "psnr", "ssim"])
-        for r in report["frames"]:
-            w.writerow([r["identity"], r["frame"], r["psnr"], r["ssim"]])
+    _write_csv(out / "frames.csv", ["identity", "frame", "psnr", "ssim"], report["frames"])
     summary = {"variant": report["variant"], "mean_psnr": report["mean_psnr"],
                "mean_ssim": report["mean_ssim"], "identities": names,
                "transfer_psnr": tm.tolist()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 from .synthscene import GT_FRAME_STRIDE, render_gt_frame
 
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -141,9 +141,18 @@ def transfer_matrix(state, dataset, heldout: dict) -> np.ndarray:
     return M
 
 
+def check_ssim_window(window: int, dataset, max_frames: int | None = None):
+    """ConfigError unless the window fits each frame evaluate_images(max_frames) scores."""
+    poses = [idn.frames[f].pose for idn in dataset.identities for f in idn.test_idx[:max_frames]]
+    for p in poses:
+        if min(p.height, p.width) < window:
+            raise ConfigError(f"eval.ssim_window={window} exceeds the {p.width}x{p.height} frames")
+
+
 def evaluate_images(state, dataset, max_frames: int | None = None) -> dict:
     """Per-frame PSNR/SSIM on each identity's first max_frames held-out frames
     (all by default), plus means and variant label; zero latent codes."""
+    check_ssim_window(state.cfg["eval"]["ssim_window"], dataset, max_frames)
     per_frame = []
     for idn in dataset.identities:
         for fidx, img, gt in _renders(state, dataset, idn.name, idn.name,

@@ -40,6 +40,7 @@ from .renderer import CameraPose, render_image
 
 GT_FRAME_STRIDE = 100003  # spreads per-frame render streams across identities
 SUPPORT_MARGIN = 0.25  # free space between the near/far bounds and the deformed support
+MAX_SEMI_AXIS = 0.42  # sample_scene draws each semi-axis from [0.22, MAX_SEMI_AXIS)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class Dataset:
         for idn in self.identities:
             if idn.name == name:
                 return idn
-        raise UsageError(f"unknown identity {name!r}")
+        raise UsageError(f"unknown identity {name!r} (have {self.identity_names()})")
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -132,7 +133,7 @@ def sample_scene(n_identities: int, d: int, rng: np.random.Generator, background
     identities = []
     for _ in range(n_identities):
         identities.append(IdentityParams(
-            semi_axes=rng.uniform(0.22, 0.42, size=3),
+            semi_axes=rng.uniform(0.22, MAX_SEMI_AXIS, size=3),
             base_color=rng.uniform(0.25, 0.85, size=3),
             density_scale=float(rng.uniform(9.0, 14.0)),
         ))
@@ -250,7 +251,7 @@ def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     scene = sample_scene(s["n_identities"], d, scene_rng, s["background"],
                          s["deform_budget"], s["tint_strength"])
-    reach = 0.42 + deformation_margin(scene)
+    reach = MAX_SEMI_AXIS + deformation_margin(scene)
     t_near = s["orbit_radius"] - (reach + SUPPORT_MARGIN)
     t_far = s["orbit_radius"] + (reach + SUPPORT_MARGIN)
     if t_near <= 0:

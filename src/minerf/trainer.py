@@ -13,16 +13,18 @@ and from the stored arrays for render_model_frame, where every autodiff op
 returns a plain array and nothing is recorded.
 
 model_shapes names the model's arrays and shapes (the variant's row in
-conditioning, then field.param_shapes); init_arrays draws them under one rule
-and load_checkpoint checks shapes against it. With the codes they live in a
-flat name -> float64 dict; each step binds the needed ones as tape leaves and
-passes the rest as arrays. Both passes composite through composite_rays_tape,
-the compositor as one tape node. Fine-sample positions are stopped gradients
-(resampling reads coarse weights as plain values), the standard estimator.
+conditioning, then field.param_shapes); init_arrays draws them under one rule.
+With the codes (shapes from _CODE_DIMS) they live in a flat name -> float64
+dict; each step binds the needed ones as tape leaves and passes the rest as
+arrays. _layout is the one statement of the checkpoint format. Both passes
+composite through composite_rays_tape, the compositor as one tape node.
+Fine-sample positions are stopped gradients (resampling reads coarse weights
+as plain values), the standard estimator.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import zlib
 from dataclasses import dataclass, field as dc_field
@@ -120,12 +122,7 @@ class TrainState:
         return FieldArch(**f, d_cond=d_cond, d_latent=d_lat)
 
     def copy(self) -> "TrainState":
-        return TrainState(cfg=json.loads(json.dumps(self.cfg)),
-                          params={k: v.copy() for k, v in self.params.items()},
-                          adam_m={k: v.copy() for k, v in self.adam_m.items()},
-                          adam_v={k: v.copy() for k, v in self.adam_v.items()},
-                          adam_t=dict(self.adam_t), step=self.step,
-                          identities=list(self.identities))
+        return copy.deepcopy(self)
 
 
 def _group(params: dict, prefix: str) -> dict:
@@ -134,9 +131,23 @@ def _group(params: dict, prefix: str) -> dict:
     return {k[len(p):]: v for k, v in params.items() if k.startswith(p)}
 
 
-def _code_rng(seed: int, tag: str) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(2, zlib.crc32(tag.encode())))))
+_CODE_DIMS = {"identity": "d", "latent": "d_latent", "plat": "d_latent"}
+
+
+def _code_shape(cfg: dict, name: str) -> tuple:
+    """(d,) for identity.*, (d_latent,) for latent.* and plat.*; ConfigError otherwise."""
+    dim = _CODE_DIMS.get(name.split(".")[0])
+    if dim is None:
+        raise ConfigError(f"entry {name!r} is neither a model array nor a code")
+    return (cfg["conditioning"][dim],)
+
+
+def _add_code(params: dict, cfg: dict, name: str, tag: str):
+    """Unless params has code `name`, draw it: 0.01 x normals from the seed's stream `tag`."""
+    if name not in params:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=cfg["seed"], spawn_key=(2, zlib.crc32(tag.encode())))))
+        params[name] = 0.01 * rng.standard_normal(_code_shape(cfg, name))
 
 
 def check_expression_dim(cfg: dict, dataset: Dataset):
@@ -172,18 +183,14 @@ def model_params(cfg: dict, rng: np.random.Generator) -> dict:
 
 def init_state(cfg: dict, dataset: Dataset) -> TrainState:
     check_expression_dim(cfg, dataset)
-    c = cfg["conditioning"]
-    seed = cfg["seed"]
     prng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(3,))))
+        np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(3,))))
     state = TrainState(cfg=cfg, params=model_params(cfg, prng),
                        identities=dataset.identity_names())
     for idn in dataset.identities:
-        state.params[f"identity.{idn.name}"] = (
-            0.01 * _code_rng(seed, f"i/{idn.name}").standard_normal(c["d"]))
+        _add_code(state.params, cfg, f"identity.{idn.name}", f"i/{idn.name}")
         for fidx in idn.train_idx:
-            state.params[f"latent.{idn.name}.{fidx:04d}"] = (
-                0.01 * _code_rng(seed, f"l/{idn.name}/{fidx}").standard_normal(c["d_latent"]))
+            _add_code(state.params, cfg, f"latent.{idn.name}.{fidx:04d}", f"l/{idn.name}/{fidx}")
     for name, arr in state.params.items():
         state.adam_m[name] = np.zeros_like(arr)
         state.adam_v[name] = np.zeros_like(arr)
@@ -191,35 +198,37 @@ def init_state(cfg: dict, dataset: Dataset) -> TrainState:
     return state
 
 
+def _layout(shapes: dict) -> tuple[list, int]:
+    """The checkpoint format: (header entries, payload size) for arrays of these
+    shapes. Kinds param, m, v, each over the sorted names; each array is packed
+    as little-endian float64 at its entry's byte offset into the payload."""
+    entries, size = [], 0
+    for kind in ("param", "m", "v"):
+        for n in sorted(shapes):
+            entries.append({"kind": kind, "name": n, "shape": list(shapes[n]), "offset": size})
+            size += 8 * int(np.prod(shapes[n]))
+    return entries, size
+
+
 def save_checkpoint(path, state: TrainState):
-    """One JSON header line, then raw little-endian float64 payload in header order."""
-    names = sorted(state.params)
-    entries = []
-    blobs = []
-    offset = 0
-    for kind, store in (("param", state.params), ("m", state.adam_m), ("v", state.adam_v)):
-        for n in names:
-            src = store[n]
-            b = np.ascontiguousarray(src, dtype="<f8").tobytes()
-            entries.append({"kind": kind, "name": n, "shape": list(src.shape),
-                            "offset": offset})
-            blobs.append(b)
-            offset += len(b)
+    """One JSON header line, then the payload: _layout of the params' shapes."""
+    entries, _ = _layout({n: a.shape for n, a in state.params.items()})
+    stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
     header = {"format": CKPT_FORMAT, "step": state.step, "config": state.cfg,
               "identities": state.identities, "adam_t": state.adam_t,
               "entries": entries}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        for b in blobs:
-            f.write(b)
+        f.write(b"".join(np.ascontiguousarray(stores[e["kind"]][e["name"]], dtype="<f8").tobytes()
+                         for e in entries))
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read a checkpoint; ConfigError when the header is unreadable or its config
-    invalid, an entry runs past the payload, a name lacks any of its param/m/v
-    entries or Adam count, a model entry's shape is not model_shapes's, or an
-    identity code is not (d,) or a latent code (d_latent,)."""
+    """Read a checkpoint; ConfigError naming the file unless its header is readable,
+    its config valid, step and Adam counts integers >= 0, and the Adam counts'
+    names (model_shapes's and codes) give a _layout that the entries and the
+    payload match exactly."""
     with open(path, "rb") as f:
         first = f.readline()
         payload = f.read()
@@ -228,37 +237,33 @@ def load_checkpoint(path) -> TrainState:
         if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
             raise ValueError(f"no {CKPT_FORMAT} format tag")
         state = TrainState(cfg=materialize(header["config"]), params={},
-                           step=int(header["step"]),
+                           step=check_number("step", header["step"], ">= 0", integer=True),
                            identities=list(header["identities"]),
-                           adam_t={k: int(v) for k, v in header["adam_t"].items()})
-        stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
-        entries = [(stores[e["kind"]], e["name"], tuple(int(n) for n in e["shape"]),
-                    int(e["offset"])) for e in header["entries"]]
+                           adam_t={n: check_number(f"adam_t {n!r}", t, ">= 0", integer=True)
+                                   for n, t in header["adam_t"].items()})
+        shapes = model_shapes(state.cfg)
+        shapes.update({n: _code_shape(state.cfg, n) for n in state.adam_t if n not in shapes})
+        got = list(header["entries"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"not a readable checkpoint: {path} "
                           f"({type(exc).__name__}: {exc})") from None
-    for store, name, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
-        if offset < 0 or min(shape, default=0) < 0 or offset + 8 * count > len(payload):
-            raise ConfigError(f"checkpoint {path}: entry {name!r} runs past the "
-                              f"{len(payload)}-byte payload")
-        store[name] = np.frombuffer(payload, dtype="<f8", count=count,
-                                    offset=offset).reshape(shape).copy()
-    names = set(state.params)
-    for store in (state.adam_m, state.adam_v, state.adam_t):
-        if set(store) != names:
-            missing = sorted(names ^ set(store), key=str)[0]
-            raise ConfigError(f"checkpoint {path}: incomplete entries for {missing!r}")
-    c = state.cfg["conditioning"]
-    codes = {"identity": (c["d"],), "latent": (c["d_latent"],), "plat": (c["d_latent"],)}
-    want = model_shapes(state.cfg)
-    want.update({n: codes[n.split(".")[0]] for n in state.params if n.split(".")[0] in codes})
-    have = {n: a.shape for n, a in state.params.items()
-            if n.split(".")[0] in ("cond", "coarse", "fine", *codes)}
-    for name in sorted(want.keys() | have.keys()):
-        if want.get(name) != have.get(name):
-            raise ConfigError(f"checkpoint {path}: entry {name!r} has shape {have.get(name)}, "
-                              f"its config gives {want.get(name)}")
+    missing = shapes.keys() - state.adam_t.keys()
+    if missing:
+        raise ConfigError(f"checkpoint {path}: entry {min(missing)!r} has no Adam count")
+    entries, size = _layout(shapes)
+    for k, want in enumerate(entries):
+        have = got[k] if k < len(got) else None
+        if json.dumps(have, sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise ConfigError(f"checkpoint {path}: entry {want['name']!r} must be {want}, "
+                              f"got {have}")
+    if len(got) != len(entries) or len(payload) != size:
+        raise ConfigError(f"checkpoint {path}: {len(got)} entries and {len(payload)} payload "
+                          f"bytes, its layout has {len(entries)} and {size}")
+    stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
+    for e in entries:
+        stores[e["kind"]][e["name"]] = np.frombuffer(
+            payload, dtype="<f8", count=int(np.prod(e["shape"])),
+            offset=e["offset"]).reshape(e["shape"]).copy()
     return state
 
 
@@ -378,15 +383,19 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
 
     Rows carry step, loss_c, loss_l, loss_i, lr, test_psnr (blank between
     evals). Raises DivergenceError when loss_c exceeds divergence_factor times
-    its step-100 value. A given state continues from its step: the lr
-    schedule, the guard's window and the final eval count from there, while
-    the pixel and step streams stay keyed on the absolute state.step.
+    its step-100 value; ConfigError before step one if an eval will run and
+    metrics.check_ssim_window refuses. A given state continues from its step:
+    the lr schedule, the guard's window and the final eval count from there,
+    while the pixel and step streams stay keyed on the absolute state.step.
     """
     if not dataset.identities or not any(idn.train_idx for idn in dataset.identities):
         raise ConfigError("empty dataset")
     if state is None:
         state = init_state(cfg, dataset)
     tr = cfg["train"]
+    if tr["eval_every"] and tr["steps"]:
+        metrics_mod.check_ssim_window(state.cfg["eval"]["ssim_window"], dataset,
+                                      tr["eval_frames"])
     key = philox_key(cfg["seed"])
     rows = []
     # Divergence guard: the per-frame loss is noisy (frames differ in
@@ -471,27 +480,20 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
     if not clip_idn.train_idx:
         raise UsageError("personalization clip has no training frames")
     out = state.copy()
-    cfg = out.cfg
-    cc = cfg["conditioning"]
-    seed = cfg["seed"]
     id_key = f"identity.{identity_name}"
     if id_key not in out.params:
-        out.params[id_key] = 0.01 * _code_rng(seed, f"p/{identity_name}").standard_normal(cc["d"])
         out.identities.append(identity_name)
-    lat_keys = {}
-    for fidx in clip_idn.train_idx:
-        k = f"plat.{identity_name}.{fidx:04d}"
-        if k not in out.params:
-            out.params[k] = 0.01 * _code_rng(
-                seed, f"pl/{identity_name}/{fidx}").standard_normal(cc["d_latent"])
-        lat_keys[fidx] = k
+    _add_code(out.params, out.cfg, id_key, f"p/{identity_name}")
+    lat_keys = {fidx: f"plat.{identity_name}.{fidx:04d}" for fidx in clip_idn.train_idx}
+    for fidx, k in lat_keys.items():
+        _add_code(out.params, out.cfg, k, f"pl/{identity_name}/{fidx}")
     field_names = [k for k in out.params if k.startswith(("coarse.", "fine."))]
     for k in field_names + [id_key] + list(lat_keys.values()):
         out.adam_m[k] = np.zeros_like(out.params[k])
         out.adam_v[k] = np.zeros_like(out.params[k])
         out.adam_t[k] = 0
 
-    key = philox_key(seed ^ 0x5045)
+    key = philox_key(out.cfg["seed"] ^ 0x5045)
     clip_id_idx = clip.identity_names().index(identity_name)
     for step in range(steps):
         rng = step_rng(key, step)

@@ -579,6 +579,48 @@ def test_checkpoint_personalized_latent_shape_checked(tiny_ckpt, tmp_path):
                 trainer.load_checkpoint(path)
 
 
+def test_inspect_refuses_an_entry_at_another_arrays_offset(tiny_ckpt, tmp_path, capsys):
+    # every count and size still agrees; only the layout says cond.W2 is not there
+    header, payload = tiny_ckpt.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    param = {e["name"]: e for e in meta["entries"] if e["kind"] == "param"}
+    param["cond.W2"]["offset"] = param["cond.W3"]["offset"]
+    edited = tmp_path / "overlap.ckpt"
+    edited.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+    capsys.readouterr()
+    assert cli.main(["inspect", "--ckpt", str(edited), "--matrix", "W2"]) == 2
+    _one_line_error(capsys, str(edited), "'cond.W2'")
+
+
+def test_train_refuses_an_ssim_window_larger_than_the_frames(tiny_cfg_file, tmp_path,
+                                                             monkeypatch, capsys):
+    calls = []
+    step = trainer._train_step
+    monkeypatch.setattr(trainer, "_train_step", lambda *a: calls.append(a) or step(*a))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--set", "train.steps=3",
+                     "--set", "train.eval_every=2", "--set", "eval.ssim_window=16",
+                     "--out", str(ckpt)]) == 2
+    _one_line_error(capsys, "eval.ssim_window=16", "10x10")
+    assert calls == [] and not ckpt.exists()
+
+
+def test_eval_refuses_an_ssim_window_larger_than_the_frames(tiny_cfg_file, tiny_data, tmp_path,
+                                                            monkeypatch, capsys):
+    # without evals, training never scores a frame, so the window is first checked by eval
+    ckpt = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--set", "train.steps=1",
+                     "--set", "eval.ssim_window=16", "--out", str(ckpt)]) == 0
+    renders = []
+    monkeypatch.setattr(trainer, "render_model_frame", lambda *a, **k: renders.append(a))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tiny_data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    _one_line_error(capsys, "eval.ssim_window=16", "10x10")
+    assert renders == []
+
+
 @pytest.mark.parametrize("frames", ["abc", "99", "3:1", "-1", "0:99", "1,,2", "2:x"])
 @pytest.mark.parametrize("command", ["render", "transfer"])
 def test_bad_frames_exit_2(command, frames, tiny_ckpt, tmp_path, capsys):

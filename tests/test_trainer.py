@@ -163,8 +163,10 @@ def test_model_params_bytes_are_pinned(variant):
         assert h.hexdigest() == want, sets
 
 
-def test_checkpoint_roundtrip_bitexact(tiny_ds, tmp_path):
-    cfg = tiny_config()
+@pytest.mark.parametrize("variant", cond_mod.VARIANTS)
+def test_checkpoint_roundtrip_bitexact(variant, tiny_ds, tmp_path):
+    k = ["conditioning.k=8"] if variant == "LatentInM" else []
+    cfg = tiny_config(f"conditioning.variant={variant}", *k)
     state = tr.init_state(cfg, tiny_ds)
     state.step = 17
     p1 = tmp_path / "a.ckpt"
@@ -366,6 +368,36 @@ def _drop_key(path, key):
     return _join_ckpt(header, payload)
 
 
+def _edit_header(edit):
+    """A corruption that applies edit(header) and keeps the payload."""
+    def corrupt(path):
+        header, payload = _split_ckpt(path)
+        edit(header)
+        return _join_ckpt(header, payload)
+    return corrupt
+
+
+def _entry(header, kind, name):
+    (e,) = [e for e in header["entries"] if e["kind"] == kind and e["name"] == name]
+    return e
+
+
+def _overlap(header):
+    # cond.W2 read from cond.W3's bytes: every count and size still agrees
+    _entry(header, "param", "cond.W2")["offset"] = _entry(header, "param", "cond.W3")["offset"]
+
+
+def _duplicate(header):
+    header["entries"].insert(header["entries"].index(_entry(header, "param", "cond.W2")) + 1,
+                             dict(_entry(header, "param", "cond.W2")))
+
+
+def _unknown(header):
+    header["adam_t"]["junk.X"] = 0
+    header["entries"] += [{"kind": kind, "name": "junk.X", "shape": [1], "offset": 0}
+                          for kind in ("param", "m", "v")]
+
+
 CORRUPTIONS = {
     "truncated": lambda p: p.read_bytes()[:p.read_bytes().index(b"\n") + 101],
     "garbage": lambda p: bytes(range(256)) * 4,
@@ -374,6 +406,14 @@ CORRUPTIONS = {
     "wrong_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v1", b"minerf-ckpt-v0", 1),
     "missing_entries_key": lambda p: _drop_key(p, "entries"),
     "missing_v_entry": _drop_v_entry,
+    "overlapping_offset": _edit_header(_overlap),
+    "duplicate_entry": _edit_header(_duplicate),
+    "unknown_name": _edit_header(_unknown),
+    "trailing_payload_bytes": lambda p: p.read_bytes() + bytes(8),
+    "string_step": _edit_header(lambda h: h.update(step="7")),
+    "negative_step": _edit_header(lambda h: h.update(step=-5)),
+    "negative_adam_count": _edit_header(lambda h: h["adam_t"].update({"cond.W2": -3})),
+    "missing_adam_count": _edit_header(lambda h: h["adam_t"].pop("cond.W2")),
 }
 
 
@@ -385,6 +425,28 @@ def test_load_checkpoint_rejects_corruption(case, tiny_ds, tmp_path):
     bad.write_bytes(CORRUPTIONS[case](path))
     with pytest.raises(ConfigError):
         tr.load_checkpoint(bad)
+
+
+ENTRY_EDITS = {"kind": lambda v: {"param": "m", "m": "v", "v": "param"}[v],
+               "name": lambda v: v + "x", "shape": lambda v: v + [1],
+               "offset": lambda v: v + 8, "float_offset": float}
+
+
+def test_load_checkpoint_refuses_every_edited_entry(tiny_ds, tmp_path):
+    # a file loads only if its entries are exactly the layout, so no single edit passes,
+    # not even one that keeps every size (a shape with a trailing 1, an offset of 8.0)
+    path = tmp_path / "a.ckpt"
+    tr.save_checkpoint(path, tr.init_state(tiny_config(), tiny_ds))
+    header, payload = _split_ckpt(path)
+    bad = tmp_path / "bad.ckpt"
+    for k, entry in enumerate(header["entries"]):
+        edit = sorted(ENTRY_EDITS)[k % len(ENTRY_EDITS)]
+        key = edit.split("_")[-1]
+        edited = json.loads(json.dumps(header))
+        edited["entries"][k][key] = ENTRY_EDITS[edit](entry[key])
+        bad.write_bytes(_join_ckpt(edited, payload))
+        with pytest.raises(ConfigError, match=repr(entry["name"])):
+            tr.load_checkpoint(bad)
 
 
 def test_personalize_needs_frames(tiny_ds):
