@@ -38,6 +38,13 @@ def _parse_frames(expr, n_frames):
     return frames
 
 
+def _check_out_file(flag, path):
+    """Refuse an output file path before any work: it must not be a directory,
+    and its directory must exist."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise UsageError(f"{flag} {path} must be a file in an existing directory")
+
+
 def _write_csv(path, keys, rows):
     """A header row of keys, then each row's values under those keys."""
     with open(path, "w", newline="") as f:
@@ -61,6 +68,8 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
+    _check_out_file("--out", args.out)
+    _check_out_file("--metrics", args.metrics)
     cfg = load_config(args.config, args.set)
     ds = load_dataset(args.data) if args.data else dataset_from_config(cfg)
     state, rows = trainer.train(ds, cfg)
@@ -112,6 +121,7 @@ def cmd_transfer(args):
 
 
 def cmd_personalize(args):
+    _check_out_file("--out", args.out)
     state = trainer.load_checkpoint(args.ckpt)
     clip = load_dataset(args.data)
     # first, so bad --steps/--lr fail before any rendering
@@ -126,6 +136,7 @@ def cmd_personalize(args):
 
 
 def cmd_verify(args):
+    _check_out_file("--json", args.json)
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     report = verify.run_suites(names)
     text = json.dumps(report, indent=1, sort_keys=True)
@@ -153,6 +164,7 @@ def cmd_eval(args):
 
 
 def cmd_inspect(args):
+    _check_out_file("--out", args.out)
     state = trainer.load_checkpoint(args.ckpt)
     key = f"cond.{args.matrix}"
     if key not in state.params:

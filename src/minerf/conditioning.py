@@ -57,36 +57,6 @@ def h_forward(p: Mapping, e, i):
     return ad.matmul(p["C"], x)
 
 
-def h_multiplicative_forward(p: Mapping, e, i):
-    """The recursion with the additive carry dropped: C[z_N * ... * z_2 * x_1]."""
-    (U_e, U_i), *rest = _levels(p)
-    x = ad.matmul(U_e, e) + ad.matmul(U_i, i)
-    for U_e, U_i in rest:
-        z = ad.matmul(U_e, e) + ad.matmul(U_i, i)
-        x = ad.mul(z, x)
-    return ad.matmul(p["C"], x)
-
-
-def h_expand_oracle(p: Mapping, e, i):
-    """Symbolic distribution of the recursion into monomials of (U e)/(U i) factors.
-
-    Supported for N in {2, 3}: 6 terms for N=2, 18 for N=3 (the 8 degree-3
-    triplets plus every lower-order term carried through).
-    """
-    levels = _levels(p)
-    if len(levels) not in (2, 3):
-        raise ConfigError(f"expansion oracle supports N in {{2, 3}}, got {len(levels)}")
-    (U_e, U_i), *rest = levels
-    monomials = [ad.matmul(U_e, e), ad.matmul(U_i, i)]
-    for U_e, U_i in rest:
-        factors = (ad.matmul(U_e, e), ad.matmul(U_i, i))
-        monomials = monomials + [ad.mul(f, m) for f in factors for m in monomials]
-    acc = monomials[0]
-    for m in monomials[1:]:
-        acc = acc + m
-    return ad.matmul(p["C"], acc)
-
-
 # ---------------------------------------------------------------------------
 # variants
 

@@ -25,7 +25,7 @@ def read_ppm(path) -> np.ndarray:
     """Read binary P6 back into float64 [0,1], shape (H, W, 3).
 
     UsageError names the file when the header is not 8-bit P6 with integer
-    width and height, or the raster is shorter than width * height * 3 bytes.
+    width and height, or the raster is not exactly width * height * 3 bytes.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -49,10 +49,10 @@ def read_ppm(path) -> np.ndarray:
     if not (fields[1].isdigit() and fields[2].isdigit()):
         raise UsageError(f"PPM width and height must be integers, got {fields[1:3]} in {path}")
     w, h = int(fields[1]), int(fields[2])
-    if len(data) - pos < h * w * 3:
+    if len(data) - pos != h * w * 3:
         raise UsageError(f"PPM raster of {path} has {max(len(data) - pos, 0)} bytes; "
                          f"{w}x{h} needs {h * w * 3}")
-    raster = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=pos)
+    raster = np.frombuffer(data, dtype=np.uint8, offset=pos)
     return raster.reshape(h, w, 3).astype(np.float64) / 255.0
 
 

@@ -1,9 +1,9 @@
 """Machine-checkable oracle suites behind the `verify` CLI subcommand.
 
 Each suite returns {"suite", "passed", "checks": [{name, passed, max_err}]}.
-The checks deliberately go through module attributes (tensor_core.hadamard,
-not a from-import) so fault-injection tests can monkeypatch a kernel and watch
-the suite fail.
+The checks deliberately go through module attributes (cond.variant_forward,
+not a from-import) so fault-injection tests can monkeypatch the code that runs
+and watch the suite fail. The oracles are written here, apart from that code.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from . import autodiff as ad
 from . import conditioning as cond
 from . import renderer
 from . import synthscene
-from . import tensor_core as tc
+from .errors import ConfigError
 
-SUITES = ("tensor", "autodiff", "render", "props")
+SUITES = ("variants", "autodiff", "render", "props")
 
 
 def _rng(seed=1234):
@@ -28,88 +28,99 @@ def _check(name, max_err, tol):
             "tol": tol}
 
 
-# ---------------------------------------------------------------------------
+def _params(rng, variant, d, k, o, n_levels=1):
+    """Standard normal arrays for a conditioning row, named and shaped by
+    cond.param_shapes, in its draw order."""
+    shapes = cond.param_shapes(variant, d, k, o, n_levels, d_latent=d)
+    return {name: rng.standard_normal(shape) for name, shape in shapes.items()}
 
-def suite_tensor(cases: int = 200) -> dict:
+
+# ---------------------------------------------------------------------------
+# each conditioning row's formula with its products written as index loops
+# over numpy scalars (_mv, _had, _contract), apart from autodiff
+
+def _mv(W, x):
+    """W @ x: out[a] = sum_b W[a, b] x[b]."""
+    out = np.zeros(W.shape[0])
+    for a in range(W.shape[0]):
+        for b in range(W.shape[1]):
+            out[a] += W[a, b] * x[b]
+    return out
+
+
+def _had(x, y):
+    """The elementwise product x * y."""
+    return np.array([x[j] * y[j] for j in range(len(x))])
+
+
+def _contract(W, e, i):
+    """W x_2 e x_3 i: out[a] = sum_b (sum_c W[a, b, c] i[c]) e[b]."""
+    return _mv(np.array([_mv(W_a, i) for W_a in W]), e)
+
+
+def _m_loop(p, e, i, l):
+    return _mv(p["C"], _had(_mv(p["U1"], e), _mv(p["U2"], i))) + _mv(p["W2"], e) + _mv(p["W3"], i)
+
+
+def _h_levels(p):
+    """H's per-level (U{n}_e, U{n}_i) pairs, n = 1, 2, ... in order."""
+    n = sum(name.endswith("_e") for name in p)
+    return [(p[f"U{m}_e"], p[f"U{m}_i"]) for m in range(1, n + 1)]
+
+
+def _h_loop(p, e, i, l):
+    (U_e, U_i), *rest = _h_levels(p)
+    x = _mv(U_e, e) + _mv(U_i, i)
+    for U_e, U_i in rest:
+        x = x + _had(_mv(U_e, e) + _mv(U_i, i), x)
+    return _mv(p["C"], x)
+
+
+def _latent_in_m_loop(p, e, i, l):
+    ue, ui, ul = _mv(p["U1"], e), _mv(p["U2"], i), _mv(p["U3"], l)
+    inner = (_had(_had(ue, ui), ul) + _had(ue, ui) + _had(ue, ul) + _had(ui, ul)
+             + ue + ui + ul)
+    return _mv(p["C"], inner)
+
+
+ORACLES = {
+    "Baseline": lambda p, e, i, l: np.array([*e, *i]),
+    "A1": lambda p, e, i, l: _mv(p["W2"], e) + _mv(p["W3"], i),
+    "A2": lambda p, e, i, l: _had(e, i) + _mv(p["W2"], e) + _mv(p["W3"], i),
+    "A3": lambda p, e, i, l: _mv(p["W1"], _had(e, i)) + _mv(p["W1"], e) + _mv(p["W1"], i),
+    "A4": lambda p, e, i, l: _mv(p["W1"], _had(e, i)),
+    "A5": lambda p, e, i, l: (_had(_mv(p["W2"], e), _mv(p["W3"], i))
+                              + _mv(p["W2"], e) + _mv(p["W3"], i)),
+    "A6": lambda p, e, i, l: _mv(p["W1"], _had(e, i)) + _mv(p["W2"], e) + _mv(p["W3"], i),
+    "A7": lambda p, e, i, l: _contract(p["W_tensor"], e, i),
+    "M": _m_loop,
+    "H": _h_loop,
+    "HigherOut_o256": _m_loop,
+    "LearnableConcat": lambda p, e, i, l: np.array([*_mv(p["W2"], e), *_mv(p["W3"], i)]),
+    "LatentInM": _latent_in_m_loop,
+}
+
+
+def suite_variants(cases: int = 50) -> dict:
+    """One check per conditioning row: cond.variant_forward against ORACLES on
+    random shapes drawn through cond.param_shapes (H draws its level count too)."""
     rng = _rng(7)
     checks = []
-
-    err = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        a, b = rng.standard_normal(n), rng.standard_normal(n)
-        got = tc.hadamard(a, b)
-        want = np.array([a[j] * b[j] for j in range(n)])
-        err = max(err, float(np.max(np.abs(got - want))))
-    checks.append(_check("hadamard_vs_loop", err, 1e-14))
-
-    err = 0.0
-    for _ in range(50):
-        d1, d2, k = (int(rng.integers(1, 6)) for _ in range(3))
-        A, B = rng.standard_normal((d1, k)), rng.standard_normal((d2, k))
-        got = tc.khatri_rao(A, B)
-        want = np.zeros((d1 * d2, k))
-        for j in range(k):
-            for p in range(d1):
-                for q in range(d2):
-                    want[p * d2 + q, j] = A[p, j] * B[q, j]
-        err = max(err, float(np.max(np.abs(got - want))))
-    checks.append(_check("khatri_rao_vs_loop", err, 1e-14))
-
-    err = 0.0
-    for _ in range(50):
-        o, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        W = tc.Tensor3.from_array(rng.standard_normal((o, d, d)))
-        e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = tc.mode_contract(W, e, i)
-        want = np.zeros(o)
-        for a_ in range(o):
-            for b_ in range(d):
-                for c_ in range(d):
-                    want[a_] += W.data[a_, b_, c_] * e[b_] * i[c_]
-        err = max(err, float(np.max(np.abs(got - want))))
-    checks.append(_check("mode_contract_vs_loop", err, 1e-12))
-
-    # mixed-product identity: C[(A^T e)*(B^T i)] == contract(cp_expand, e, i)
-    err = 0.0
-    for _ in range(cases):
-        o, d, k = (int(rng.integers(1, 9)) for _ in range(3))
-        f = tc.FactorTriple.from_arrays(rng.standard_normal((o, k)),
-                                        rng.standard_normal((d, k)),
-                                        rng.standard_normal((d, k)))
-        e, i = rng.standard_normal(d), rng.standard_normal(d)
-        lhs = f.C @ ((f.A.T @ e) * (f.B.T @ i))
-        rhs = tc.mode_contract(tc.cp_expand(f), e, i)
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("mixed_product_identity", err, 1e-10))
-
-    # (A (.) B)^T (e kron i) == (A^T e) * (B^T i)
-    err = 0.0
-    for _ in range(cases):
-        d1, d2, k = (int(rng.integers(1, 7)) for _ in range(3))
-        A, B = rng.standard_normal((d1, k)), rng.standard_normal((d2, k))
-        e, i = rng.standard_normal(d1), rng.standard_normal(d2)
-        lhs = tc.khatri_rao(A, B).T @ np.kron(e, i)
-        rhs = (A.T @ e) * (B.T @ i)
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("khatri_rao_transpose_identity", err, 1e-10))
-
-    # bilinearity of mode_contract in e and i
-    err = 0.0
-    for _ in range(50):
-        o, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        W = tc.Tensor3.from_array(rng.standard_normal((o, d, d)))
-        e1, e2, i1, i2 = (rng.standard_normal(d) for _ in range(4))
-        a, b = rng.standard_normal(2)
-        lhs = tc.mode_contract(W, a * e1 + b * e2, i1)
-        rhs = a * tc.mode_contract(W, e1, i1) + b * tc.mode_contract(W, e2, i1)
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
-        lhs = tc.mode_contract(W, e1, a * i1 + b * i2)
-        rhs = a * tc.mode_contract(W, e1, i1) + b * tc.mode_contract(W, e1, i2)
-        err = max(err, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("mode_contract_bilinear", err, 1e-12))
-
-    return {"suite": "tensor", "passed": all(c["passed"] for c in checks),
+    for variant in cond.VARIANTS:
+        row = cond._TABLE[variant]
+        err = 0.0
+        for _ in range(cases):
+            d, k, o = (int(rng.integers(1, 7)) for _ in range(3))
+            if row.square or row.latent:
+                o = d
+            if row.latent:
+                k = d
+            p = _params(rng, variant, d, k, o, int(rng.integers(1, 5)) if variant == "H" else 1)
+            e, i, l = rng.standard_normal((3, d))
+            got = cond.variant_forward(variant, p, e, i, l)
+            err = max(err, float(np.max(np.abs(got - ORACLES[variant](p, e, i, l)))))
+        checks.append(_check(f"{variant}_vs_loop", err, 1e-10))
+    return {"suite": "variants", "passed": all(c["passed"] for c in checks),
             "checks": checks}
 
 
@@ -347,12 +358,37 @@ def suite_render(cases: int = 100) -> dict:
 
 # ---------------------------------------------------------------------------
 
-def _random_h(rng, n, d, k, o) -> dict:
-    """H parameters for n levels: every U{m}_e drawn first, then every U{m}_i, then C."""
-    p = {f"U{m}_e": rng.standard_normal((k, d)) for m in range(1, n + 1)}
-    p.update({f"U{m}_i": rng.standard_normal((k, d)) for m in range(1, n + 1)})
-    p["C"] = rng.standard_normal((o, k))
-    return p
+def m_full_tensor(p, e, i):
+    """Proposition 1's dense side: W[a,b,c] = sum_j C[a,j] U1[j,b] U2[j,c], then
+    W x_2 e x_3 i + W2 e + W3 i."""
+    W = np.einsum("aj,jb,jc->abc", p["C"], p["U1"], p["U2"])
+    return _contract(W, e, i) + _mv(p["W2"], e) + _mv(p["W3"], i)
+
+
+def h_multiplicative_forward(p, e, i):
+    """H's recursion with the additive carry dropped: C[z_N * ... * z_2 * x_1]."""
+    (U_e, U_i), *rest = _h_levels(p)
+    x = U_e @ e + U_i @ i
+    for U_e, U_i in rest:
+        x = (U_e @ e + U_i @ i) * x
+    return p["C"] @ x
+
+
+def h_expand_oracle(p, e, i):
+    """Symbolic distribution of H's recursion into monomials of (U e)/(U i) factors.
+
+    Supported for N in {2, 3}: 6 terms for N=2, 18 for N=3 (the 8 degree-3
+    triplets plus every lower-order term carried through).
+    """
+    levels = _h_levels(p)
+    if len(levels) not in (2, 3):
+        raise ConfigError(f"expansion oracle supports N in {{2, 3}}, got {len(levels)}")
+    (U_e, U_i), *rest = levels
+    monomials = [U_e @ e, U_i @ i]
+    for U_e, U_i in rest:
+        factors = (U_e @ e, U_i @ i)
+        monomials = monomials + [f * m for f in factors for m in monomials]
+    return p["C"] @ sum(monomials[1:], monomials[0])
 
 
 def _triplet_expansion(p, e, i):
@@ -372,28 +408,22 @@ def suite_props(cases: int = 200) -> dict:
     # Prop 1: factored module equals the dense-tensor interaction
     err = 0.0
     for _ in range(cases):
-        d, k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        o = int(rng.integers(1, 9))
-        p = {"U1": rng.standard_normal((k, d)), "U2": rng.standard_normal((k, d)),
-             "C": rng.standard_normal((o, k)), "W2": rng.standard_normal((o, d)),
-             "W3": rng.standard_normal((o, d))}
+        d, k, o = (int(rng.integers(1, 9)) for _ in range(3))
+        p = _params(rng, "M", d, k, o)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         got = cond.m_forward(p, e, i)
-        f = tc.FactorTriple.from_arrays(p["C"], p["U1"].T, p["U2"].T)
-        want = tc.m_full_oracle(tc.cp_expand(f), p["W2"], p["W3"], e, i)
+        want = m_full_tensor(p, e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop1_factored_equals_full_tensor", err, 1e-10))
 
     # Prop 2: N=2 recursion equals its six-term expansion
     err = 0.0
     for _ in range(cases):
-        d = int(rng.integers(1, 9))
-        k = int(rng.integers(1, 9))
-        o = int(rng.integers(1, 9))
-        p = _random_h(rng, 2, d, k, o)
+        d, k, o = (int(rng.integers(1, 9)) for _ in range(3))
+        p = _params(rng, "H", d, k, o, n_levels=2)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         got = cond.h_forward(p, e, i)
-        want = cond.h_expand_oracle(p, e, i)
+        want = h_expand_oracle(p, e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop2_recursion_equals_six_terms", err, 1e-10))
 
@@ -401,9 +431,9 @@ def suite_props(cases: int = 200) -> dict:
     err = 0.0
     for _ in range(max(20, cases // 10)):
         d, k, o = (int(rng.integers(1, 7)) for _ in range(3))
-        p = _random_h(rng, 3, d, k, o)
+        p = _params(rng, "H", d, k, o, n_levels=3)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = cond.h_multiplicative_forward(p, e, i)
+        got = h_multiplicative_forward(p, e, i)
         want = _triplet_expansion(p, e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop3_multiplicative_branch_triplets", err, 1e-10))
@@ -427,7 +457,7 @@ def suite_props(cases: int = 200) -> dict:
 
 
 def run_suites(names) -> dict:
-    table = {"tensor": suite_tensor, "autodiff": suite_autodiff,
+    table = {"variants": suite_variants, "autodiff": suite_autodiff,
              "render": suite_render, "props": suite_props}
     results = [table[n]() for n in names]
     return {"passed": all(r["passed"] for r in results), "suites": results}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from minerf import cli, config, metrics, ppm, trainer, verify
+from minerf import conditioning as cond
 from minerf.errors import ConfigError, UsageError
 from minerf.synthscene import load_dataset
 
@@ -187,35 +188,32 @@ def test_train_deterministic_flag_checkpoint_bytes(tiny_cfg_file, tmp_path, caps
 
 
 def test_verify_subcommand(tmp_path, capsys):
-    rc = cli.main(["verify", "--suite", "tensor", "--json", str(tmp_path / "r.json")])
+    rc = cli.main(["verify", "--suite", "all", "--json", str(tmp_path / "r.json")])
     assert rc == 0
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["passed"] is True
-    names = [c["name"] for c in report["suites"][0]["checks"]]
-    assert "mixed_product_identity" in names
+    assert [r["suite"] for r in report["suites"]] == list(verify.SUITES)
+    assert all(r["passed"] and all(c["passed"] for c in r["checks"])
+               for r in report["suites"])
+    variants = report["suites"][verify.SUITES.index("variants")]["checks"]
+    assert [c["name"] for c in variants] == [f"{v}_vs_loop" for v in cond.VARIANTS]
 
 
-def test_verify_detects_injected_fault(monkeypatch, capsys):
-    import minerf.tensor_core as tc
-    real = tc.khatri_rao
-
-    def sabotaged(A, B):
-        return -real(A, B)
-
-    monkeypatch.setattr(tc, "khatri_rao", sabotaged)
-    rc = cli.main(["verify", "--suite", "tensor"])
+@pytest.mark.parametrize("variant", cond.VARIANTS)
+def test_verify_detects_injected_fault(variant, monkeypatch, capsys):
+    row = cond._TABLE[variant]
+    monkeypatch.setitem(cond._TABLE, variant, row._replace(
+        forward=lambda *a: row.forward(*a) * (1 + 1e-6)))
+    rc = cli.main(["verify", "--suite", "variants"])
     assert rc == 4
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["suites"][0]["checks"] if not c["passed"]]
+    assert failed == [f"{variant}_vs_loop"]
 
 
 def test_props_suite_detects_sign_error(monkeypatch):
-    import minerf.tensor_core as tc
-    real = tc.cp_expand
-
-    def sabotaged(f):
-        out = real(f)
-        return tc.Tensor3(data=-out.data, o=out.o, d=out.d)
-
-    monkeypatch.setattr(tc, "cp_expand", sabotaged)
+    real = cond.m_forward
+    monkeypatch.setattr(cond, "m_forward", lambda p, e, i: -real(p, e, i))
     report = verify.suite_props(cases=20)
     assert report["passed"] is False
 
@@ -473,6 +471,34 @@ def test_missing_input_path_exit_2(case, tmp_path, capsys):
     argv = [a.format(missing=missing, tmp=tmp_path) for a in MISSING_PATH_ARGS[case]]
     assert cli.main(argv) == 2
     _one_line_error(capsys, missing)
+
+
+BAD_OUT_ARGS = {
+    "train_out": ["train", "--config", "{cfg}", "--out", "{out}/nope/m.ckpt"],
+    "train_metrics": ["train", "--config", "{cfg}", "--out", "{out}/m.ckpt", "--metrics", "{out}"],
+    "personalize_out": ["personalize", "--ckpt", "{out}/m.ckpt", "--data", "{out}",
+                        "--identity", "id00", "--steps", "2", "--out", "{out}/nope/p.ckpt"],
+    "inspect_out": ["inspect", "--ckpt", "{out}/m.ckpt", "--matrix", "W2", "--out", "{out}"],
+    "verify_json": ["verify", "--json", "{out}/nope/r.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUT_ARGS))
+def test_bad_output_path_exit_2_before_any_work(case, tiny_cfg_file, tmp_path, monkeypatch,
+                                                capsys):
+    def ran(*a, **k):
+        raise AssertionError("work ran before the output path was checked")
+
+    for mod, name in ((trainer, "train"), (trainer, "personalize"),
+                      (trainer, "load_checkpoint"), (verify, "run_suites")):
+        monkeypatch.setattr(mod, name, ran)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(out=out, cfg=tiny_cfg_file) for a in BAD_OUT_ARGS[case]]
+    flag, bad = argv[-2:]
+    assert cli.main(argv) == 2
+    _one_line_error(capsys, f"{flag} {bad}")
+    assert list(out.iterdir()) == []
 
 
 def test_train_rejects_truncated_frame(tiny_cfg_file, tmp_path, capsys):

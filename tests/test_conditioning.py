@@ -3,7 +3,7 @@ import pytest
 
 from minerf import autodiff as ad
 from minerf import conditioning as cond
-from minerf import tensor_core as tc
+from minerf import verify
 from minerf.errors import ConfigError
 from minerf.trainer import init_arrays
 
@@ -38,8 +38,7 @@ def test_m_forward_matches_full_tensor_oracle():
     p = _m(rng, d=4, k=2)
     e, i = rng.standard_normal(4), rng.standard_normal(4)
     got = cond.m_forward(p, e, i)
-    f = tc.FactorTriple.from_arrays(p["C"], p["U1"].T, p["U2"].T)
-    want = tc.m_full_oracle(tc.cp_expand(f), p["W2"], p["W3"], e, i)
+    want = verify.m_full_tensor(p, e, i)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -81,12 +80,12 @@ def test_h_forward_n2_matches_six_term_expansion():
     want = (C @ (u2e * u1e) + C @ (u2e * u1i) + C @ (u2i * u1e)
             + C @ (u2i * u1i) + C @ u1e + C @ u1i)
     assert np.max(np.abs(cond.h_forward(p, e, i) - want)) < 1e-10
-    assert np.max(np.abs(cond.h_expand_oracle(p, e, i) - want)) < 1e-12
+    assert np.max(np.abs(verify.h_expand_oracle(p, e, i) - want)) < 1e-12
 
 
 def test_h_expand_oracle_trivials():
     p = _h_zero(2, 2, np.ones((2, 2)))
-    assert np.array_equal(cond.h_expand_oracle(p, np.ones(2), np.ones(2)),
+    assert np.array_equal(verify.h_expand_oracle(p, np.ones(2), np.ones(2)),
                           np.zeros(2))
     rng = np.random.default_rng(3)
     p = _h(rng, d=2, k=2, o=2, n=2)
@@ -94,14 +93,14 @@ def test_h_expand_oracle_trivials():
     p["U2_i"][:] = 0.0
     e, i = rng.standard_normal(2), rng.standard_normal(2)
     want = p["C"] @ (p["U1_e"] @ e + p["U1_i"] @ i)  # multiplicative factor vanishes
-    assert np.allclose(cond.h_expand_oracle(p, e, i), want, atol=1e-14)
+    assert np.allclose(verify.h_expand_oracle(p, e, i), want, atol=1e-14)
 
 
 def test_h_expand_oracle_rejects_large_n():
     rng = np.random.default_rng(4)
     p = _h(rng, d=2, k=2, o=2, n=4)
     with pytest.raises(ConfigError):
-        cond.h_expand_oracle(p, np.ones(2), np.ones(2))
+        verify.h_expand_oracle(p, np.ones(2), np.ones(2))
 
 
 def test_h_n3_multiplicative_branch_matches_triplets():
@@ -113,7 +112,7 @@ def test_h_n3_multiplicative_branch_matches_triplets():
         for b in (p["U1_e"] @ e, p["U1_i"] @ i):
             for c in (p["U3_e"] @ e, p["U3_i"] @ i):
                 terms = terms + p["C"] @ (a * b * c)
-    got = cond.h_multiplicative_forward(p, e, i)
+    got = verify.h_multiplicative_forward(p, e, i)
     assert np.max(np.abs(got - terms)) < 1e-10
 
 
@@ -123,7 +122,7 @@ def test_h_expand_oracle_full_n3_matches_recursion():
         p = _h(rng, d=3, k=2, o=4, n=3)
         e, i = rng.standard_normal(3), rng.standard_normal(3)
         assert np.max(np.abs(cond.h_forward(p, e, i)
-                             - cond.h_expand_oracle(p, e, i))) < 1e-10
+                             - verify.h_expand_oracle(p, e, i))) < 1e-10
 
 
 def test_variant_baseline_concat():
@@ -152,7 +151,7 @@ def test_variant_a7_matches_mode_contract():
     Wt = rng.standard_normal((d, d, d))
     e, i = rng.standard_normal(d), rng.standard_normal(d)
     got = cond.variant_value("A7", {"W_tensor": Wt}, e, i)
-    want = tc.mode_contract(tc.Tensor3.from_array(Wt), e, i)
+    want = verify.ORACLES["A7"]({"W_tensor": Wt}, e, i, None)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -243,6 +242,10 @@ def test_each_row_declares_what_its_formula_reads(variant, n_levels):
     out = cond.variant_forward(variant, params, e, i, l)
     assert params.read == set(shapes)
     assert out.shape == (cond.variant_output_dim(variant, d, o),)
+
+
+def test_verify_has_an_oracle_for_every_row():
+    assert set(verify.ORACLES) == set(cond.VARIANTS)
 
 
 def test_variant_dim_rules():

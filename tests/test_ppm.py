@@ -43,8 +43,11 @@ def test_pgm16_depth(tmp_path):
 @pytest.mark.parametrize("blob", [b"P6\n3 2\n255\n" + bytes(17),
                                   b"P6\n3 2\n255\n",
                                   b"P6\nthree 2\n255\n" + bytes(18),
-                                  b"P6\n-3 2\n255\n" + bytes(18)],
-                         ids=["one_byte_short", "no_raster", "word_width", "negative_width"])
+                                  b"P6\n-3 2\n255\n" + bytes(18),
+                                  b"P6\n3 2\n255\n" + bytes(20),
+                                  b"P6\n3 2\n255\n\n" + bytes(20)],
+                         ids=["one_byte_short", "no_raster", "word_width", "negative_width",
+                              "two_bytes_long", "extra_whitespace_then_two_bytes"])
 def test_read_ppm_rejects_short_raster_and_bad_size(tmp_path, blob):
     path = tmp_path / "bad.ppm"
     path.write_bytes(blob)
