@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 ok, 2 config/usage error or unreadable path, 3 numeric
-divergence, 4 verification failure. All subcommands are deterministic for a
-fixed seed.
+Exit codes: 0 ok, 2 config/usage error, unreadable path or out of memory,
+3 numeric divergence, 4 verification failure. All subcommands are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 from . import metrics, ppm, trainer, verify
 from .config import load_config
 from .errors import ConfigError, DivergenceError, NumericError, UsageError
-from .synthscene import (GT_FRAME_STRIDE, dataset_from_config, dataset_checksum,
-                         load_dataset, save_dataset)
+from .synthscene import dataset_from_config, dataset_checksum, load_dataset, save_dataset
 
 
 def _parse_frames(expr, n_frames):
@@ -56,9 +55,9 @@ def _write_csv(path, keys, rows):
 def cmd_gen_data(args):
     cfg = load_config(args.config, args.set)
     out = Path(args.out)
-    if out.is_dir() and any(out.iterdir()):
-        raise UsageError(f"--out {out} is not empty; gen-data writes into a new or empty "
-                         "directory")
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise UsageError(f"--out {out} is not empty or not a directory; gen-data writes into "
+                         "a new or empty directory")
     ds = dataset_from_config(cfg)
     save_dataset(ds, args.out)
     n = sum(len(i.frames) for i in ds.identities)
@@ -97,7 +96,6 @@ def _load_state_and_scene(ckpt_path, data=None):
 def cmd_render(args, expr_from=None):
     state, ds = _load_state_and_scene(args.ckpt, args.data)
     tgt, src = ds.by_name(args.identity), ds.by_name(expr_from or args.identity)
-    tgt_idx = ds.identity_names().index(args.identity)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     frames = _parse_frames(args.frames, min(len(tgt.frames), len(src.frames)))
@@ -106,7 +104,7 @@ def cmd_render(args, expr_from=None):
         pose = tgt.frames[fidx].pose
         e = src.frames[fidx].e
         img = trainer.render_model_frame(state, ds, args.identity, e, pose,
-                                         frame_id=tgt_idx * GT_FRAME_STRIDE + fidx,
+                                         frame_id=ds.frame_id(args.identity, fidx),
                                          return_depth=want_depth)
         if want_depth:
             img, depth = img
@@ -254,8 +252,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UsageError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ConfigError, UsageError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
     except (DivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

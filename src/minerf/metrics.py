@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericError, UsageError
-from .synthscene import GT_FRAME_STRIDE, render_gt_frame
+from .synthscene import render_gt_frame
 
 LUMA = np.array([0.299, 0.587, 0.114])
 
@@ -102,7 +102,7 @@ def _renders(state, dataset, source_name: str, target_name: str, frame_indices):
     tgt_index = dataset.identity_names().index(target_name)
     for fidx in frame_indices:
         e, frame = src.frames[fidx].e, tgt.frames[fidx]
-        frame_id = tgt_index * GT_FRAME_STRIDE + fidx
+        frame_id = dataset.frame_id(target_name, fidx)
         pred = trainer.render_model_frame(state, dataset, target_name, e, frame.pose,
                                           frame_id=frame_id)
         gt = (frame.image if source_name == target_name and frame.image is not None

@@ -109,6 +109,10 @@ class Dataset:
                 return idn
         raise UsageError(f"unknown identity {name!r} (have {self.identity_names()})")
 
+    def frame_id(self, name: str, fidx: int) -> int:
+        """The pixel-stream frame id of identity `name`'s frame fidx."""
+        return self.identity_names().index(name) * GT_FRAME_STRIDE + fidx
+
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
     k = np.arange(n) + 0.5

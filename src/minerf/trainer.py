@@ -5,7 +5,10 @@ pair through renderer.render_rays on a recording tape, and applies Adam to
 the field weights, the conditioning parameters, that video's identity code,
 and that frame's latent code. loss() is the summed squared ray color error
 of every pass (no fine pass when render.n_fine = 0) plus unsquared 2-norm
-regularizers on the two codes touched this step.
+regularizers on the two codes touched this step. _train_step is that step,
+the one that train and personalize (cond.* frozen, fresh plat.* latents)
+both run; they differ only in the frame pairs, latent prefix, trainable
+names, key, step and lr they pass it.
 
 One binding serves training and rendering: model_fields builds the field
 functions render_rays takes, from leaf Vars on a recording tape for training
@@ -35,16 +38,17 @@ from . import autodiff as ad
 from . import conditioning as cond_mod
 from . import metrics as metrics_mod
 from .autodiff import Tape
-from .config import check_number, materialize
+from .config import check_leaf, check_number, materialize
 from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
                      UsageError)
 from .field import FieldArch, forward_encoded, param_shapes, positional_encode
 # composite_rays_tape stays bound here: perfbench traces it as trainer.composite_rays_tape
 from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F401
                        render_rays, step_rng)
-from .synthscene import Dataset, GT_FRAME_STRIDE
+from .synthscene import Dataset
 
 CKPT_FORMAT = "minerf-ckpt-v1"
+_HEADER_KEYS = {"format", "step", "config", "identities", "adam_t", "entries"}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,14 @@ def model_params(cfg: dict, rng: np.random.Generator) -> dict:
     return init_arrays(model_shapes(cfg), rng)
 
 
+def _reset_adam(state: TrainState, names):
+    """Fresh Adam state for each name: zero moments and a zero step count."""
+    for name in names:
+        state.adam_m[name] = np.zeros_like(state.params[name])
+        state.adam_v[name] = np.zeros_like(state.params[name])
+        state.adam_t[name] = 0
+
+
 def init_state(cfg: dict, dataset: Dataset) -> TrainState:
     check_expression_dim(cfg, dataset)
     prng = np.random.Generator(np.random.Philox(
@@ -191,10 +203,7 @@ def init_state(cfg: dict, dataset: Dataset) -> TrainState:
         _add_code(state.params, cfg, f"identity.{idn.name}", f"i/{idn.name}")
         for fidx in idn.train_idx:
             _add_code(state.params, cfg, f"latent.{idn.name}.{fidx:04d}", f"l/{idn.name}/{fidx}")
-    for name, arr in state.params.items():
-        state.adam_m[name] = np.zeros_like(arr)
-        state.adam_v[name] = np.zeros_like(arr)
-        state.adam_t[name] = 0
+    _reset_adam(state, state.params)
     return state
 
 
@@ -225,10 +234,10 @@ def save_checkpoint(path, state: TrainState):
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read a checkpoint; ConfigError naming the file unless its header is readable,
-    its config valid, step and Adam counts integers >= 0, and the Adam counts'
-    names (model_shapes's and codes) give a _layout that the entries and the
-    payload match exactly."""
+    """Read a checkpoint; ConfigError naming the file unless its header is readable
+    with no key save_checkpoint does not write, its config valid, step and Adam
+    counts JSON integers >= 0, and the Adam counts' names (model_shapes's and
+    codes) give a _layout that the entries and the payload match exactly."""
     with open(path, "rb") as f:
         first = f.readline()
         payload = f.read()
@@ -236,11 +245,14 @@ def load_checkpoint(path) -> TrainState:
         header = json.loads(first.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
             raise ValueError(f"no {CKPT_FORMAT} format tag")
-        state = TrainState(cfg=materialize(header["config"]), params={},
-                           step=check_number("step", header["step"], ">= 0", integer=True),
+        if header.keys() - _HEADER_KEYS:
+            raise ValueError(f"unknown header key {min(header.keys() - _HEADER_KEYS)!r}")
+        state = TrainState(cfg=materialize(header["config"]), params={}, step=header["step"],
                            identities=list(header["identities"]),
-                           adam_t={n: check_number(f"adam_t {n!r}", t, ">= 0", integer=True)
-                                   for n, t in header["adam_t"].items()})
+                           adam_t=dict(header["adam_t"]))
+        check_leaf("step", state.step, (), ">= 0", True)
+        for n, t in state.adam_t.items():
+            check_leaf(f"adam_t {n!r}", t, (), ">= 0", True)
         shapes = model_shapes(state.cfg)
         shapes.update({n: _code_shape(state.cfg, n) for n in state.adam_t if n not in shapes})
         got = list(header["entries"])
@@ -339,18 +351,19 @@ def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str
                 tr["lambda_latent"], tr["lambda_identity"], tr["squared_code_norms"])
 
 
-def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
-                lat_name: str, trainable: list, key, step: int, rng, lr: float) -> float:
-    """One Adam step on frame fidx of identity id_idx; returns the color loss.
+def _train_step(state: TrainState, dataset: Dataset, pairs: list, lat_prefix: str,
+                trainable: list, key, step: int, lr: float) -> tuple[float, str, str]:
+    """One Adam step; returns (color loss, identity code name, latent name).
 
-    rng has already drawn the frame; the pixels come next from the same
-    generator. `trainable`, the identity code and lat_name are bound as tape
-    leaves and updated in place in state; cond.* names outside `trainable`
-    enter as arrays.
+    step_rng(key, step) draws the (identity name, frame) pair from pairs, then
+    the pixels. `trainable`, the identity code and the frame's latent
+    (lat_prefix.name.frame) are bound as tape leaves and updated in place in
+    state; cond.* names outside `trainable` enter as arrays.
     """
     tr = state.cfg["train"]
-    idn = dataset.identities[id_idx]
-    frame = idn.frames[fidx]
+    rng = step_rng(key, step)
+    name, fidx = pairs[rng.integers(len(pairs))]
+    frame = dataset.by_name(name).frames[fidx]
     H, W = frame.pose.height, frame.pose.width
 
     n_rays = tr["rays_per_step"]
@@ -358,23 +371,23 @@ def _train_step(state: TrainState, dataset: Dataset, id_idx: int, fidx: int,
     rows, cols = _sample_pixels(rng, frame.box, H, W, n_in, n_rays - n_in)
 
     tape = Tape()
-    id_name = f"identity.{idn.name}"
+    id_name, lat_name = f"identity.{name}", f"{lat_prefix}.{name}.{fidx:04d}"
     bound = {n: ad.leaf(tape, state.params[n]) for n in trainable + [id_name, lat_name]}
     # step + 1: the step-0 pixel stream is the ground-truth render stream
     total, resid = _batch_loss(state, dataset, frame, bound, id_name, lat_name, key,
-                               step + 1, id_idx * GT_FRAME_STRIDE + fidx, rows, cols)
+                               step + 1, dataset.frame_id(name, fidx), rows, cols)
     loss_c = float(resid.value)
     if not np.isfinite(float(total.value)):
         raise NumericError(
-            f"non-finite loss at step {step}: loss_c={loss_c}, identity={idn.name}, "
+            f"non-finite loss at step {step}: loss_c={loss_c}, identity={name}, "
             f"frame={fidx}")
 
     grads = ad.grad(tape, total, list(bound.values()))
-    for name, g in zip(bound, grads):
-        state.adam_t[name] += 1
-        adam_step(state.params[name], g, state.adam_m[name], state.adam_v[name],
-                  state.adam_t[name], lr, tr["beta1"], tr["beta2"], tr["eps"])
-    return loss_c
+    for n, g in zip(bound, grads):
+        state.adam_t[n] += 1
+        adam_step(state.params[n], g, state.adam_m[n], state.adam_v[n],
+                  state.adam_t[n], lr, tr["beta1"], tr["beta2"], tr["eps"])
+    return loss_c, id_name, lat_name
 
 
 def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
@@ -404,19 +417,15 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
     guard = None
     baseline_window: list = []
     recent: list = []
-    pairs = [(k, f) for k, idn in enumerate(dataset.identities) for f in idn.train_idx]
+    pairs = [(idn.name, f) for idn in dataset.identities for f in idn.train_idx]
     trainable = ([k for k in state.params if k.startswith("cond.")]
                  + [k for k in state.params if k.startswith(("coarse.", "fine."))])
     for s in range(tr["steps"]):
-        rng = step_rng(key, state.step)
-        id_idx, fidx = pairs[rng.integers(len(pairs))]
-        name = dataset.identities[id_idx].name
-        lat_name = f"latent.{name}.{fidx:04d}"
         lr = lr_schedule(s, tr["steps"], tr["lr0"], tr["lr1"])
-        loss_c = _train_step(state, dataset, id_idx, fidx, lat_name, trainable, key,
-                             state.step, rng, lr)
+        loss_c, id_name, lat_name = _train_step(state, dataset, pairs, "latent", trainable,
+                                                key, state.step, lr)
         l_norm = float(np.linalg.norm(state.params[lat_name]))
-        i_norm = float(np.linalg.norm(state.params[f"identity.{name}"]))
+        i_norm = float(np.linalg.norm(state.params[id_name]))
         recent.append(loss_c)
         del recent[:-5]
         if 90 <= s < 110:
@@ -484,20 +493,14 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
     if id_key not in out.params:
         out.identities.append(identity_name)
     _add_code(out.params, out.cfg, id_key, f"p/{identity_name}")
-    lat_keys = {fidx: f"plat.{identity_name}.{fidx:04d}" for fidx in clip_idn.train_idx}
-    for fidx, k in lat_keys.items():
+    lat_keys = [f"plat.{identity_name}.{fidx:04d}" for fidx in clip_idn.train_idx]
+    for fidx, k in zip(clip_idn.train_idx, lat_keys):
         _add_code(out.params, out.cfg, k, f"pl/{identity_name}/{fidx}")
     field_names = [k for k in out.params if k.startswith(("coarse.", "fine."))]
-    for k in field_names + [id_key] + list(lat_keys.values()):
-        out.adam_m[k] = np.zeros_like(out.params[k])
-        out.adam_v[k] = np.zeros_like(out.params[k])
-        out.adam_t[k] = 0
+    _reset_adam(out, field_names + [id_key] + lat_keys)
 
     key = philox_key(out.cfg["seed"] ^ 0x5045)
-    clip_id_idx = clip.identity_names().index(identity_name)
+    pairs = [(identity_name, f) for f in clip_idn.train_idx]
     for step in range(steps):
-        rng = step_rng(key, step)
-        fidx = clip_idn.train_idx[rng.integers(len(clip_idn.train_idx))]
-        _train_step(out, clip, clip_id_idx, fidx, lat_keys[fidx], field_names, key, step,
-                    rng, lr)
+        _train_step(out, clip, pairs, "plat", field_names, key, step, lr)
     return out

@@ -365,15 +365,6 @@ def m_full_tensor(p, e, i):
     return _contract(W, e, i) + _mv(p["W2"], e) + _mv(p["W3"], i)
 
 
-def h_multiplicative_forward(p, e, i):
-    """H's recursion with the additive carry dropped: C[z_N * ... * z_2 * x_1]."""
-    (U_e, U_i), *rest = _h_levels(p)
-    x = U_e @ e + U_i @ i
-    for U_e, U_i in rest:
-        x = (U_e @ e + U_i @ i) * x
-    return p["C"] @ x
-
-
 def h_expand_oracle(p, e, i):
     """Symbolic distribution of H's recursion into monomials of (U e)/(U i) factors.
 
@@ -427,13 +418,16 @@ def suite_props(cases: int = 200) -> dict:
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop2_recursion_equals_six_terms", err, 1e-10))
 
-    # Prop 3 spot check: multiplicative branch equals the 8-triplet expansion
+    # Prop 3 spot check: the degree-3 part of the N=3 recursion equals the
+    # 8-triplet expansion. f(t) = h_forward(t e, t i) is a cubic in t, so its
+    # third difference over t = 0..3 is 6 times that part.
     err = 0.0
     for _ in range(max(20, cases // 10)):
         d, k, o = (int(rng.integers(1, 7)) for _ in range(3))
         p = _params(rng, "H", d, k, o, n_levels=3)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = h_multiplicative_forward(p, e, i)
+        f = [cond.h_forward(p, t * e, t * i) for t in range(4)]
+        got = (f[3] - 3 * f[2] + 3 * f[1] - f[0]) / 6
         want = _triplet_expansion(p, e, i)
         err = max(err, float(np.max(np.abs(got - want))))
     checks.append(_check("prop3_multiplicative_branch_triplets", err, 1e-10))

@@ -83,6 +83,33 @@ def test_gen_data_refuses_a_non_empty_out_dir(tiny_cfg_file, tmp_path, capsys):
     assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(empty)]) == 0
 
 
+def test_gen_data_refuses_an_existing_file_before_rendering(tiny_cfg_file, tmp_path,
+                                                             monkeypatch, capsys):
+    def rendered(*a, **k):
+        raise AssertionError("rendered before --out was checked")
+
+    monkeypatch.setattr(cli, "dataset_from_config", rendered)
+    out = tmp_path / "afile"
+    out.write_text("x")
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), "--out", str(out)]) == 2
+    _one_line_error(capsys, str(out), "not a directory")
+    assert out.read_text() == "x"
+
+
+@pytest.mark.parametrize("exc, needle", [(MemoryError(), "MemoryError"),
+                                         (MemoryError("Unable to allocate 9.5 GiB"), "9.5 GiB")])
+def test_memory_error_exit_2_one_line(exc, needle, tiny_cfg_file, tmp_path, monkeypatch,
+                                      capsys):
+    def exhausted(*a, **k):
+        raise exc
+
+    monkeypatch.setattr(trainer, "train", exhausted)
+    assert cli.main(["train", "--config", str(tiny_cfg_file),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, needle)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_gen_data_invalid_config_exit_2(tiny_cfg_file, tmp_path, capsys):
     for bad in ("seed=-1", "scene.n_identities=0", "field.Lx=-1", "field.Lv=-2",
                 "scene.background=[0.1,0.2]", "scene.background=[0.1,0.2,0.3,0.4]",
@@ -212,10 +239,15 @@ def test_verify_detects_injected_fault(variant, monkeypatch, capsys):
 
 
 def test_props_suite_detects_sign_error(monkeypatch):
-    real = cond.m_forward
-    monkeypatch.setattr(cond, "m_forward", lambda p, e, i: -real(p, e, i))
-    report = verify.suite_props(cases=20)
-    assert report["passed"] is False
+    for fn, caught in [("m_forward", {"prop1_factored_equals_full_tensor"}),
+                       ("h_forward", {"prop2_recursion_equals_six_terms",
+                                      "prop3_multiplicative_branch_triplets"})]:
+        with monkeypatch.context() as m:
+            real = getattr(cond, fn)
+            m.setattr(cond, fn, lambda p, e, i, real=real: -real(p, e, i))
+            report = verify.suite_props(cases=20)
+        assert report["passed"] is False
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == caught, fn
 
 
 def test_render_suite_detects_shifted_pixel_streams(monkeypatch):

@@ -112,7 +112,9 @@ def test_h_n3_multiplicative_branch_matches_triplets():
         for b in (p["U1_e"] @ e, p["U1_i"] @ i):
             for c in (p["U3_e"] @ e, p["U3_i"] @ i):
                 terms = terms + p["C"] @ (a * b * c)
-    got = verify.h_multiplicative_forward(p, e, i)
+    # h_forward(t e, t i) is a cubic in t: its third difference is 6x the degree-3 part
+    f = [cond.h_forward(p, t * e, t * i) for t in range(4)]
+    got = (f[3] - 3 * f[2] + 3 * f[1] - f[0]) / 6
     assert np.max(np.abs(got - terms)) < 1e-10
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import weakref
 from collections import Counter
 
@@ -12,6 +13,7 @@ from minerf import config as cfg_mod
 from minerf import synthscene as sc
 from minerf import trainer as tr
 from minerf.errors import ConfigError, DivergenceError, NumericError, UsageError
+from minerf.renderer import philox_key, step_rng
 
 TINY_SETS = [
     "scene.n_frames=8", "scene.resolution=12", "scene.gt_samples=48",
@@ -325,6 +327,33 @@ def test_personalize_freeze_and_locality(tiny_ds, tmp_path):
     assert not np.array_equal(out.params["coarse.W0"], state.params["coarse.W0"])
 
 
+def test_frame_picks_follow_the_step_streams(tiny_ds, monkeypatch):
+    # the (identity, frame) and pixel-stream frame id each step trains on, against
+    # the rule written out here; no training value enters the picks
+    seen = []
+    real = tr._batch_loss
+
+    def recording(state, ds, frame, bound, id_name, lat_name, key, step, frame_id, *rest):
+        seen.append((id_name, frame.index, frame_id))
+        return real(state, ds, frame, bound, id_name, lat_name, key, step, frame_id, *rest)
+
+    monkeypatch.setattr(tr, "_batch_loss", recording)
+    cfg = tiny_config("train.steps=6")
+    state, _ = tr.train(tiny_ds, cfg)
+    pairs = [(k, f) for k, idn in enumerate(tiny_ds.identities) for f in idn.train_idx]
+    key = philox_key(cfg["seed"])
+    want = [pairs[step_rng(key, s).integers(len(pairs))] for s in range(6)]
+    assert seen == [(f"identity.id{k:02d}", f, k * sc.GT_FRAME_STRIDE + f) for k, f in want]
+    assert len({k for k, _ in want}) == 2
+
+    seen.clear()
+    train_idx = tiny_ds.by_name("id01").train_idx
+    tr.personalize(state, tiny_ds, "id01", steps=4, lr=1e-3)
+    key = philox_key(cfg["seed"] ^ 0x5045)
+    want = [train_idx[step_rng(key, s).integers(len(train_idx))] for s in range(4)]
+    assert seen == [("identity.id01", f, sc.GT_FRAME_STRIDE + f) for f in want]
+
+
 def test_personalize_writes_adam_state(tiny_ds):
     cfg = tiny_config("train.steps=2")
     state, _ = tr.train(tiny_ds, cfg)
@@ -414,6 +443,10 @@ CORRUPTIONS = {
     "negative_step": _edit_header(lambda h: h.update(step=-5)),
     "negative_adam_count": _edit_header(lambda h: h["adam_t"].update({"cond.W2": -3})),
     "missing_adam_count": _edit_header(lambda h: h["adam_t"].pop("cond.W2")),
+    # each would load and re-save to other bytes: the key dropped, 7.0 written as 7
+    "unknown_header_key": _edit_header(lambda h: h.update(foo=1)),
+    "float_step": _edit_header(lambda h: h.update(step=7.0)),
+    "float_adam_count": _edit_header(lambda h: h["adam_t"].update({"cond.W2": 0.0})),
 }
 
 
@@ -423,8 +456,19 @@ def test_load_checkpoint_rejects_corruption(case, tiny_ds, tmp_path):
     tr.save_checkpoint(path, tr.init_state(tiny_config(), tiny_ds))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(CORRUPTIONS[case](path))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(str(bad))):
         tr.load_checkpoint(bad)
+
+
+def test_trained_checkpoint_resaves_to_its_own_bytes(tiny_ds, tmp_path):
+    # a step, Adam counts above zero and personalization codes all survive the round trip
+    state, _ = tr.train(tiny_ds, tiny_config("train.steps=2"))
+    state = tr.personalize(state, tiny_ds, "id01", steps=1, lr=1e-3)
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    tr.save_checkpoint(a, state)
+    tr.save_checkpoint(b, tr.load_checkpoint(a))
+    assert a.read_bytes() == b.read_bytes()
+    assert tr.load_checkpoint(b).step == 2
 
 
 ENTRY_EDITS = {"kind": lambda v: {"param": "m", "m": "v", "v": "param"}[v],
