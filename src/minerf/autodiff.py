@@ -25,6 +25,12 @@ Vars, so a dropped tape is freed at once rather than by the cycle collector.
 linear fuses a network layer (products, bias and relu) into one node over
 the layer's whole weight matrix: each input part reads its row block as a
 numpy view, and the node keeps a single output array, also relu's mask.
+
+grad drops each node's adjoint once that node's VJP has run, keeping only
+those of the wrt nodes, so the sweep holds the adjoints that still await a
+consumer rather than one per node (Griewank & Walther, "Evaluating
+Derivatives", 2008). Freed memory stays in the process (_keep_freed_heap),
+so peak RSS is the largest transient: a step's tape plus its live adjoints.
 """
 
 from __future__ import annotations
@@ -360,12 +366,18 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
     """d(output)/d(w) for each w in wrt; output must be a scalar Var of tape.
 
     Fan-out accumulates by addition, in strictly reverse creation order;
-    array operands (parent -1) receive nothing.
+    array operands (parent -1) receive nothing. A node's adjoint is dropped
+    once its VJP has run, unless the node is in wrt, so the sweep holds the
+    adjoints of the nodes between it and their consumers rather than one per
+    node. The tape itself is left as it was: it can be differentiated again.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise UsageError("grad output must be a Var of this tape")
     if output.value.shape != ():
         raise UsageError(f"grad output must be scalar, got shape {output.value.shape}")
+    if any(w.tape is not tape for w in wrt):
+        raise UsageError("wrt variable from a different tape")
+    keep = {w.idx for w in wrt}
     adj: list = [None] * len(tape.nodes)
     adj[output.idx] = np.ones(())
     for idx in range(output.idx, -1, -1):
@@ -379,13 +391,10 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
             if pg is None or pidx < 0:
                 continue
             adj[pidx] = pg if adj[pidx] is None else adj[pidx] + pg
-    out = []
-    for w in wrt:
-        if w.tape is not tape:
-            raise UsageError("wrt variable from a different tape")
-        g = adj[w.idx]
-        out.append(np.zeros_like(w.value) if g is None else np.asarray(g, dtype=np.float64))
-    return out
+        if idx not in keep:
+            adj[idx] = None
+    return [np.zeros_like(w.value) if adj[w.idx] is None
+            else np.asarray(adj[w.idx], dtype=np.float64) for w in wrt]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,16 @@ def _check_out_file(flag, path):
         raise UsageError(f"{flag} {path} must be a file in an existing directory")
 
 
+def _check_out_dir(flag, path):
+    """Refuse an output directory path before any work: its nearest existing
+    ancestor, the path itself if it exists, must be a directory."""
+    p = Path(path)
+    while not p.exists() and p != p.parent:
+        p = p.parent
+    if not p.is_dir():
+        raise UsageError(f"{flag} {path}: {p} is not a directory")
+
+
 def _write_csv(path, keys, rows):
     """A header row of keys, then each row's values under those keys."""
     with open(path, "w", newline="") as f:
@@ -53,11 +63,12 @@ def _write_csv(path, keys, rows):
 
 
 def cmd_gen_data(args):
+    _check_out_dir("--out", args.out)
     cfg = load_config(args.config, args.set)
     out = Path(args.out)
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
-        raise UsageError(f"--out {out} is not empty or not a directory; gen-data writes into "
-                         "a new or empty directory")
+    if out.is_dir() and any(out.iterdir()):
+        raise UsageError(f"--out {out} is not empty; gen-data writes into a new or empty "
+                         "directory")
     ds = dataset_from_config(cfg)
     save_dataset(ds, args.out)
     n = sum(len(i.frames) for i in ds.identities)
@@ -94,6 +105,7 @@ def _load_state_and_scene(ckpt_path, data=None):
 
 
 def cmd_render(args, expr_from=None):
+    _check_out_dir("--out", args.out)
     state, ds = _load_state_and_scene(args.ckpt, args.data)
     tgt, src = ds.by_name(args.identity), ds.by_name(expr_from or args.identity)
     out = Path(args.out)
@@ -145,6 +157,7 @@ def cmd_verify(args):
 
 
 def cmd_eval(args):
+    _check_out_dir("--out", args.out)
     state, ds = _load_state_and_scene(args.ckpt, args.data)
     report = metrics.evaluate_images(state, ds)
     names = ds.identity_names()

@@ -39,6 +39,7 @@ from .errors import DimensionError, NumericError, UsageError
 
 _PIXEL_STREAM = 0x706978  # tags the per-pixel jitter stream
 _STEP_STREAM = 0x737470   # tags per-step choices (frame, ray subset)
+_CHUNK_RAYS = 256         # render_image's rays per render_rays call, up to twice this
 
 
 def philox_key(seed: int) -> np.ndarray:
@@ -304,6 +305,18 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
     every render draws from pixel stream step 0, which is why training keys
     its pixels at step + 1.
 
+    The kept rays go through render_rays in max(1, n // _CHUNK_RAYS)
+    near-equal chunks of _CHUNK_RAYS to 2 * _CHUNK_RAYS - 1 rays, so peak
+    memory is a chunk's and not the frame's. Pixel streams, sampling and
+    compositing are per ray, so chunking changes only the row counts of the
+    field's matrix products. OpenBLAS gives the (n, 32) @ (32, 3) colour
+    head's rows other bits below about 12288 rows than above; at the toy
+    defaults' 48 samples per ray every chunk's fine pass stays above, and a
+    frame matches one whole-frame render_rays call bit for bit (minerf
+    verify's chunked_model_frame_exact checks this on the running host). A
+    short remainder chunk would not, hence near-equal chunks. With fewer
+    samples per ray, colors can differ from a one-call render in the last bit.
+
     support, a half-extent h (3,), promises that the fields' density is
     exactly +0.0 outside the box |x_j| <= h_j, with slack enough that every
     point holding density lies well inside it (as synthscene's
@@ -315,19 +328,22 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
     """
     H, W = pose.height, pose.width
     rows, cols = np.divmod(np.arange(H * W), W)
-    img, hit = np.empty((H * W, 3)), slice(None)
+    img, depth = np.empty((H * W, 3)), np.zeros(H * W)
+    kept = np.arange(H * W)
     if support is not None:
         hit = _crosses_box(np.asarray(pose.t, dtype=np.float64), pixel_dirs(pose, rows, cols),
                            np.asarray(support, dtype=np.float64), t_near, t_far)
         img[:] = np.asarray(background, dtype=np.float64) + 0.0
-        rows, cols = rows[hit], cols[hit]
-    colors, ts, w = render_rays(
-        pose, rows, cols, key=philox_key(seed), step=0, frame=frame_index, t_near=t_near,
-        t_far=t_far, n_coarse=n_coarse, n_fine=n_fine, coarse_fn=field_fn,
-        fine_fn=fine_field_fn or field_fn, background=background)[-1]
-    img[hit] = colors
+        kept = kept[hit]
+    key = philox_key(seed)
+    for chunk in np.array_split(kept, max(1, len(kept) // _CHUNK_RAYS)):
+        colors, ts, w = render_rays(
+            pose, rows[chunk], cols[chunk], key=key, step=0, frame=frame_index,
+            t_near=t_near, t_far=t_far, n_coarse=n_coarse, n_fine=n_fine, coarse_fn=field_fn,
+            fine_fn=fine_field_fn or field_fn, background=background)[-1]
+        img[chunk] = colors
+        if return_depth:
+            depth[chunk] = (w * ts).sum(axis=1)
     if not return_depth:
         return img.reshape(H, W, 3)
-    depth = np.zeros(H * W)
-    depth[hit] = (w * ts).sum(axis=1)
     return img.reshape(H, W, 3), depth.reshape(H, W)

@@ -235,9 +235,10 @@ def save_checkpoint(path, state: TrainState):
 
 def load_checkpoint(path) -> TrainState:
     """Read a checkpoint; ConfigError naming the file unless its header is readable
-    with no key save_checkpoint does not write, its config valid, step and Adam
-    counts JSON integers >= 0, and the Adam counts' names (model_shapes's and
-    codes) give a _layout that the entries and the payload match exactly."""
+    with no key save_checkpoint does not write, its config valid, identities a
+    list of strings, step and Adam counts JSON integers >= 0, and the Adam
+    counts' names (model_shapes's and codes) give a _layout that the entries
+    and the payload match exactly."""
     with open(path, "rb") as f:
         first = f.readline()
         payload = f.read()
@@ -247,8 +248,11 @@ def load_checkpoint(path) -> TrainState:
             raise ValueError(f"no {CKPT_FORMAT} format tag")
         if header.keys() - _HEADER_KEYS:
             raise ValueError(f"unknown header key {min(header.keys() - _HEADER_KEYS)!r}")
+        identities = header["identities"]
+        if not isinstance(identities, list) or not all(isinstance(n, str) for n in identities):
+            raise ValueError("identities must be a list of strings")
         state = TrainState(cfg=materialize(header["config"]), params={}, step=header["step"],
-                           identities=list(header["identities"]),
+                           identities=identities,
                            adam_t=dict(header["adam_t"]))
         check_leaf("step", state.step, (), ">= 0", True)
         for n, t in state.adam_t.items():

@@ -12,8 +12,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import conditioning as cond
+from . import config
 from . import renderer
 from . import synthscene
+from . import trainer
 from .errors import ConfigError
 
 SUITES = ("variants", "autodiff", "render", "props")
@@ -350,6 +352,31 @@ def suite_render(cases: int = 100) -> dict:
                                   background=spec.background)
     differ = int(np.sum(culled.view(np.uint64) != dense.view(np.uint64)))
     checks.append({"name": "support_culling_exact", "passed": differ == 0,
+                   "max_err": float(differ), "tol": 0.0})
+
+    # a model frame through render_image's ray chunks against one render_rays
+    # call over every pixel, colors and depth exactly: 40x40 = 1600 rays split
+    # unevenly into 6 chunks, so a host whose BLAS gives a row other bits at
+    # another row count fails here instead of rendering frames that depend on
+    # the chunking
+    cfg = config.materialize({})
+    state = trainer.TrainState(cfg=cfg, params=trainer.model_params(cfg, r))
+    cc = cfg["conditioning"]
+    coarse_fn, fine_fn = trainer.model_fields(state, state.params, e, r.standard_normal(cc["d"]),
+                                              np.zeros(cc["d_latent"]))
+    pose = synthscene.orbit_pose(1, 8, 2.8, 0.35, 40, focal_factor=1.2)
+    kw = {"t_near": 1.4, "t_far": 4.2, "n_coarse": cfg["render"]["n_coarse"],
+          "n_fine": cfg["render"]["n_fine"], "background": spec.background}
+    img, depth = renderer.render_image(coarse_fn, pose, fine_field_fn=fine_fn,
+                                       return_depth=True, **kw)
+    rows, cols = np.divmod(np.arange(40 * 40), 40)
+    colors, ts, w = renderer.render_rays(pose, rows, cols, key=renderer.philox_key(0), step=0,
+                                         frame=0, coarse_fn=coarse_fn, fine_fn=fine_fn,
+                                         **kw)[-1]
+    want = np.concatenate([colors, (w * ts).sum(axis=1)[:, None]], axis=1)
+    got = np.concatenate([img.reshape(-1, 3), depth.reshape(-1, 1)], axis=1)
+    differ = int(np.sum(got.view(np.uint64) != want.view(np.uint64)))
+    checks.append({"name": "chunked_model_frame_exact", "passed": differ == 0,
                    "max_err": float(differ), "tol": 0.0})
 
     return {"suite": "render", "passed": all(c["passed"] for c in checks),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,42 @@ def test_grad_quadratic_form():
     w = ad.leaf(t, np.array([1.0, 2.0, 3.0]))
     out = ad.sum_(ad.square(w))
     assert np.array_equal(ad.grad(t, out, [w])[0], [2.0, 4.0, 6.0])
+
+
+def test_grad_of_a_non_leaf_wrt():
+    # an intermediate node in wrt keeps its adjoint after its VJP has run
+    t = ad.Tape()
+    x = ad.leaf(t, np.array([1.0, -2.0, 0.5]))
+    y = ad.mul(x, 3.0)
+    out = ad.sum_(ad.square(y))
+    gy, gx, gout = ad.grad(t, out, [y, x, out])
+    assert np.array_equal(gy, 2.0 * y.value)
+    assert np.array_equal(gx, 3.0 * gy)
+    assert gout == 1.0
+
+
+def _grad_peak(depth, n=4096, m=16):
+    """tracemalloc's peak over ad.grad through depth equal relu layers (n, m)."""
+    rng = np.random.default_rng(2)
+    t = ad.Tape()
+    W, b = ad.leaf(t, rng.standard_normal((m, m)) / 4.0), ad.leaf(t, np.full(m, 0.1))
+    h = rng.standard_normal((n, m))
+    for _ in range(depth):
+        h = ad.linear([h], W, b, relu=True)
+    out = ad.sum_(h)
+    tracemalloc.start()
+    try:
+        ad.grad(t, out, [W, b])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grad_peak_memory_does_not_grow_with_the_tape():
+    # each layer's adjoint is dropped once its VJP has run: doubling the depth adds
+    # at most a few adjoints' worth, where keeping them all would add 16
+    adjoint = 4096 * 16 * 8
+    assert _grad_peak(32) - _grad_peak(16) <= 3 * adjoint
 
 
 def test_grad_full_interaction_module_vs_finite_differences():

@@ -96,6 +96,29 @@ def test_gen_data_refuses_an_existing_file_before_rendering(tiny_cfg_file, tmp_p
     assert out.read_text() == "x"
 
 
+@pytest.mark.parametrize("command, sub", [("gen-data", "afile/sub"), ("eval", "afile"),
+                                          ("eval", "afile/sub"), ("render", "afile"),
+                                          ("render", "afile/sub")])
+def test_out_dir_under_a_file_exit_2_before_rendering(command, sub, tiny_cfg_file, tiny_data,
+                                                       tiny_ckpt, tmp_path, monkeypatch,
+                                                       capsys):
+    # --out must name a directory or a path whose nearest existing ancestor is one
+    def rendered(*a, **k):
+        raise AssertionError("rendered before --out was checked")
+
+    for mod, name in ((cli, "dataset_from_config"), (metrics, "evaluate_images"),
+                      (metrics, "transfer_matrix"), (trainer, "render_model_frame")):
+        monkeypatch.setattr(mod, name, rendered)
+    (tmp_path / "afile").write_text("x")
+    out = str(tmp_path / sub)
+    argv = {"gen-data": ["gen-data", "--config", str(tiny_cfg_file)],
+            "eval": ["eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_data)],
+            "render": ["render", "--ckpt", str(tiny_ckpt), "--identity", "id00"]}[command]
+    assert cli.main(argv + ["--out", out]) == 2
+    _one_line_error(capsys, f"--out {out}", "not a directory")
+    assert (tmp_path / "afile").read_text() == "x"
+
+
 @pytest.mark.parametrize("exc, needle", [(MemoryError(), "MemoryError"),
                                          (MemoryError("Unable to allocate 9.5 GiB"), "9.5 GiB")])
 def test_memory_error_exit_2_one_line(exc, needle, tiny_cfg_file, tmp_path, monkeypatch,
@@ -279,6 +302,23 @@ def test_render_suite_detects_ground_truth_rows_that_depend_on_the_other_rows(mo
     monkeypatch.setattr(sc, "_analytic_kernel", row_dependent)
     report = verify.suite_render(cases=5)
     check = next(c for c in report["checks"] if c["name"] == "support_culling_exact")
+    assert not check["passed"] and check["max_err"] > 0
+    assert report["passed"] is False
+
+
+def test_render_suite_detects_model_rows_that_depend_on_the_other_rows(monkeypatch):
+    """A field whose rows change with the row count makes chunked frames differ."""
+    report = verify.suite_render(cases=5)
+    assert next(c for c in report["checks"] if c["name"] == "chunked_model_frame_exact")["passed"]
+    real = trainer.forward_encoded
+
+    def row_dependent(arch, w, cond, lat, enc_x, enc_v):
+        rgb, sigma = real(arch, w, cond, lat, enc_x, enc_v)
+        return rgb * (1.0 + 1e-18 * len(enc_x)), sigma
+
+    monkeypatch.setattr(trainer, "forward_encoded", row_dependent)
+    report = verify.suite_render(cases=5)
+    check = next(c for c in report["checks"] if c["name"] == "chunked_model_frame_exact")
     assert not check["passed"] and check["max_err"] > 0
     assert report["passed"] is False
 

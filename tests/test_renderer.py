@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from minerf import autodiff as ad
+from minerf import config, synthscene, trainer
 from minerf import renderer as rd
 from minerf.errors import NumericError, UsageError
 
@@ -289,3 +292,59 @@ def test_render_deterministic_per_seed():
                         background=np.zeros(3), seed=8, frame_index=3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.fixture(scope="module")
+def toy_model():
+    """A toy-default model at init (the 4x64 MLP, 16 + 32 samples): its scene,
+    render_image keywords, field functions and support box."""
+    cfg = config.materialize({"scene": {"n_identities": 1, "n_frames": 2, "resolution": 8}})
+    ds = synthscene.dataset_from_config(cfg, render_images=False)
+    state = trainer.init_state(cfg, ds)
+    e = ds.identities[0].frames[0].e
+    fields = trainer.model_fields(state, state.params, e, state.params["identity.id00"],
+                                  np.zeros(cfg["conditioning"]["d_latent"]))
+    kw = {"t_near": ds.t_near, "t_far": ds.t_far, "n_coarse": cfg["render"]["n_coarse"],
+          "n_fine": cfg["render"]["n_fine"], "background": ds.scene.background}
+    return ds, kw, fields, synthscene.support_half_extent(ds.scene, 0, e)
+
+
+@pytest.mark.parametrize("res", [12, 20, 24, 32, 40, 48])
+@pytest.mark.parametrize("culled", [False, True])
+def test_chunked_render_image_matches_one_render_rays_call(toy_model, res, culled):
+    # render_image splits its rays into near-equal chunks; every byte of colors and depth
+    # must be what one render_rays call over all the frame's kept rays gives
+    ds, kw, (coarse_fn, fine_fn), support = toy_model
+    pose = synthscene.orbit_pose(0, 2, 2.8, 0.35, res, focal_factor=1.2)
+    img, depth = rd.render_image(coarse_fn, pose, fine_field_fn=fine_fn, seed=3, frame_index=5,
+                                 return_depth=True, support=support if culled else None, **kw)
+    rows, cols = np.divmod(np.arange(res * res), res)
+    want_img, want_depth = np.empty((res * res, 3)), np.zeros(res * res)
+    hit = np.ones(res * res, dtype=bool)
+    if culled:
+        hit = rd._crosses_box(pose.t, rd.pixel_dirs(pose, rows, cols), support,
+                              ds.t_near, ds.t_far)
+        want_img[:] = ds.scene.background
+    colors, ts, w = rd.render_rays(pose, rows[hit], cols[hit], key=rd.philox_key(3), step=0,
+                                   frame=5, coarse_fn=coarse_fn, fine_fn=fine_fn, **kw)[-1]
+    want_img[hit], want_depth[hit] = colors, (w * ts).sum(axis=1)
+    assert img.reshape(-1, 3).tobytes() == want_img.tobytes()
+    assert depth.reshape(-1).tobytes() == want_depth.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_frame_peak_memory_does_not_grow_with_the_frame(toy_model):
+    _, kw, (coarse_fn, fine_fn), _ = toy_model
+    peaks = {res: _traced_peak(lambda: rd.render_image(
+        coarse_fn, synthscene.orbit_pose(0, 2, 2.8, 0.35, res, focal_factor=1.2),
+        fine_field_fn=fine_fn, return_depth=True, **kw)) for res in (32, 96)}
+    # 9x the pixels; a whole-frame render_rays call peaks about 9x higher
+    assert peaks[96] < 1.3 * peaks[32], peaks

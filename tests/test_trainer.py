@@ -447,6 +447,9 @@ CORRUPTIONS = {
     "unknown_header_key": _edit_header(lambda h: h.update(foo=1)),
     "float_step": _edit_header(lambda h: h.update(step=7.0)),
     "float_adam_count": _edit_header(lambda h: h["adam_t"].update({"cond.W2": 0.0})),
+    # a string would load as its characters: "id00" as ['i', 'd', '0', '0']
+    "string_identities": _edit_header(lambda h: h.update(identities="id00")),
+    "non_string_identity": _edit_header(lambda h: h.update(identities=["id00", 1])),
 }
 
 
