@@ -69,7 +69,6 @@ SCHEMA = {
         "in_box_fraction": (0.95, "in [0, 1]"),
         "eval_every": (500, ">= 0"),
         "eval_frames": (1, "> 0"),
-        "squared_code_norms": (False, None),
         "divergence_factor": (10.0, "> 0"),
         "beta1": (0.9, "in [0, 1)"),
         "beta2": (0.999, "in [0, 1)"),

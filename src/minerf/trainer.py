@@ -19,7 +19,9 @@ model_shapes names the model's arrays and shapes (the variant's row in
 conditioning, then field.param_shapes); init_arrays draws them under one rule.
 With the codes (shapes from _CODE_DIMS) they live in a flat name -> float64
 dict; each step binds the needed ones as tape leaves and passes the rest as
-arrays. _layout is the one statement of the checkpoint format. Both passes
+arrays. _layout is the one statement of the checkpoint payload, whose shapes
+follow from the header's config and Adam-count names; the header adds only
+the format tag, the step and the payload's CRC32. Both passes
 composite through composite_rays_tape, the compositor as one tape node.
 Fine-sample positions are stopped gradients (resampling reads coarse weights
 as plain values), the standard estimator.
@@ -47,8 +49,7 @@ from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F
                        render_rays, step_rng)
 from .synthscene import Dataset
 
-CKPT_FORMAT = "minerf-ckpt-v1"
-_HEADER_KEYS = {"format", "step", "config", "identities", "adam_t", "entries"}
+CKPT_FORMAT = "minerf-ckpt-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +78,18 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     param -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _code_penalty(total, code_var, lam: float, squared: bool):
+def _code_penalty(total, code_var, lam: float):
     if code_var is None or lam == 0.0:
         return total
-    sq = ad.sum_(ad.square(code_var))
-    return total + ad.mul(sq if squared else ad.sqrt(sq), lam)
+    return total + ad.mul(ad.sqrt(ad.sum_(ad.square(code_var))), lam)
 
 
-def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float,
-         squared_norms: bool = False):
+def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float):
     """(total, resid): resid sums ||pred - gt||^2 over rays and over preds
     (one per render pass, coarse first); total adds lam_l ||l||_2 + lam_i ||i||_2.
 
     preds, l and i may be Vars or arrays (Vars out unless all are arrays);
-    code norms are unsquared 2-norms as written (squared_norms switches to
-    the squared variant).
+    code norms are unsquared 2-norms as written.
     """
     gt = np.asarray(gt_colors, dtype=np.float64)
     resid = None
@@ -100,8 +98,8 @@ def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float,
             raise DimensionError(f"ray count mismatch: {pred.shape} vs {gt.shape}")
         term = ad.sum_(ad.square(ad.sub(pred, gt)))
         resid = term if resid is None else resid + term
-    total = _code_penalty(resid, l, lam_l, squared_norms)
-    total = _code_penalty(total, i, lam_i, squared_norms)
+    total = _code_penalty(resid, l, lam_l)
+    total = _code_penalty(total, i, lam_i)
     return total, resid
 
 
@@ -116,7 +114,6 @@ class TrainState:
     adam_v: dict = dc_field(default_factory=dict)
     adam_t: dict = dc_field(default_factory=dict)
     step: int = 0
-    identities: list = dc_field(default_factory=list)
 
     def arch(self) -> FieldArch:
         """The field section of the config plus the widths the variant feeds the field."""
@@ -142,7 +139,7 @@ def _code_shape(cfg: dict, name: str) -> tuple:
     """(d,) for identity.*, (d_latent,) for latent.* and plat.*; ConfigError otherwise."""
     dim = _CODE_DIMS.get(name.split(".")[0])
     if dim is None:
-        raise ConfigError(f"entry {name!r} is neither a model array nor a code")
+        raise ConfigError(f"{name!r} is neither a model array nor a code")
     return (cfg["conditioning"][dim],)
 
 
@@ -197,8 +194,7 @@ def init_state(cfg: dict, dataset: Dataset) -> TrainState:
     check_expression_dim(cfg, dataset)
     prng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(3,))))
-    state = TrainState(cfg=cfg, params=model_params(cfg, prng),
-                       identities=dataset.identity_names())
+    state = TrainState(cfg=cfg, params=model_params(cfg, prng))
     for idn in dataset.identities:
         _add_code(state.params, cfg, f"identity.{idn.name}", f"i/{idn.name}")
         for fidx in idn.train_idx:
@@ -208,37 +204,38 @@ def init_state(cfg: dict, dataset: Dataset) -> TrainState:
 
 
 def _layout(shapes: dict) -> tuple[list, int]:
-    """The checkpoint format: (header entries, payload size) for arrays of these
-    shapes. Kinds param, m, v, each over the sorted names; each array is packed
-    as little-endian float64 at its entry's byte offset into the payload."""
-    entries, size = [], 0
+    """The checkpoint payload: ((kind, name, shape, offset) rows, size in bytes)
+    for arrays of these shapes. Kinds param, m, v, each over the sorted names;
+    each array is packed as little-endian float64 at its row's byte offset."""
+    rows, size = [], 0
     for kind in ("param", "m", "v"):
         for n in sorted(shapes):
-            entries.append({"kind": kind, "name": n, "shape": list(shapes[n]), "offset": size})
+            rows.append((kind, n, tuple(shapes[n]), size))
             size += 8 * int(np.prod(shapes[n]))
-    return entries, size
+    return rows, size
 
 
 def save_checkpoint(path, state: TrainState):
-    """One JSON header line, then the payload: _layout of the params' shapes."""
-    entries, _ = _layout({n: a.shape for n, a in state.params.items()})
+    """One JSON header line {format, step, config, adam_t, crc32}, then the
+    payload: _layout of the params' shapes, whose zlib.crc32 is crc32."""
+    rows, _ = _layout({n: a.shape for n, a in state.params.items()})
     stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
+    payload = b"".join(np.ascontiguousarray(stores[kind][n], dtype="<f8").tobytes()
+                       for kind, n, _, _ in rows)
     header = {"format": CKPT_FORMAT, "step": state.step, "config": state.cfg,
-              "identities": state.identities, "adam_t": state.adam_t,
-              "entries": entries}
+              "adam_t": state.adam_t, "crc32": zlib.crc32(payload)}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        f.write(b"".join(np.ascontiguousarray(stores[e["kind"]][e["name"]], dtype="<f8").tobytes()
-                         for e in entries))
+        f.write(payload)
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read a checkpoint; ConfigError naming the file unless its header is readable
-    with no key save_checkpoint does not write, its config valid, identities a
-    list of strings, step and Adam counts JSON integers >= 0, and the Adam
-    counts' names (model_shapes's and codes) give a _layout that the entries
-    and the payload match exactly."""
+    """Read a checkpoint; ConfigError naming the file unless its header has
+    exactly save_checkpoint's keys, its config is valid, its step, Adam counts
+    and crc32 are JSON integers >= 0, the Adam counts' names (model_shapes's
+    and codes) give a _layout of the payload's size, and the payload's CRC32
+    is crc32. No array is read before all of that holds."""
     with open(path, "rb") as f:
         first = f.readline()
         payload = f.read()
@@ -246,40 +243,35 @@ def load_checkpoint(path) -> TrainState:
         header = json.loads(first.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != CKPT_FORMAT:
             raise ValueError(f"no {CKPT_FORMAT} format tag")
-        if header.keys() - _HEADER_KEYS:
-            raise ValueError(f"unknown header key {min(header.keys() - _HEADER_KEYS)!r}")
-        identities = header["identities"]
-        if not isinstance(identities, list) or not all(isinstance(n, str) for n in identities):
-            raise ValueError("identities must be a list of strings")
+        keys = {"format", "step", "config", "adam_t", "crc32"}
+        if header.keys() != keys:
+            raise ValueError(f"header keys {sorted(header)}, not {sorted(keys)}")
         state = TrainState(cfg=materialize(header["config"]), params={}, step=header["step"],
-                           identities=identities,
                            adam_t=dict(header["adam_t"]))
         check_leaf("step", state.step, (), ">= 0", True)
+        check_leaf("crc32", header["crc32"], (), ">= 0", True)
         for n, t in state.adam_t.items():
             check_leaf(f"adam_t {n!r}", t, (), ">= 0", True)
         shapes = model_shapes(state.cfg)
         shapes.update({n: _code_shape(state.cfg, n) for n in state.adam_t if n not in shapes})
-        got = list(header["entries"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"not a readable checkpoint: {path} "
                           f"({type(exc).__name__}: {exc})") from None
     missing = shapes.keys() - state.adam_t.keys()
     if missing:
-        raise ConfigError(f"checkpoint {path}: entry {min(missing)!r} has no Adam count")
-    entries, size = _layout(shapes)
-    for k, want in enumerate(entries):
-        have = got[k] if k < len(got) else None
-        if json.dumps(have, sort_keys=True) != json.dumps(want, sort_keys=True):
-            raise ConfigError(f"checkpoint {path}: entry {want['name']!r} must be {want}, "
-                              f"got {have}")
-    if len(got) != len(entries) or len(payload) != size:
-        raise ConfigError(f"checkpoint {path}: {len(got)} entries and {len(payload)} payload "
-                          f"bytes, its layout has {len(entries)} and {size}")
+        raise ConfigError(f"checkpoint {path}: array {min(missing)!r} has no Adam count")
+    rows, size = _layout(shapes)
+    if len(payload) != size:
+        raise ConfigError(f"checkpoint {path}: {len(payload)} payload bytes, "
+                          f"its layout has {size}")
+    crc = zlib.crc32(payload)
+    if crc != header["crc32"]:
+        raise ConfigError(f"checkpoint {path}: payload CRC32 {crc} is not the header's "
+                          f"{header['crc32']}")
     stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
-    for e in entries:
-        stores[e["kind"]][e["name"]] = np.frombuffer(
-            payload, dtype="<f8", count=int(np.prod(e["shape"])),
-            offset=e["offset"]).reshape(e["shape"]).copy()
+    for kind, n, shape, offset in rows:
+        stores[kind][n] = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)),
+                                        offset=offset).reshape(shape).copy()
     return state
 
 
@@ -352,7 +344,7 @@ def _batch_loss(state: TrainState, ds: Dataset, frame, bound: dict, id_name: str
                          n_fine=rc["n_fine"], coarse_fn=coarse_fn, fine_fn=fine_fn,
                          background=ds.scene.background)
     return loss([c for c, _, _ in passes], frame.image[rows, cols], l_var, i_var,
-                tr["lambda_latent"], tr["lambda_identity"], tr["squared_code_norms"])
+                tr["lambda_latent"], tr["lambda_identity"])
 
 
 def _train_step(state: TrainState, dataset: Dataset, pairs: list, lat_prefix: str,
@@ -494,8 +486,6 @@ def personalize(state: TrainState, clip: Dataset, identity_name: str, steps: int
         raise UsageError("personalization clip has no training frames")
     out = state.copy()
     id_key = f"identity.{identity_name}"
-    if id_key not in out.params:
-        out.identities.append(identity_name)
     _add_code(out.params, out.cfg, id_key, f"p/{identity_name}")
     lat_keys = [f"plat.{identity_name}.{fidx:04d}" for fidx in clip_idn.train_idx]
     for fidx, k in zip(clip_idn.train_idx, lat_keys):

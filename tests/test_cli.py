@@ -630,7 +630,7 @@ def tiny_ckpt(tmp_path_factory):
 
 
 @pytest.mark.parametrize("section, key, value, needle", [
-    ("field", "Lx", 3, "coarse.W0"), ("render", "n_fine", -4, "render.n_fine"),
+    ("field", "Lx", 3, "payload"), ("render", "n_fine", -4, "render.n_fine"),
     ("scene", "resolution", -8, "scene.resolution")])
 def test_edited_checkpoint_config_exit_2(section, key, value, needle, tiny_ckpt, tmp_path,
                                          capsys):
@@ -646,21 +646,6 @@ def test_edited_checkpoint_config_exit_2(section, key, value, needle, tiny_ckpt,
     _one_line_error(capsys, str(edited), needle)
 
 
-@pytest.mark.parametrize("entry, shape", [("identity.id00", [4]), ("latent.id00.0000", [2])])
-def test_edited_checkpoint_code_shape_exit_2(entry, shape, tiny_ckpt, tmp_path, capsys):
-    header, payload = tiny_ckpt.read_bytes().split(b"\n", 1)
-    meta = json.loads(header)
-    (param,) = [e for e in meta["entries"] if e["kind"] == "param" and e["name"] == entry]
-    param["shape"] = shape
-    edited = tmp_path / "edited.ckpt"
-    edited.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
-    capsys.readouterr()
-    rc = cli.main(["render", "--ckpt", str(edited), "--identity", "id00", "--frames", "0",
-                   "--out", str(tmp_path / "r")])
-    assert rc == 2
-    _one_line_error(capsys, str(edited), repr(entry))
-
-
 def test_checkpoint_personalized_latent_shape_checked(tiny_ckpt, tmp_path):
     state = trainer.load_checkpoint(tiny_ckpt)
     d_latent = state.cfg["conditioning"]["d_latent"]
@@ -673,21 +658,26 @@ def test_checkpoint_personalized_latent_shape_checked(tiny_ckpt, tmp_path):
         if n == d_latent:
             assert trainer.load_checkpoint(path).params["plat.id09.0000"].shape == (n,)
         else:
-            with pytest.raises(ConfigError, match=r"p3\.ckpt: entry 'plat\.id09\.0000'"):
+            with pytest.raises(ConfigError, match=r"p3\.ckpt: \d+ payload bytes"):
                 trainer.load_checkpoint(path)
 
 
 def test_inspect_refuses_an_entry_at_another_arrays_offset(tiny_ckpt, tmp_path, capsys):
-    # every count and size still agrees; only the layout says cond.W2 is not there
+    # cond.W2's and cond.W3's payload bytes swapped: every count and size still agrees
     header, payload = tiny_ckpt.read_bytes().split(b"\n", 1)
-    meta = json.loads(header)
-    param = {e["name"]: e for e in meta["entries"] if e["kind"] == "param"}
-    param["cond.W2"]["offset"] = param["cond.W3"]["offset"]
-    edited = tmp_path / "overlap.ckpt"
-    edited.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+    state = trainer.load_checkpoint(tiny_ckpt)
+    rows, _ = trainer._layout({n: a.shape for n, a in state.params.items()})
+    span = {n: (off, off + 8 * int(np.prod(shape))) for kind, n, shape, off in rows
+            if kind == "param"}
+    (a0, a1), (b0, b1) = span["cond.W2"], span["cond.W3"]
+    assert a1 <= b0
+    swapped = payload[:a0] + payload[b0:b1] + payload[a1:b0] + payload[a0:a1] + payload[b1:]
+    assert len(swapped) == len(payload) and swapped != payload
+    edited = tmp_path / "swapped.ckpt"
+    edited.write_bytes(header + b"\n" + swapped)
     capsys.readouterr()
     assert cli.main(["inspect", "--ckpt", str(edited), "--matrix", "W2"]) == 2
-    _one_line_error(capsys, str(edited), "'cond.W2'")
+    _one_line_error(capsys, str(edited), "CRC32")
 
 
 def test_train_refuses_an_ssim_window_larger_than_the_frames(tiny_cfg_file, tmp_path,

@@ -2,10 +2,12 @@
 
 Each example copies a small dataset and checkpoint, damages one file and
 runs a subcommand on it. Damage is either truncation anywhere in the file or
-one byte pushed out of the ASCII range inside the file's text part: the
-checkpoint's JSON header line, the PPM header, or the whole meta.json. Both
-always make the file invalid. Flips inside the checkpoint payload or the PPM
-raster yield other valid files, since neither carries a checksum.
+one byte flipped by 0x80-0xFF: anywhere in the checkpoint, and in the other
+files inside their text part, the PPM header or the whole meta.json. Both
+always make the file invalid: a flip in the checkpoint's JSON header line
+leaves a non-ASCII byte there, and one in its payload breaks the header's
+CRC32. Flips inside the PPM raster yield other valid files, since it carries
+no checksum.
 """
 
 import contextlib
@@ -52,10 +54,9 @@ COMMANDS = {
 }
 
 
-def _text_end(kind, blob):
-    """Length of the file's text part: where a non-ASCII byte cannot be valid."""
-    if kind == "ckpt":
-        return blob.index(b"\n") + 1
+def _flip_end(kind, blob):
+    """Where a flipped byte always makes the file invalid: the whole checkpoint,
+    else the file's text part, where a non-ASCII byte cannot be valid."""
     if kind == "ppm":
         return len(b"P6\n10 10\n255\n")
     return len(blob)
@@ -70,7 +71,7 @@ damage = st.one_of(
 def _damage(kind, blob, how):
     if how[0] == "truncate":
         return blob[:int(how[1] * len(blob))]
-    pos = int(how[1] * _text_end(kind, blob))
+    pos = int(how[1] * _flip_end(kind, blob))
     return blob[:pos] + bytes([blob[pos] ^ how[2]]) + blob[pos + 1:]
 
 

@@ -159,8 +159,8 @@ def _batch_loss_ref(state, ds, frame, bound, id_name, lat_name, rngs_pixels, row
     pred_f, _ = rd.composite_rays_tape(sig_f, rgb_f, merged, t_far, bg)
     resid = (ad.sum_(ad.square(ad.sub(pred_c, gt)))
              + ad.sum_(ad.square(ad.sub(pred_f, gt))))
-    total = tr._code_penalty(resid, l_var, tcfg["lambda_latent"], tcfg["squared_code_norms"])
-    total = tr._code_penalty(total, i_var, tcfg["lambda_identity"], tcfg["squared_code_norms"])
+    total = tr._code_penalty(resid, l_var, tcfg["lambda_latent"])
+    total = tr._code_penalty(total, i_var, tcfg["lambda_identity"])
     return total, resid
 
 
