@@ -1,5 +1,8 @@
 """Image quality metrics, expression-transfer evaluation, and singular values.
 
+Every ground truth scored here, on and off the transfer matrix's diagonal, is
+an 8-bit frame of Dataset.gt_image, the pixels gen-data writes.
+
 SSIM deviates from the common 11x11 Gaussian window: a uniform 8x8 window at
 stride 1 keeps the reference loop trivial. Singular values come from a
 hand-rolled one-sided Jacobi sweep (not a library SVD) so they can be checked
@@ -11,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericError, UsageError
-from .synthscene import render_gt_frame
 
 LUMA = np.array([0.299, 0.587, 0.114])
 
@@ -94,20 +96,18 @@ def _renders(state, dataset, source_name: str, target_name: str, frame_indices):
     """(frame, model render, ground truth) of `target` under `source`'s expressions.
 
     Ground truth is the dataset image when source == target and it is present,
-    else the target's analytic scene under the source's expressions.
+    else Dataset.gt_image of the target under the source's expressions (the
+    same 8-bit frame at the target's own expressions).
     """
     from . import trainer  # local import; trainer imports metrics
 
     src, tgt = dataset.by_name(source_name), dataset.by_name(target_name)
-    tgt_index = dataset.identity_names().index(target_name)
     for fidx in frame_indices:
         e, frame = src.frames[fidx].e, tgt.frames[fidx]
-        frame_id = dataset.frame_id(target_name, fidx)
         pred = trainer.render_model_frame(state, dataset, target_name, e, frame.pose,
-                                          frame_id=frame_id)
+                                          frame_id=dataset.frame_id(target_name, fidx))
         gt = (frame.image if source_name == target_name and frame.image is not None
-              else render_gt_frame(dataset.scene, tgt_index, e, frame.pose, dataset.t_near,
-                                   dataset.t_far, dataset.gt_samples, dataset.seed, frame_id))
+              else dataset.gt_image(target_name, e, fidx))
         yield fidx, pred, gt
 
 

@@ -8,7 +8,13 @@ from .errors import UsageError
 
 
 def to_u8(img: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(np.clip(img, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
+    return np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
+def from_u8(raw: np.ndarray) -> np.ndarray:
+    """to_u8's inverse; from_u8(to_u8(x)) is the 8-bit round trip, and since
+    to_u8(from_u8(b)) == b for every byte, a round-tripped image writes its bytes."""
+    return raw.astype(np.float64) / 255.0
 
 
 def write_ppm(path, img: np.ndarray):
@@ -52,16 +58,13 @@ def read_ppm(path) -> np.ndarray:
     if len(data) - pos != h * w * 3:
         raise UsageError(f"PPM raster of {path} has {max(len(data) - pos, 0)} bytes; "
                          f"{w}x{h} needs {h * w * 3}")
-    raster = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    return raster.reshape(h, w, 3).astype(np.float64) / 255.0
+    return from_u8(np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(h, w, 3))
 
 
-def write_pgm16(path, depth: np.ndarray, max_val: float | None = None):
-    """Write an (H, W) float array as big-endian 16-bit P5, scaled to max_val."""
+def write_pgm16(path, depth: np.ndarray, max_val: float):
+    """Write an (H, W) float array as big-endian 16-bit P5, max_val mapping to 65535."""
     h, w = depth.shape
-    mv = float(np.max(depth)) if max_val is None else max_val
-    scale = 0.0 if mv == 0 else 65535.0 / mv
-    q = np.clip(np.rint(depth * scale), 0, 65535).astype(">u2")
+    q = np.clip(np.rint(depth * (65535.0 / max_val)), 0, 65535).astype(">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(q.tobytes())

@@ -3,9 +3,11 @@
 Stands in for tracked video: each identity is an analytic ellipsoid density
 with its own semi-axes, color, and density scale; a global bank of radial
 bump modes deforms the lookup point and tints a patch of the surface, driven
-by a per-frame expression vector. Ground-truth frames are rendered from the
-analytic field with a high sample count, so every model prediction can be
-compared against exact ground truth, including under transferred expressions.
+by a per-frame expression vector. render_gt_frame renders the analytic field
+in float64 with a high sample count; Dataset.gt_image rounds that render to
+8 bits and is the one ground truth: dataset_from_config's frames, the PPMs
+gen-data writes and the transfer matrix's cross-identity targets. So `train`
+with and without `--data` fit the same pixels.
 
 The density is exactly +0.0 outside the box |x_j| <= h_j of
 support_half_extent, h_j = (a_j + sum_m |e_m amp_m dir_mj|)(1 + 1e-6) for
@@ -14,7 +16,7 @@ So analytic_field evaluates the formula only at points inside the box, and
 render_gt_frame renders only the rays that cross it. Culled samples have
 alpha = -expm1(-0.0) = +0.0, weight +0.0 and transmittance factor 1, and
 w * rgb = +0.0 for any rgb >= 0. A missed ray composites to 0.0 + 1.0 * bg.
-Every ground-truth frame is therefore bit-identical to the dense render,
+Every render_gt_frame image is therefore bit-identical to the dense render,
 given BLAS products whose rows do not depend on the other rows
 (`minerf verify --suite render` checks this: support_culling_exact).
 
@@ -112,6 +114,16 @@ class Dataset:
     def frame_id(self, name: str, fidx: int) -> int:
         """The pixel-stream frame id of identity `name`'s frame fidx."""
         return self.identity_names().index(name) * GT_FRAME_STRIDE + fidx
+
+    def gt_image(self, name: str, e: np.ndarray, fidx: int) -> np.ndarray:
+        """Ground truth of identity `name` under expression e, at its frame fidx's
+        pose and pixel streams: render_gt_frame's 8-bit round trip. At the frame's
+        own expression this is the frame gen-data writes, as load_dataset reads it."""
+        k = self.identity_names().index(name)
+        img = render_gt_frame(self.scene, k, e, self.identities[k].frames[fidx].pose,
+                              self.t_near, self.t_far, self.gt_samples, self.seed,
+                              self.frame_id(name, fidx))
+        return ppm.from_u8(ppm.to_u8(img))
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -273,18 +285,19 @@ def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
         for f in range(n_frames):
             pose = orbit_pose(f, n_frames, s["orbit_radius"], s["orbit_elevation"],
                               resolution, s["focal_factor"])
-            img = None
-            if render_images:
-                img = render_gt_frame(scene, k, traj[f], pose, t_near, t_far,
-                                      s["gt_samples"], seed, k * GT_FRAME_STRIDE + f)
-            frames.append(Frame(index=f, pose=pose, e=traj[f].copy(), image=img,
+            frames.append(Frame(index=f, pose=pose, e=traj[f].copy(), image=None,
                                 box=project_box(pose, half_extent)))
         identities.append(IdentityData(
             name=f"id{k:02d}", params=scene.identities[k], frames=frames,
             train_idx=list(range(n_frames - n_test)),
             test_idx=list(range(n_frames - n_test, n_frames))))
-    return Dataset(scene=scene, identities=identities, resolution=resolution,
-                   t_near=t_near, t_far=t_far, seed=seed, gt_samples=s["gt_samples"])
+    ds = Dataset(scene=scene, identities=identities, resolution=resolution,
+                 t_near=t_near, t_far=t_far, seed=seed, gt_samples=s["gt_samples"])
+    if render_images:
+        for idn in identities:
+            for fr in idn.frames:
+                fr.image = ds.gt_image(idn.name, fr.e, fr.index)
+    return ds
 
 
 def render_gt_frame(scene: SceneSpec, identity_index: int, e: np.ndarray,

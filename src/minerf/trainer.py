@@ -453,7 +453,7 @@ def train(dataset: Dataset, cfg: dict, state: TrainState | None = None,
 # model rendering / evaluation / personalization
 
 def render_model_frame(state: TrainState, dataset: Dataset, identity_name: str,
-                       e: np.ndarray, pose, *, frame_id: int = 0,
+                       e: np.ndarray, pose, *, frame_id: int,
                        return_depth: bool = False) -> np.ndarray:
     """Render one frame from the trained model (fine pass over coarse proposals)
     under the zero latent code."""

@@ -336,11 +336,11 @@ def suite_render(cases: int = 100) -> dict:
     checks.append({"name": "pixel_streams_match_numpy_philox", "passed": mismatches == 0,
                    "max_err": float(mismatches), "tol": 0.0})
 
-    # a ground-truth frame culled to the support box against the dense formula
-    # on every sample, exactly: they agree only where the BLAS products give a
-    # row the same bits whatever the other rows are, so a host where they do
-    # not fails here instead of writing datasets that differ (from its own
-    # generator, so the checks above draw what they drew before)
+    # render_gt_frame's float64 image, culled to the support box, against the
+    # dense formula on every sample, exactly: they agree only where the BLAS
+    # products give a row the same bits whatever the other rows are, so a host
+    # where they do not fails here instead of writing datasets that differ
+    # (from its own generator, so the checks above draw what they drew before)
     r = _rng(29)
     spec = synthscene.sample_scene(1, 8, r, [0.08, 0.10, 0.14], deform_budget=0.5,
                                    tint_strength=0.35)

@@ -354,13 +354,12 @@ def test_neutral_expression_renders_match_neutral_ground_truth(toy_run):
     cfg, ds, state, _, _ = toy_run
     zero_e = np.zeros(ds.scene.modes.d)
     vals = []
-    for k, idn in enumerate(ds.identities):
+    for idn in ds.identities:
         fidx = idn.test_idx[0]
         pose = idn.frames[fidx].pose
-        fid = k * sc.GT_FRAME_STRIDE + fidx
-        img = tr.render_model_frame(state, ds, idn.name, zero_e, pose, frame_id=fid)
-        gt = sc.render_gt_frame(ds.scene, k, zero_e, pose, ds.t_near, ds.t_far,
-                                ds.gt_samples, ds.seed, fid)
+        img = tr.render_model_frame(state, ds, idn.name, zero_e, pose,
+                                    frame_id=ds.frame_id(idn.name, fidx))
+        gt = ds.gt_image(idn.name, zero_e, fidx)
         vals.append(mt.psnr(img, gt))
     worst = float(np.min(vals))
     _report("neutral-expression transfer (spec example)", worst > 25.0,

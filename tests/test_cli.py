@@ -203,6 +203,24 @@ def test_train_render_transfer_roundtrip(tiny_cfg_file, tmp_path, capsys):
                      "--identity", "ghost", "--out", str(tmp_path / "g")]) == 2
 
 
+@pytest.mark.parametrize("variant", ["M", "H"])
+def test_train_without_data_equals_train_on_gen_data_output(variant, tiny_cfg_file, tiny_data,
+                                                            tmp_path, capsys):
+    """One ground truth: the frames train renders for itself are the 8-bit frames
+    gen-data writes, so the checkpoint and the metrics CSV (in-run evals included)
+    do not depend on --data."""
+    blobs = []
+    for tag, data in (("own", []), ("data", ["--data", str(tiny_data)])):
+        ckpt, csv = tmp_path / f"{tag}.ckpt", tmp_path / f"{tag}.csv"
+        assert cli.main(["train", "--config", str(tiny_cfg_file), *data,
+                         "--set", f"conditioning.variant={variant}",
+                         "--set", "train.eval_every=2",
+                         "--out", str(ckpt), "--metrics", str(csv)]) == 0
+        blobs.append((ckpt.read_bytes(), csv.read_bytes()))
+    assert blobs[0][1].count(b"\n") == 1 + TINY["train"]["steps"]
+    assert blobs[0] == blobs[1]
+
+
 def test_render_without_data_uses_config_snapshot(tiny_cfg_file, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     assert cli.main(["train", "--config", str(tiny_cfg_file),
@@ -395,6 +413,27 @@ def test_eval_renders_each_heldout_frame_once(tiny_ckpt, tmp_path, monkeypatch, 
         assert summary["transfer_psnr"][j][j] == metrics.transfer_eval(state, ds, name, name)
     with pytest.raises(UsageError):  # a report that skipped held-out frames
         metrics.transfer_matrix(state, ds, {"frames": []})
+
+
+def test_eval_scores_every_frame_against_8_bit_ground_truth(tiny_ckpt, tiny_data, tmp_path,
+                                                            monkeypatch, capsys):
+    """Diagonal and off-diagonal transfer entries alike compare the model with
+    the 8-bit frames gen-data writes: every ground truth is a whole number of
+    1/255 steps."""
+    seen, psnr = [], metrics.psnr
+
+    def recorded(pred, gt):
+        seen.append(np.asarray(gt))
+        return psnr(pred, gt)
+
+    monkeypatch.setattr(metrics, "psnr", recorded)
+    assert cli.main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_data),
+                     "--out", str(tmp_path / "eval")]) == 0
+    ds = load_dataset(tiny_data)
+    n_ids, n_test = len(ds.identities), sum(len(i.test_idx) for i in ds.identities)
+    assert len(seen) == n_test + (n_ids - 1) * n_test  # held-out frames, then off-diagonal
+    for gt in seen:
+        assert np.array_equal(gt * 255.0, np.rint(gt * 255.0))
 
 
 def test_psnr_infinite_sentinel_survives_json():

@@ -29,6 +29,14 @@ def test_roundtrip_quantized(tmp_path):
     assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
 
 
+def test_u8_round_trip_is_idempotent_on_every_byte():
+    raw = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(ppm.to_u8(ppm.from_u8(raw)), raw)
+    x = np.linspace(-0.1, 1.1, 1001)
+    once = ppm.from_u8(ppm.to_u8(x))
+    assert np.array_equal(ppm.from_u8(ppm.to_u8(once)), once)
+
+
 def test_pgm16_depth(tmp_path):
     depth = np.array([[0.0, 1.0], [2.0, 4.0]])
     path = tmp_path / "d.pgm"

@@ -13,6 +13,7 @@ import pytest
 from minerf import autodiff as ad
 from minerf import conditioning as cond_mod
 from minerf import config as cfg_mod
+from minerf import ppm
 from minerf import renderer as rd
 from minerf import synthscene as sc
 from minerf import trainer as tr
@@ -193,7 +194,8 @@ def test_ground_truth_render_matches_per_ray_loops(setup):
         analytic, frame.pose, t_near=ds.t_near, t_far=ds.t_far, n_coarse=ds.gt_samples,
         n_fine=0, fine_field_fn=None, background=scene.background, seed=ds.seed,
         frame_index=fid)
-    assert np.array_equal(frame.image, img)  # the dataset's GT frame, via render_gt_frame
+    # the dataset's GT frame is render_gt_frame's 8-bit round trip
+    assert np.array_equal(frame.image, ppm.from_u8(ppm.to_u8(img)))
     passes = rd.render_rays(frame.pose, *_all_pixels(frame.pose), key=rd.philox_key(ds.seed),
                             step=0, frame=fid, t_near=ds.t_near, t_far=ds.t_far,
                             n_coarse=ds.gt_samples, n_fine=0, coarse_fn=analytic, fine_fn=None,
