@@ -20,6 +20,14 @@ Every render_gt_frame image is therefore bit-identical to the dense render,
 given BLAS products whose rows do not depend on the other rows
 (`minerf verify --suite render` checks this: support_culling_exact).
 
+An identity's scene index k is stated once, in its name id{k}: dataset_from_config
+names identity k so, and load_dataset parses k from the directory name
+(IdentityData.index). The scene holds each identity's parameters once, in
+SceneSpec.identities keyed by scene index. Dataset.frame_id and Dataset.gt_image
+read the index, not a position in Dataset.identities, so a dataset holding some
+of a scene's identities draws the same ground truth and pixel streams as the full
+one.
+
 On disk a dataset is one directory per identity, holding frame_NNNN.ppm per
 frame and a meta.json whose leaves _META declares and load_dataset checks.
 load_dataset reads no key outside _META, so a meta.json that still carries
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +79,7 @@ class IdentityParams:
 @dataclass(frozen=True)
 class SceneSpec:
     modes: ModeBank
-    identities: list
+    identities: dict  # scene index -> IdentityParams; the only copy of each
     background: np.ndarray  # (3,)
 
 
@@ -86,7 +95,7 @@ class Frame:
 @dataclass
 class IdentityData:
     name: str
-    params: IdentityParams
+    index: int  # scene index: the k of the name id{k}
     frames: list
     train_idx: list
     test_idx: list
@@ -113,14 +122,14 @@ class Dataset:
 
     def frame_id(self, name: str, fidx: int) -> int:
         """The pixel-stream frame id of identity `name`'s frame fidx."""
-        return self.identity_names().index(name) * GT_FRAME_STRIDE + fidx
+        return self.by_name(name).index * GT_FRAME_STRIDE + fidx
 
     def gt_image(self, name: str, e: np.ndarray, fidx: int) -> np.ndarray:
         """Ground truth of identity `name` under expression e, at its frame fidx's
         pose and pixel streams: render_gt_frame's 8-bit round trip. At the frame's
         own expression this is the frame gen-data writes, as load_dataset reads it."""
-        k = self.identity_names().index(name)
-        img = render_gt_frame(self.scene, k, e, self.identities[k].frames[fidx].pose,
+        idn = self.by_name(name)
+        img = render_gt_frame(self.scene, idn.index, e, idn.frames[fidx].pose,
                               self.t_near, self.t_far, self.gt_samples, self.seed,
                               self.frame_id(name, fidx))
         return ppm.from_u8(ppm.to_u8(img))
@@ -146,13 +155,10 @@ def sample_scene(n_identities: int, d: int, rng: np.random.Generator, background
     directions = _fibonacci_sphere(d)  # distinct fixed unit directions
     amplitudes = np.full(d, deform_budget / d)
     tints = rng.uniform(-1.0, 1.0, size=(d, 3)) * tint_strength
-    identities = []
-    for _ in range(n_identities):
-        identities.append(IdentityParams(
-            semi_axes=rng.uniform(0.22, MAX_SEMI_AXIS, size=3),
-            base_color=rng.uniform(0.25, 0.85, size=3),
-            density_scale=float(rng.uniform(9.0, 14.0)),
-        ))
+    identities = {k: IdentityParams(semi_axes=rng.uniform(0.22, MAX_SEMI_AXIS, size=3),
+                                    base_color=rng.uniform(0.25, 0.85, size=3),
+                                    density_scale=float(rng.uniform(9.0, 14.0)))
+                  for k in range(n_identities)}
     return SceneSpec(modes=ModeBank(centers, widths, directions, amplitudes, tints),
                      identities=identities, background=np.asarray(background, float))
 
@@ -288,7 +294,7 @@ def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
             frames.append(Frame(index=f, pose=pose, e=traj[f].copy(), image=None,
                                 box=project_box(pose, half_extent)))
         identities.append(IdentityData(
-            name=f"id{k:02d}", params=scene.identities[k], frames=frames,
+            name=f"id{k:02d}", index=k, frames=frames,
             train_idx=list(range(n_frames - n_test)),
             test_idx=list(range(n_frames - n_test, n_frames))))
     ds = Dataset(scene=scene, identities=identities, resolution=resolution,
@@ -322,7 +328,7 @@ def save_dataset(ds: Dataset, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     m = ds.scene.modes
     for idn in ds.identities:
-        idir = out / idn.name
+        idir, idp = out / idn.name, ds.scene.identities[idn.index]
         idir.mkdir(exist_ok=True)
         meta = {
             "name": idn.name,
@@ -335,9 +341,9 @@ def save_dataset(ds: Dataset, out_dir):
             "modes": {"centers": m.centers.tolist(), "widths": m.widths.tolist(),
                       "directions": m.directions.tolist(),
                       "amplitudes": m.amplitudes.tolist(), "tints": m.tints.tolist()},
-            "identity": {"semi_axes": idn.params.semi_axes.tolist(),
-                         "base_color": idn.params.base_color.tolist(),
-                         "density_scale": idn.params.density_scale},
+            "identity": {"semi_axes": idp.semi_axes.tolist(),
+                         "base_color": idp.base_color.tolist(),
+                         "density_scale": idp.density_scale},
             "split": {"train": idn.train_idx, "test": idn.test_idx},
             "frames": [{"index": fr.index, "pose": _pose_to_json(fr.pose),
                         "e": fr.e.tolist(), "box": list(fr.box)} for fr in idn.frames],
@@ -400,6 +406,8 @@ def _relations(meta: dict, dir_name: str) -> None:
     each leaf's own shape and range are _META's."""
     if meta["name"] != dir_name:
         raise ConfigError(f"name {meta['name']!r} is not its directory's name {dir_name!r}")
+    if not re.fullmatch(r"id[0-9]+", meta["name"]):
+        raise ConfigError(f"name {meta['name']!r} is not 'id' and a decimal scene index")
     if not meta["t_near"] < meta["t_far"]:
         raise ConfigError(f"t_far {meta['t_far']!r} is not above t_near {meta['t_near']!r}")
     for i, fj in enumerate(meta["frames"]):
@@ -424,14 +432,18 @@ def _relations(meta: dict, dir_name: str) -> None:
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
     JSON, breaks a row of _META or a rule of _relations, has a frame pose whose R
-    is not a rotation (CameraPose.validate), or has _SHARED keys that differ from
-    the first identity's; and names the PPM when a frame has none or one whose
-    size is not its pose's."""
+    is not a rotation (CameraPose.validate), names the scene index of an earlier
+    directory (id2 after id02), or has _SHARED keys that differ from the first
+    identity's; and names the PPM when a frame has none or one whose size is not
+    its pose's. Identities come in scene-index order (id2 before id10), as
+    dataset_from_config makes them. A directory holding some of a scene's
+    identities keeps their indices, so their ground truth and pixel streams are
+    the full scene's."""
     root = Path(in_dir)
     idirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "meta.json").exists())
     if not idirs:
         raise ConfigError(f"no identity directories under {root}")
-    identities, first, first_path = [], None, idirs[0] / "meta.json"
+    identities, params, first, first_path = [], {}, None, idirs[0] / "meta.json"
     for idir in idirs:
         meta_path, frames = idir / "meta.json", []
         try:
@@ -450,6 +462,11 @@ def load_dataset(in_dir) -> Dataset:
         except ValueError as exc:
             raise ConfigError(f"bad dataset metadata {meta_path} "
                               f"({type(exc).__name__}: {exc})") from None
+        index = int(meta["name"][2:])
+        if index in params:
+            twin = next(idn.name for idn in identities if idn.index == index)
+            raise ConfigError(f"bad dataset metadata {meta_path} (scene index {index} is "
+                              f"also {root / twin / 'meta.json'}'s)")
         first = first or meta
         differ = [k for k in _SHARED if meta[k] != first[k]]
         if differ:
@@ -465,14 +482,14 @@ def load_dataset(in_dir) -> Dataset:
                                   f"{fr.image.shape[0]}, its pose in {meta_path} is "
                                   f"{fr.pose.width}x{fr.pose.height}")
         ij = meta["identity"]
-        idp = IdentityParams(np.array(ij["semi_axes"], float), np.array(ij["base_color"], float),
-                             ij["density_scale"])
-        identities.append(IdentityData(meta["name"], idp, frames, meta["split"]["train"],
+        params[index] = IdentityParams(np.array(ij["semi_axes"], float),
+                                       np.array(ij["base_color"], float), ij["density_scale"])
+        identities.append(IdentityData(meta["name"], index, frames, meta["split"]["train"],
                                        meta["split"]["test"]))
     modes = ModeBank(**{k: np.array(first["modes"][k], float) for k in _META["modes"]})
-    scene = SceneSpec(modes=modes, identities=[idn.params for idn in identities],
+    scene = SceneSpec(modes=modes, identities=params,
                       background=np.array(first["background"], float))
-    return Dataset(scene=scene, identities=identities,
+    return Dataset(scene=scene, identities=sorted(identities, key=lambda idn: idn.index),
                    **{k: first[k] for k in ("resolution", "t_near", "t_far", "seed", "gt_samples")})
 
 

@@ -245,7 +245,7 @@ def test_criterion_7_personalization(toy_run):
         for fidx in idn.test_idx:
             fr = idn.frames[fidx]
             img = tr.render_model_frame(st, clip, "id02", fr.e, fr.pose,
-                                        frame_id=2 * sc.GT_FRAME_STRIDE + fidx)
+                                        frame_id=clip.frame_id("id02", fidx))
             vals.append(mt.psnr(img, fr.image))
         return float(np.mean(vals))
 

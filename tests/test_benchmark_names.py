@@ -10,7 +10,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from minerf import cli, ppm, synthscene
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -73,3 +76,20 @@ def test_perfbench_reads_the_workload_entry_points():
             ("minerf.synthscene", "GT_FRAME_STRIDE")} <= reads
     # workloads.py calls state.arch() on a TrainState, which no import shows
     assert callable(importlib.import_module("minerf.trainer").TrainState.arch)
+
+
+def test_render_gt_frame_keeps_the_closed_form_checks_positional_call(tmp_path):
+    # workloads.py's _check_closed_form passes the loaded scene and each identity's
+    # position in Dataset.identities, positionally; on gen-data output that call
+    # must still give each identity's frame 0
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--set", "scene.n_identities=3", "--set", "scene.n_frames=2",
+                     "--set", "scene.resolution=8", "--set", "scene.gt_samples=16",
+                     "--out", str(data)]) == 0
+    ds = synthscene.load_dataset(data)
+    for k, idn in enumerate(ds.identities):
+        fr = idn.frames[0]
+        img = synthscene.render_gt_frame(ds.scene, k, fr.e, fr.pose, ds.t_near, ds.t_far,
+                                         ds.gt_samples, ds.seed,
+                                         k * synthscene.GT_FRAME_STRIDE)
+        assert np.array_equal(ppm.from_u8(ppm.to_u8(img)), fr.image), idn.name

@@ -945,3 +945,114 @@ def test_train_and_eval_reject_a_bad_mode_bank_background_or_expression(
                      "--out", str(tmp_path / "eval")]) == 2
     _one_line_error(capsys, str(data / "id00" / "meta.json"), needle)
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "eval").exists()
+
+
+# ---------------------------------------------------------------------------
+# an identity's scene index is the k of its name id{k}
+
+@pytest.fixture(scope="module")
+def three_ids(tmp_path_factory):
+    """gen-data with three identities, and a checkpoint trained on that data."""
+    tmp = tmp_path_factory.mktemp("three_ids")
+    cfg, data, ckpt = tmp / "cfg.json", tmp / "data", tmp / "model.ckpt"
+    cfg.write_text(json.dumps(TINY))
+    n3 = ["--set", "scene.n_identities=3"]
+    assert cli.main(["gen-data", "--config", str(cfg), *n3, "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(cfg), *n3, "--data", str(data),
+                     "--out", str(ckpt)]) == 0
+    return data, ckpt
+
+
+def _copy_identities(data, names, out):
+    out.mkdir()
+    for name in names:
+        shutil.copytree(data / name, out / name)
+    return out
+
+
+def test_a_one_identity_copy_keeps_its_ground_truth_and_frame_ids(three_ids, tmp_path):
+    data, _ = three_ids
+    full = load_dataset(data)
+    clip = load_dataset(_copy_identities(data, ["id02"], tmp_path / "clip"))
+    assert list(clip.scene.identities) == [2]
+    for fr in clip.by_name("id02").frames:
+        assert clip.frame_id("id02", fr.index) == full.frame_id("id02", fr.index)
+        assert np.array_equal(clip.gt_image("id02", fr.e, fr.index), fr.image)
+
+
+def test_eval_of_a_two_identity_copy_scores_as_the_full_eval(three_ids, tmp_path, capsys):
+    data, ckpt = three_ids
+    part = _copy_identities(data, ["id00", "id02"], tmp_path / "part")
+    matrices = []
+    for d in (data, part):
+        out = tmp_path / f"eval-{d.name}"
+        assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(d),
+                         "--out", str(out)]) == 0
+        matrices.append(json.loads((out / "summary.json").read_text())["transfer_psnr"])
+    full, sub = matrices
+    assert sub == [[full[j][i] for i in (0, 2)] for j in (0, 2)]
+
+
+def _rename_identity(data, old, new):
+    """Move identity `old`'s directory and meta.json name to `new`; its meta.json path."""
+    (data / old).rename(data / new)
+    meta_path = data / new / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["name"] = new
+    meta_path.write_text(json.dumps(meta))
+    return meta_path
+
+
+@pytest.mark.parametrize("name", ["id", "idx", "ID01", "id-1", "id+1", "id١", "face01"])
+def test_a_name_that_is_not_id_and_a_decimal_index_exit_2(name, tiny_data, tiny_cfg_file,
+                                                          tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    meta_path = _rename_identity(data, "id01", name)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--set", "train.steps=1", "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path), f"name {name!r}")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_two_directories_with_one_scene_index_exit_2(tiny_data, tiny_cfg_file, tmp_path,
+                                                     capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    shutil.copytree(data / "id01", data / "id01-copy")
+    meta_path = _rename_identity(data, "id01-copy", "id1")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny_cfg_file), "--data", str(data),
+                     "--set", "train.steps=1", "--out", str(tmp_path / "m.ckpt")]) == 2
+    _one_line_error(capsys, str(meta_path), str(data / "id01" / "meta.json"), "scene index 1")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_an_index_past_the_frame_word_exit_2(tiny_data, tiny_ckpt, tmp_path, capsys):
+    # id{25 digits} * GT_FRAME_STRIDE does not fit the 64-bit frame word of the pixel streams
+    name = "id" + "9" * 25
+    clip = _copy_identities(tiny_data, ["id01"], tmp_path / "clip")
+    _rename_identity(clip, "id01", name)
+    capsys.readouterr()
+    assert cli.main(["personalize", "--ckpt", str(tiny_ckpt), "--data", str(clip),
+                     "--identity", name, "--steps", "1", "--out", str(tmp_path / "p.ckpt")]) == 2
+    _one_line_error(capsys, "frame word")
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+def test_train_on_gen_data_of_101_identities_equals_train(tiny_cfg_file, tmp_path, capsys):
+    # load_dataset orders identities by scene index, so id100 follows id99, not id10
+    small = ["--set", "scene.n_identities=101", "--set", "scene.n_frames=2",
+             "--set", "scene.resolution=6", "--set", "scene.gt_samples=8"]
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(tiny_cfg_file), *small,
+                     "--out", str(data)]) == 0
+    assert [idn.index for idn in load_dataset(data).identities] == list(range(101))
+    blobs = []
+    for tag, extra in (("own", []), ("data", ["--data", str(data)])):
+        ckpt = tmp_path / f"{tag}.ckpt"
+        assert cli.main(["train", "--config", str(tiny_cfg_file), *small, *extra,
+                         "--out", str(ckpt)]) == 0
+        blobs.append(ckpt.read_bytes())
+    assert blobs[0] == blobs[1]

@@ -185,7 +185,7 @@ def test_ground_truth_render_matches_per_ray_loops(setup):
     _, ds, _ = setup
     scene, k, f = ds.scene, 1, 2
     frame = ds.identities[k].frames[f]
-    fid = k * sc.GT_FRAME_STRIDE + f
+    fid = ds.frame_id("id01", f)
 
     def analytic(X, V):
         return sc.analytic_field(scene, k, frame.e, X)
@@ -260,7 +260,7 @@ def test_training_loss_and_gradients_match_per_ray_loops(setup, monkeypatch):
     frame = ds.identities[k].frames[f]
     H = W = ds.resolution
     rows, cols = tr._sample_pixels(rng, frame.box, H, W, 9, 3)
-    fid = k * sc.GT_FRAME_STRIDE + f
+    fid = ds.frame_id("id01", f)
     id_name, lat_name = "identity.id01", f"latent.id01.{f:04d}"
     names = sorted(n for n in state.params if n.startswith(("cond.", "coarse.", "fine.")))
     names += [id_name, lat_name]
@@ -306,7 +306,7 @@ def test_training_binding_renders_the_model_frame(setup, sets):
     idn = ds.identities[k]
     fidx = idn.test_idx[0]
     frame = idn.frames[fidx]
-    fid = k * sc.GT_FRAME_STRIDE + fidx
+    fid = ds.frame_id(idn.name, fidx)
     tape = ad.Tape()
     params = {n: ad.leaf(tape, v) for n, v in state.params.items()}
     lat = ad.leaf(tape, np.zeros(state.cfg["conditioning"]["d_latent"]))

@@ -53,7 +53,7 @@ def test_deformed_support_stays_in_bounds():
     rng = np.random.default_rng(2)
     spec = sc.sample_scene(4, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
     margin = sc.deformation_margin(spec)
-    for idp in spec.identities:
+    for idp in spec.identities.values():
         assert np.max(idp.semi_axes) + margin < 1.0
     # worst-case expression: densities vanish outside the bound
     shell = np.array([[0.99, 0.0, 0.0], [0.0, -0.99, 0.0], [0.7, 0.7, 0.0]])
@@ -83,7 +83,7 @@ def test_gt_frame_self_consistency():
     ds = _tiny(seed=5)
     fr = ds.identities[1].frames[3]
     again = sc.render_gt_frame(ds.scene, 1, fr.e, fr.pose, ds.t_near, ds.t_far,
-                               ds.gt_samples, ds.seed, 1 * sc.GT_FRAME_STRIDE + 3)
+                               ds.gt_samples, ds.seed, ds.frame_id("id01", 3))
     assert np.array_equal(fr.image, ppm.from_u8(ppm.to_u8(again)))
     assert np.array_equal(fr.image, ds.gt_image("id01", fr.e, 3))
 
@@ -219,8 +219,8 @@ def _scene_with(e_scale, density_scale=None, seed=15):
     spec = sc.sample_scene(1, 8, rng, BG, deform_budget=0.5, tint_strength=0.35)
     if density_scale is not None:
         idp = spec.identities[0]
-        spec = sc.SceneSpec(modes=spec.modes, background=spec.background, identities=[
-            sc.IdentityParams(idp.semi_axes, idp.base_color, density_scale)])
+        spec = sc.SceneSpec(modes=spec.modes, background=spec.background, identities={
+            0: sc.IdentityParams(idp.semi_axes, idp.base_color, density_scale)})
     e = rng.uniform(-1.0, 1.0, 8)
     return spec, e_scale * e / np.max(np.abs(e))
 

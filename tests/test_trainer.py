@@ -322,7 +322,7 @@ def test_personalize_freeze_and_locality(tiny_ds, unseen_clip):
     assert not np.array_equal(out.params["coarse.W0"], state.params["coarse.W0"])
 
 
-def test_frame_picks_follow_the_step_streams(tiny_ds, monkeypatch):
+def test_frame_picks_follow_the_step_streams(tiny_ds, unseen_clip, monkeypatch):
     # the (identity, frame) and pixel-stream frame id each step trains on, against
     # the rule written out here; no training value enters the picks
     seen = []
@@ -347,6 +347,13 @@ def test_frame_picks_follow_the_step_streams(tiny_ds, monkeypatch):
     key = philox_key(cfg["seed"] ^ 0x5045)
     want = [train_idx[step_rng(key, s).integers(len(train_idx))] for s in range(4)]
     assert seen == [("identity.id01", f, sc.GT_FRAME_STRIDE + f) for f in want]
+
+    # a clip of one identity keeps its scene index, hence its pixel streams
+    seen.clear()
+    train_idx = unseen_clip.by_name("id02").train_idx
+    tr.personalize(state, unseen_clip, "id02", steps=4, lr=1e-3)
+    want = [train_idx[step_rng(key, s).integers(len(train_idx))] for s in range(4)]
+    assert seen == [("identity.id02", f, 2 * sc.GT_FRAME_STRIDE + f) for f in want]
 
 
 def test_personalize_writes_adam_state(tiny_ds, unseen_clip):
