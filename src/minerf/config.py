@@ -28,7 +28,6 @@ SCHEMA = {
         "n_identities": (2, "> 0"),
         "n_frames": (60, "> 0"),
         "resolution": (32, "> 0"),
-        "d_expression": (8, "> 0"),
         "orbit_radius": (2.8, "> 0"),
         "orbit_elevation": (0.35, None),
         "focal_factor": (1.2, "> 0"),
@@ -157,8 +156,6 @@ def validate(cfg: dict) -> dict:
     if cfg["train"]["lr1"] >= cfg["train"]["lr0"]:
         raise ConfigError("train.lr1 must be below train.lr0 (decaying schedule)")
     cc = cfg["conditioning"]
-    if cc["d"] != cfg["scene"]["d_expression"]:
-        raise ConfigError("conditioning.d must equal scene.d_expression")
     check_variant_dims(cc["variant"], cc["d"], cc["k"], cc["o"], cc["d_latent"])
     return cfg
 

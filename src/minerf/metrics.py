@@ -111,11 +111,10 @@ def _renders(state, dataset, source_name: str, target_name: str, frame_indices):
         yield fidx, pred, gt
 
 
-def transfer_eval(state, dataset, source_name: str, target_name: str,
-                  frame_indices=None) -> float:
+def transfer_eval(state, dataset, source_name: str, target_name: str) -> float:
     """Mean PSNR of `target` driven by `source`'s expressions, on the source's
-    held-out frames by default; source == target gives evaluate_images' PSNRs."""
-    picks = dataset.by_name(source_name).test_idx if frame_indices is None else frame_indices
+    held-out frames; source == target gives evaluate_images' PSNRs."""
+    picks = dataset.by_name(source_name).test_idx
     return float(np.mean([psnr(pred, gt) for _, pred, gt
                           in _renders(state, dataset, source_name, target_name, picks)]))
 

@@ -296,7 +296,7 @@ def _crosses_box(origin, dirs: np.ndarray, half_extent, t_near: float,
 
 def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
                  n_coarse: int, n_fine: int = 0, fine_field_fn=None,
-                 background, seed: int = 0, frame_index: int = 0,
+                 background, seed: int, frame_index: int,
                  return_depth: bool = False, support=None):
     """Render every pixel of one frame, row-major, through render_rays.
 

@@ -3,7 +3,9 @@
 Stands in for tracked video: each identity is an analytic ellipsoid density
 with its own semi-axes, color, and density scale; a global bank of radial
 bump modes deforms the lookup point and tints a patch of the surface, driven
-by a per-frame expression vector. render_gt_frame renders the analytic field
+by a per-frame expression vector, one entry per mode. The config's
+conditioning.d is the mode count, so the model reads that same vector as its
+expression code. render_gt_frame renders the analytic field
 in float64 with a high sample count; Dataset.gt_image rounds that render to
 8 bits and is the one ground truth: dataset_from_config's frames, the PPMs
 gen-data writes and the transfer matrix's cross-identity targets. So `train`
@@ -264,11 +266,12 @@ def project_box(pose: CameraPose, half_extent: np.ndarray):
 
 
 def dataset_from_config(cfg: dict, render_images: bool = True) -> Dataset:
-    """Scene, trajectories, poses and ground-truth frames of cfg's scene section;
+    """Scene, trajectories, poses and ground-truth frames of cfg's scene section,
+    with conditioning.d expression modes (the model's expression width);
     deterministic per cfg["seed"]. ConfigError when the camera orbit reaches into
     the near bound (t_near <= 0)."""
-    s, seed = cfg["scene"], cfg["seed"]
-    n_frames, resolution, d = s["n_frames"], s["resolution"], s["d_expression"]
+    s, seed, d = cfg["scene"], cfg["seed"], cfg["conditioning"]["d"]
+    n_frames, resolution = s["n_frames"], s["resolution"]
     scene_rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     scene = sample_scene(s["n_identities"], d, scene_rng, s["background"],
@@ -432,7 +435,8 @@ def _relations(meta: dict, dir_name: str) -> None:
 def load_dataset(in_dir) -> Dataset:
     """Read a saved dataset. ConfigError names the file when a meta.json is not
     JSON, breaks a row of _META or a rule of _relations, has a frame pose whose R
-    is not a rotation (CameraPose.validate), names the scene index of an earlier
+    is not a rotation (CameraPose.validate), has a last frame id (Dataset.frame_id)
+    past the pixel streams' 64-bit frame word, names the scene index of an earlier
     directory (id2 after id02), or has _SHARED keys that differ from the first
     identity's; and names the PPM when a frame has none or one whose size is not
     its pose's. Identities come in scene-index order (id2 before id10), as
@@ -463,6 +467,10 @@ def load_dataset(in_dir) -> Dataset:
             raise ConfigError(f"bad dataset metadata {meta_path} "
                               f"({type(exc).__name__}: {exc})") from None
         index = int(meta["name"][2:])
+        last = index * GT_FRAME_STRIDE + len(frames) - 1
+        if last >> 64:
+            raise ConfigError(f"bad dataset metadata {meta_path} (last frame id {last} "
+                              f"does not fit the pixel streams' 64-bit frame word)")
         if index in params:
             twin = next(idn.name for idn in identities if idn.index == index)
             raise ConfigError(f"bad dataset metadata {meta_path} (scene index {index} is "

@@ -21,7 +21,8 @@ With the codes (shapes from _CODE_DIMS) they live in a flat name -> float64
 dict; each step binds the needed ones as tape leaves and passes the rest as
 arrays. _layout is the one statement of the checkpoint payload, whose shapes
 follow from the header's config and Adam-count names; the header adds only
-the format tag, the step and the payload's CRC32. Both passes
+the format tag, the step and a CRC32 over the rest of the header and the
+payload. Both passes
 composite through composite_rays_tape, the compositor as one tape node.
 Fine-sample positions are stopped gradients (resampling reads coarse weights
 as plain values), the standard estimator.
@@ -49,7 +50,7 @@ from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F
                        render_rays, step_rng)
 from .synthscene import Dataset
 
-CKPT_FORMAT = "minerf-ckpt-v2"
+CKPT_FORMAT = "minerf-ckpt-v3"
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +216,29 @@ def _layout(shapes: dict) -> tuple[list, int]:
     return rows, size
 
 
+def _header_line(header: dict) -> bytes:
+    """header as the checkpoint writes it: sorted-key JSON and a newline."""
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def _crc32(header: dict, payload: bytes) -> int:
+    """zlib.crc32 of _header_line(header without crc32), then the payload."""
+    rest = {k: v for k, v in header.items() if k != "crc32"}
+    return zlib.crc32(payload, zlib.crc32(_header_line(rest)))
+
+
 def save_checkpoint(path, state: TrainState):
     """One JSON header line {format, step, config, adam_t, crc32}, then the
-    payload: _layout of the params' shapes, whose zlib.crc32 is crc32."""
+    payload: _layout of the params' shapes. crc32 is _crc32 of both."""
     rows, _ = _layout({n: a.shape for n, a in state.params.items()})
     stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
     payload = b"".join(np.ascontiguousarray(stores[kind][n], dtype="<f8").tobytes()
                        for kind, n, _, _ in rows)
     header = {"format": CKPT_FORMAT, "step": state.step, "config": state.cfg,
-              "adam_t": state.adam_t, "crc32": zlib.crc32(payload)}
+              "adam_t": state.adam_t}
+    header["crc32"] = _crc32(header, payload)
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
+        f.write(_header_line(header))
         f.write(payload)
 
 
@@ -234,7 +246,9 @@ def load_checkpoint(path) -> TrainState:
     """Read a checkpoint; ConfigError naming the file unless its header has
     exactly save_checkpoint's keys, its config is valid, its step, Adam counts
     and crc32 are JSON integers >= 0, the Adam counts' names (model_shapes's
-    and codes) give a _layout of the payload's size, and the payload's CRC32
+    and codes) give a _layout of the payload's size, the header line is
+    _header_line of what it parses to (so the CRC, taken over that
+    serialization, sees every header byte), and _crc32 of header and payload
     is crc32. No array is read before all of that holds."""
     with open(path, "rb") as f:
         first = f.readline()
@@ -264,10 +278,13 @@ def load_checkpoint(path) -> TrainState:
     if len(payload) != size:
         raise ConfigError(f"checkpoint {path}: {len(payload)} payload bytes, "
                           f"its layout has {size}")
-    crc = zlib.crc32(payload)
+    if first != _header_line(header):
+        raise ConfigError(f"checkpoint {path}: header line is not the sorted-key JSON "
+                          f"it parses to")
+    crc = _crc32(header, payload)
     if crc != header["crc32"]:
-        raise ConfigError(f"checkpoint {path}: payload CRC32 {crc} is not the header's "
-                          f"{header['crc32']}")
+        raise ConfigError(f"checkpoint {path}: CRC32 {crc} of header and payload is not "
+                          f"the header's {header['crc32']}")
     stores = {"param": state.params, "m": state.adam_m, "v": state.adam_v}
     for kind, n, shape, offset in rows:
         stores[kind][n] = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)),

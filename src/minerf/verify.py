@@ -349,7 +349,7 @@ def suite_render(cases: int = 100) -> dict:
     culled = synthscene.render_gt_frame(spec, 0, e, pose, 1.4, 4.2, 64, 0, 0)
     dense = renderer.render_image(lambda X, dirs: synthscene._analytic_kernel(spec, 0, e, X),
                                   pose, t_near=1.4, t_far=4.2, n_coarse=64,
-                                  background=spec.background)
+                                  background=spec.background, seed=0, frame_index=0)
     differ = int(np.sum(culled.view(np.uint64) != dense.view(np.uint64)))
     checks.append({"name": "support_culling_exact", "passed": differ == 0,
                    "max_err": float(differ), "tol": 0.0})
@@ -367,8 +367,8 @@ def suite_render(cases: int = 100) -> dict:
     pose = synthscene.orbit_pose(1, 8, 2.8, 0.35, 40, focal_factor=1.2)
     kw = {"t_near": 1.4, "t_far": 4.2, "n_coarse": cfg["render"]["n_coarse"],
           "n_fine": cfg["render"]["n_fine"], "background": spec.background}
-    img, depth = renderer.render_image(coarse_fn, pose, fine_field_fn=fine_fn,
-                                       return_depth=True, **kw)
+    img, depth = renderer.render_image(coarse_fn, pose, fine_field_fn=fine_fn, seed=0,
+                                       frame_index=0, return_depth=True, **kw)
     rows, cols = np.divmod(np.arange(40 * 40), 40)
     colors, ts, w = renderer.render_rays(pose, rows, cols, key=renderer.philox_key(0), step=0,
                                          frame=0, coarse_fn=coarse_fn, fine_fn=fine_fn,

@@ -1,5 +1,7 @@
 import json
+import re
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from minerf import cli, config, metrics, ppm, trainer, verify
 from minerf import conditioning as cond
 from minerf.errors import ConfigError, UsageError
-from minerf.synthscene import load_dataset
+from minerf.synthscene import GT_FRAME_STRIDE, load_dataset
 
 TINY = {
     "scene": {"n_identities": 2, "n_frames": 6, "resolution": 10, "gt_samples": 32},
@@ -685,6 +687,32 @@ def test_edited_checkpoint_config_exit_2(section, key, value, needle, tiny_ckpt,
     _one_line_error(capsys, str(edited), needle)
 
 
+def _header_with_d_expression(ckpt, fmt):
+    """ckpt's header under format tag fmt, its config naming scene.d_expression as
+    older configs did, and a crc32 its format would accept; the payload as is."""
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    meta["format"] = fmt
+    meta["config"]["scene"]["d_expression"] = meta["config"]["conditioning"]["d"]
+    meta["crc32"] = (zlib.crc32(payload) if fmt == "minerf-ckpt-v2"
+                     else trainer._crc32(meta, payload))
+    return json.dumps(meta, sort_keys=True).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("fmt, needle", [("minerf-ckpt-v2", "minerf-ckpt-v3"),
+                                         ("minerf-ckpt-v3", "scene.d_expression")])
+def test_checkpoint_naming_scene_d_expression_exit_2(fmt, needle, tiny_ckpt, tmp_path,
+                                                     capsys):
+    # a v2 file exits on its tag; a v3 header with the key exits on the key
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_header_with_d_expression(tiny_ckpt, fmt))
+    capsys.readouterr()
+    assert cli.main(["render", "--ckpt", str(old), "--identity", "id00", "--frames", "0",
+                     "--out", str(tmp_path / "r")]) == 2
+    _one_line_error(capsys, str(old), needle)
+    assert not (tmp_path / "r").exists()
+
+
 def test_checkpoint_personalized_latent_shape_checked(tiny_ckpt, tmp_path):
     state = trainer.load_checkpoint(tiny_ckpt)
     d_latent = state.cfg["conditioning"]["d_latent"]
@@ -766,9 +794,34 @@ def data_d4(tmp_path_factory):
     cfg = tmp_path_factory.mktemp("d4") / "cfg.json"
     cfg.write_text(json.dumps(TINY))
     data = cfg.parent / "data"
-    assert cli.main(["gen-data", "--config", str(cfg), "--set", "scene.d_expression=4",
-                     "--set", "conditioning.d=4", "--out", str(data)]) == 0
+    assert cli.main(["gen-data", "--config", str(cfg), "--set", "conditioning.d=4",
+                     "--out", str(data)]) == 0
     return data
+
+
+def test_conditioning_d_sizes_the_scene_and_the_model(data_d4, tmp_path):
+    # one expression width: gen-data's mode bank and trajectories, and the model it trains
+    meta = json.loads((data_d4 / "id00" / "meta.json").read_text())
+    assert all(len(meta["modes"][k]) == 4 for k in meta["modes"])
+    assert {len(fr["e"]) for fr in meta["frames"]} == {4}
+    cfg = data_d4.parent / "cfg.json"
+    ckpt = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--config", str(cfg), "--set", "conditioning.d=4",
+                     "--data", str(data_d4), "--out", str(ckpt)]) == 0
+    assert trainer.load_checkpoint(ckpt).params["identity.id00"].shape == (4,)
+
+
+@pytest.mark.parametrize("how", ["file", "set"])
+def test_scene_d_expression_is_an_unknown_key_exit_2(how, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "scene": {**TINY["scene"], "d_expression": 8}}
+                              if how == "file" else TINY))
+    extra = ["--set", "scene.d_expression=8"] if how == "set" else []
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / "data")]) == 2
+    _one_line_error(capsys, "scene.d_expression")
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "render", "personalize"])
@@ -1037,8 +1090,23 @@ def test_an_index_past_the_frame_word_exit_2(tiny_data, tiny_ckpt, tmp_path, cap
     capsys.readouterr()
     assert cli.main(["personalize", "--ckpt", str(tiny_ckpt), "--data", str(clip),
                      "--identity", name, "--steps", "1", "--out", str(tmp_path / "p.ckpt")]) == 2
-    _one_line_error(capsys, "frame word")
+    _one_line_error(capsys, str(clip / name / "meta.json"), "frame word")
     assert not (tmp_path / "p.ckpt").exists()
+
+
+def test_the_largest_index_that_fits_the_frame_word_loads(tiny_data, tiny_ckpt, tmp_path):
+    # its last frame id is the largest that fits 64 bits; one index more does not fit
+    n_frames = TINY["scene"]["n_frames"]
+    top = (2**64 - n_frames) // GT_FRAME_STRIDE
+    clip = _copy_identities(tiny_data, ["id01"], tmp_path / "clip")
+    name = f"id{top}"
+    _rename_identity(clip, "id01", name)
+    assert load_dataset(clip).frame_id(name, n_frames - 1) < 2**64
+    assert cli.main(["personalize", "--ckpt", str(tiny_ckpt), "--data", str(clip),
+                     "--identity", name, "--steps", "1", "--out", str(tmp_path / "p.ckpt")]) == 0
+    meta_path = _rename_identity(clip, name, f"id{top + 1}")
+    with pytest.raises(ConfigError, match=re.escape(str(meta_path))):
+        load_dataset(clip)
 
 
 def test_train_on_gen_data_of_101_identities_equals_train(tiny_cfg_file, tmp_path, capsys):

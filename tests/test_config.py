@@ -31,8 +31,6 @@ OTHERS = [leaf for leaf in LEAVES if type(leaf[1]) not in (int, float)]
 COMPANIONS = {
     "train.lr0": lambda v: [f"train.lr1={v / 2!r}"],
     "train.lr1": lambda v: [f"train.lr0={2 * v!r}"],
-    "scene.d_expression": lambda v: [f"conditioning.d={v}"],
-    "conditioning.d": lambda v: [f"scene.d_expression={v}"],
     "field.color_hidden": lambda v: [] if v > 0 else ["field.color_layers=0"],
 }
 

@@ -266,7 +266,7 @@ def test_render_zero_field_is_background():
     img = rd.render_image(_const_field(lambda X: (np.zeros((X.shape[0], 3)),
                                                   np.zeros(X.shape[0]))),
                           pose, t_near=1.0, t_far=3.0, n_coarse=8,
-                          background=bg, seed=0)
+                          background=bg, seed=0, frame_index=0)
     assert np.allclose(img, np.broadcast_to(bg, (4, 4, 3)), atol=1e-15)
 
 
@@ -275,7 +275,7 @@ def test_render_doubling_samples_converges():
     field = _const_field(lambda X: (np.tile([0.5, 0.2, 0.8], (X.shape[0], 1)),
                                     np.full(X.shape[0], 1.5)))
     imgs = {n: rd.render_image(field, pose, t_near=1.0, t_far=3.0, n_coarse=n,
-                               background=np.zeros(3), seed=0)
+                               background=np.zeros(3), seed=0, frame_index=0)
             for n in (256, 512)}
     assert np.max(np.abs(imgs[256] - imgs[512])) < 1e-3
 
@@ -345,6 +345,7 @@ def test_model_frame_peak_memory_does_not_grow_with_the_frame(toy_model):
     _, kw, (coarse_fn, fine_fn), _ = toy_model
     peaks = {res: _traced_peak(lambda: rd.render_image(
         coarse_fn, synthscene.orbit_pose(0, 2, 2.8, 0.35, res, focal_factor=1.2),
-        fine_field_fn=fine_fn, return_depth=True, **kw)) for res in (32, 96)}
+        fine_field_fn=fine_fn, seed=0, frame_index=0, return_depth=True, **kw))
+        for res in (32, 96)}
     # 9x the pixels; a whole-frame render_rays call peaks about 9x higher
     assert peaks[96] < 1.3 * peaks[32], peaks

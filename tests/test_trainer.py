@@ -404,9 +404,10 @@ CORRUPTIONS = {
     "garbage": lambda p: bytes(range(256)) * 4,
     "bad_utf8": lambda p: b"\xff\xfe{}\n" + _split_ckpt(p)[1],
     "not_json": lambda p: b"{oops\n" + _split_ckpt(p)[1],
-    "wrong_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v2", b"minerf-ckpt-v0", 1),
-    # there is no v1 reader: a v1 file exits on its tag
-    "v1_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v2", b"minerf-ckpt-v1", 1),
+    "wrong_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v3", b"minerf-ckpt-v0", 1),
+    # there is no v1 or v2 reader: such a file exits on its tag
+    "v1_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v3", b"minerf-ckpt-v1", 1),
+    "v2_format": lambda p: p.read_bytes().replace(b"minerf-ckpt-v3", b"minerf-ckpt-v2", 1),
     "unknown_name": _edit_header(_unknown),
     "trailing_payload_bytes": lambda p: p.read_bytes() + bytes(8),
     "string_step": _edit_header(lambda h: h.update(step="7")),
@@ -453,7 +454,7 @@ def test_every_payload_byte_flip_is_refused(tmp_path):
     # the smallest model: 1 identity, every width 1 or 2, so every byte is a fast load
     cfg = cfg_mod.load_config(sets=[
         "scene.n_identities=1", "scene.n_frames=2", "scene.resolution=4",
-        "scene.d_expression=1", "scene.gt_samples=4", "conditioning.d=1", "conditioning.k=1",
+        "scene.gt_samples=4", "conditioning.d=1", "conditioning.k=1",
         "conditioning.o=1", "conditioning.d_latent=1", "field.layers=1", "field.hidden=2",
         "field.Lx=0", "field.Lv=0", "field.color_layers=0"])
     ds = sc.dataset_from_config(cfg, render_images=False)
@@ -461,12 +462,23 @@ def test_every_payload_byte_flip_is_refused(tmp_path):
     tr.save_checkpoint(path, tr.init_state(cfg, ds))
     blob = path.read_bytes()
     start = blob.index(b"\n") + 1
-    assert 500 < len(blob) - start < 2000
+    assert 500 < start < 2000 and 500 < len(blob) - start < 2000
     bad = tmp_path / "bad.ckpt"
-    for pos in range(start, len(blob)):
-        bad.write_bytes(blob[:pos] + bytes([blob[pos] ^ 0xFF]) + blob[pos + 1:])
-        with pytest.raises(ConfigError, match=re.escape(f"{bad}: payload CRC32")):
+
+    def refused(edited, message):
+        bad.write_bytes(edited)
+        with pytest.raises(ConfigError, match=re.escape(message)):
             tr.load_checkpoint(bad)
+
+    for pos in range(start, len(blob)):
+        refused(blob[:pos] + bytes([blob[pos] ^ 0xFF]) + blob[pos + 1:], f"{bad}: CRC32")
+    # every header byte, by flips that keep it ASCII ("seed": 0 -> "seed": 1 among them)
+    assert b'"seed": 0' in blob[:start]
+    for pos in range(start):
+        refused(blob[:pos] + bytes([blob[pos] ^ 0x01]) + blob[pos + 1:], str(bad))
+    # a spelling that parses to the same header
+    assert blob.count(b"1e-08") == 1
+    refused(blob.replace(b"1e-08", b"1E-08"), f"{bad}: header line")
 
 
 def test_personalize_needs_frames(tiny_ds):
