@@ -31,6 +31,13 @@ those of the wrt nodes, so the sweep holds the adjoints that still await a
 consumer rather than one per node (Griewank & Walther, "Evaluating
 Derivatives", 2008). Freed memory stays in the process (_keep_freed_heap),
 so peak RSS is the largest transient: a step's tape plus its live adjoints.
+
+Every adjoint has one owner. A VJP owns the adjoint it receives and may
+overwrite it (linear masks relu in place); each array it returns is new or
+a view of that adjoint, never a tape value or a read-only broadcast. grad
+keeps the rule: it copies an output that shares memory with one the same
+VJP already returned (add's g, g), hands a wrt node's VJP a copy so the
+gradient it returns stays intact, and sums fan-in into the adjoint it holds.
 """
 
 from __future__ import annotations
@@ -296,7 +303,7 @@ def linear(parts: Sequence, W, bias, relu: bool = False):
 
     def vjp(g):
         if relu:
-            g = g * (out > 0.0)
+            np.multiply(g, out > 0.0, out=g)
         gs = g.sum(axis=0)
         gW = np.concatenate([P.T @ g if P.ndim == 2 else np.outer(P, gs)
                              for P in Pvs]) if nW else None
@@ -312,6 +319,8 @@ def linear(parts: Sequence, W, bias, relu: bool = False):
 def sum_(a, axis=None):
     av = value(a)
 
+    # copied: broadcast_to is a read-only view that repeats g's values, and
+    # the adjoint's new owner may write into it (a relu mask, fan-in)
     def vjp(g):
         if axis is None:
             return (np.broadcast_to(g, av.shape).copy(),)
@@ -370,6 +379,14 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
     once its VJP has run, unless the node is in wrt, so the sweep holds the
     adjoints of the nodes between it and their consumers rather than one per
     node. The tape itself is left as it was: it can be differentiated again.
+
+    Each adjoint has one owner, so the sweep writes in place: a VJP may
+    overwrite the adjoint it is handed and returns new arrays or views of
+    it; an output sharing memory with an earlier output of the same VJP is
+    copied, a wrt node's VJP gets a copy of its adjoint, and fan-in adds
+    into the parent's adjoint (adj += pg, the same sum as adj + pg). The
+    gradients of distinct wrt nodes share no memory with each other or
+    with the tape.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise UsageError("grad output must be a Var of this tape")
@@ -387,12 +404,21 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
         node = tape.nodes[idx]
         if not node.parents:
             continue
+        if idx in keep:
+            g = g.copy()
+        else:
+            adj[idx] = None
+        handed: list = []
         for pidx, pg in zip(node.parents, node.vjp(g)):
             if pg is None or pidx < 0:
                 continue
-            adj[pidx] = pg if adj[pidx] is None else adj[pidx] + pg
-        if idx not in keep:
-            adj[idx] = None
+            if any(np.may_share_memory(pg, h) for h in handed):
+                pg = pg.copy()
+            handed.append(pg)
+            if adj[pidx] is None:
+                adj[pidx] = pg
+            else:
+                adj[pidx] += pg
     return [np.zeros_like(w.value) if adj[w.idx] is None
             else np.asarray(adj[w.idx], dtype=np.float64) for w in wrt]
 

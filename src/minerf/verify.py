@@ -265,6 +265,26 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
         worst = max(worst, rep.max_rel_err)
     checks.append(_check("fd_composite", worst, 1e-5))
 
+    # fan-out then fan-in, each adjoint written in place: add hands one adjoint
+    # to two relu layers of one input, each masks what it receives, and their
+    # input gradients sum into one slot (own generator, away from relu's kink)
+    worst = 0.0
+    r = _rng(17)
+    for _ in range(per_primitive):
+        n, k, m = (int(r.integers(2, 5)) for _ in range(3))
+        while True:
+            P, Wu, bu, Wv, bv = (r.standard_normal(shape)
+                                 for shape in ((n, k), (k, m), m, (k, m), m))
+            if min(np.min(np.abs(P @ Wu + bu)), np.min(np.abs(P @ Wv + bv))) > 1e-2:
+                break
+        w = r.standard_normal((n, m))
+        rep = ad.finite_diff_check(
+            lambda Pv, Wuv, buv, Wvv, bvv: ad.sum_(ad.mul(ad.add(
+                ad.linear([Pv], Wuv, buv, True), ad.linear([Pv], Wvv, bvv, True)), w)),
+            [P, Wu, bu, Wv, bv])
+        worst = max(worst, rep.max_rel_err)
+    checks.append(_check("fan_out_in_place", worst, 1e-5))
+
     return {"suite": "autodiff", "passed": all(c["passed"] for c in checks),
             "checks": checks}
 

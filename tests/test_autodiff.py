@@ -196,6 +196,62 @@ def test_grad_of_a_non_leaf_wrt():
     assert gout == 1.0
 
 
+def _fan_out(rng, n=6, k=3, m=4):
+    """L = sum((u + v) * s) for relu layers u, v of one input P: add hands one
+    adjoint to both layers, and each masks the adjoint it receives."""
+    t = ad.Tape()
+    P, Wu, bu, Wv, bv = (ad.leaf(t, rng.standard_normal(shape))
+                         for shape in ((n, k), (k, m), (m,), (k, m), (m,)))
+    s = rng.standard_normal((n, m))
+    u = ad.linear([P], Wu, bu, relu=True)
+    v = ad.linear([P], Wv, bv, relu=True)
+    uv = ad.add(u, v)
+    return t, ad.sum_(ad.mul(uv, s)), s, (P, Wu, bu, Wv, bv, u, v, uv)
+
+
+def test_fan_out_gradients_equal_their_closed_forms():
+    # without a copy on fan-out, v's in-place mask would reach u's adjoint too
+    t, out, s, (P, Wu, bu, Wv, bv, u, v, _) = _fan_out(np.random.default_rng(5))
+    gu, gv = s * (u.value > 0.0), s * (v.value > 0.0)
+    assert not np.array_equal(gu, gv)
+    grads = ad.grad(t, out, [P, Wu, bu, Wv, bv])
+    closed = [gv @ Wv.value.T + gu @ Wu.value.T,
+              P.value.T @ gu, gu.sum(axis=0), P.value.T @ gv, gv.sum(axis=0)]
+    for g, c in zip(grads, closed):
+        assert g.tobytes() == c.tobytes()
+
+
+def test_a_relu_output_in_wrt_keeps_its_adjoint_before_the_mask():
+    # linear masks the adjoint it receives in place; a wrt node's VJP gets a copy
+    rng = np.random.default_rng(6)
+    t = ad.Tape()
+    x = rng.standard_normal((5, 3))
+    W, b = ad.leaf(t, rng.standard_normal((3, 4))), ad.leaf(t, rng.standard_normal(4))
+    s = rng.standard_normal((5, 4))
+    h = ad.linear([x], W, b, relu=True)
+    gh, gW, gb = ad.grad(t, ad.sum_(ad.mul(h, s)), [h, W, b])
+    assert np.array_equal(gh, s) and np.any(h.value == 0.0)
+    masked = s * (h.value > 0.0)
+    assert gW.tobytes() == (x.T @ masked).tobytes()
+    assert gb.tobytes() == masked.sum(axis=0).tobytes()
+
+
+def test_grad_twice_is_byte_identical_and_leaves_the_tape_as_it_was():
+    t, out, s, nodes = _fan_out(np.random.default_rng(7))
+    before = [v.copy() for v in t.values]
+    first = ad.grad(t, out, nodes)
+    second = ad.grad(t, out, nodes)
+    assert [g.tobytes() for g in first] == [g.tobytes() for g in second]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, t.values))
+    # add hands s to both layers and to its own slot, each before any mask
+    for g in first[5:]:
+        assert np.array_equal(g, s)
+    # one owner per gradient: none shares memory with another or with the tape
+    for i, g in enumerate(first):
+        assert not any(np.may_share_memory(g, h) for h in first[i + 1:] + second)
+        assert not any(np.may_share_memory(g, v) for v in t.values)
+
+
 def _grad_peak(depth, n=4096, m=16):
     """tracemalloc's peak over ad.grad through depth equal relu layers (n, m)."""
     rng = np.random.default_rng(2)
@@ -218,6 +274,13 @@ def test_grad_peak_memory_does_not_grow_with_the_tape():
     # at most a few adjoints' worth, where keeping them all would add 16
     adjoint = 4096 * 16 * 8
     assert _grad_peak(32) - _grad_peak(16) <= 3 * adjoint
+
+
+def test_grad_peak_holds_about_two_adjoints():
+    # each VJP masks and sums fan-in into the adjoint it owns: the sweep's peak
+    # is the adjoint being consumed and the one its VJP returns, where copying
+    # each mask made it three
+    assert _grad_peak(16) <= 2.25 * (4096 * 16 * 8)
 
 
 def test_grad_full_interaction_module_vs_finite_differences():

@@ -267,6 +267,8 @@ def test_verify_subcommand(tmp_path, capsys):
                for r in report["suites"])
     variants = report["suites"][verify.SUITES.index("variants")]["checks"]
     assert [c["name"] for c in variants] == [f"{v}_vs_loop" for v in cond.VARIANTS]
+    autodiff = report["suites"][verify.SUITES.index("autodiff")]["checks"]
+    assert "fan_out_in_place" in [c["name"] for c in autodiff]
 
 
 @pytest.mark.parametrize("variant", cond.VARIANTS)
