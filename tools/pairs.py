@@ -145,14 +145,21 @@ def _unpack_commit(rev: str, dest: str) -> None:
             tf.extractall(dest)
 
 
-def _copy_working_tree(dest: str) -> None:
-    """The working tree's tracked and untracked, not ignored, files in dest."""
+def _copy_working_tree(dest: str) -> dict:
+    """The working tree's tracked and untracked, not ignored, files in dest.
+
+    Returns the commit they sit on and whether they differ from it, read
+    when they are copied: the tree may change while the pairs run.
+    """
     names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
     for name in filter(None, names):
         src = os.path.join(ROOT, name)
         if os.path.isfile(src):
             os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
             shutil.copy2(src, os.path.join(dest, name))
+    return {"commit": _git("rev-parse", "HEAD").strip(),
+            "working_tree_differs": bool(_git("status", "--porcelain").strip()),
+            "benchmarked": "a copy of the working tree's tracked and untracked files"}
 
 
 def _precompile(root: str, prefix: str) -> None:
@@ -220,7 +227,7 @@ def main(argv=None) -> int:
     try:
         roots = {side: os.path.join(tmp, side) for side in SIDES}
         _unpack_commit(parent, roots["parent"])
-        _copy_working_tree(roots["change"])
+        change = _copy_working_tree(roots["change"])
         prefixes = {side: os.path.join(tmp, f"pycache-{side}") for side in SIDES}
         if args.precompile:
             for side in SIDES:
@@ -249,9 +256,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "order": "alternating; the parent runs first in even pairs (0, 2, ...)",
         "parent": {"rev": args.parent, "commit": parent},
-        "change": {"commit": _git("rev-parse", "HEAD").strip(),
-                   "working_tree_differs": bool(_git("status", "--porcelain").strip()),
-                   "benchmarked": "a copy of the working tree's tracked and untracked files"},
+        "change": change,
         "machine": {"cores": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
                     "blas_threads": threads, "python": platform.python_version()},
         "runs": records,
