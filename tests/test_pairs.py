@@ -104,3 +104,17 @@ def test_summarize_reports_digests_that_differ_and_runs_without_output(case):
         assert s["checks"]["train.loss_falls"]["change_ok"] == 1
     else:
         assert (peak["change_wins"], peak["pairs_compared"]) == (2, 2)
+
+
+def test_peak_rss_steps_compare_plain_and_precompiled_runs():
+    def side(peaks):
+        return [pairs.parse_run(_one(p, 2500.0), "train") for p in peaks]
+
+    plain = pairs.summarize({"parent": side([120.0, 120.2]), "change": side([122.0, 122.2])},
+                            METRICS)
+    pre = pairs.summarize({"parent": side([118.0, 118.2]), "change": side([118.1, 118.1])},
+                          METRICS)
+    steps = pairs.peak_rss_steps(plain, pre)
+    assert steps.keys() == {"train"}
+    assert steps["train"]["plain"] == pytest.approx(2.0)
+    assert steps["train"]["precompiled"] == pytest.approx(0.0)

@@ -129,6 +129,18 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def peak_rss_steps(plain: dict, precompiled: dict) -> dict:
+    """Each workload's change-minus-parent peak_rss_mb median, plain and precompiled."""
+    steps = {}
+    for workload in plain["end_to_end"]:
+        peaks = {mode: s["end_to_end"].get(workload, {}).get("peak_rss_mb")
+                 for mode, s in (("plain", plain), ("precompiled", precompiled))}
+        steps[workload] = {mode: m["change"]["median"] - m["parent"]["median"]
+                           for mode, m in peaks.items()
+                           if m and None not in (m["change"]["median"], m["parent"]["median"])}
+    return steps
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, stdout=subprocess.PIPE,
                           text=True).stdout
@@ -268,16 +280,8 @@ def main(argv=None) -> int:
     }
     if args.precompile:
         pre = summarize(parsed["precompiled"], metrics)
-        step = {}
-        for workload, ms in plain["end_to_end"].items():
-            if "peak_rss_mb" not in ms:
-                continue
-            step[workload] = {}
-            for mode, summary in (("plain", plain), ("precompiled", pre)):
-                m = summary["end_to_end"][workload]["peak_rss_mb"]
-                if m["parent"]["median"] is not None and m["change"]["median"] is not None:
-                    step[workload][mode] = m["change"]["median"] - m["parent"]["median"]
-        report["precompiled"] = {**pre, "peak_rss_mb_change_minus_parent": step}
+        report["precompiled"] = {**pre, "peak_rss_mb_change_minus_parent":
+                                 peak_rss_steps(plain, pre)}
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=False)
         f.write("\n")
