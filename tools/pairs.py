@@ -20,14 +20,17 @@ every run's exit code, correctness, operation counts and wall time; both
 commits; and the machine. It rules on nothing: the bounds stay
 BENCHMARK.json's and the claim stays the reader's.
 
---precompile also runs each side once more in every pair, after compiling
-its `src/` and `perfbench/` modules into a PYTHONPYCACHEPREFIX of its own,
-and adds a `precompiled` block: the same summary over those runs, and each
-workload's change-minus-parent `peak_rss_mb` median without and with the
-precompiled modules. Benchmark runs write no bytecode, so every plain run
-compiles every module; the block shows whether the peak follows that
-compilation or the code that runs. The plain runs alone are the claim's
-runs, since the benchmark itself is run plainly.
+--precompile also runs each side once more in every pair, from a second
+copy whose `src/` and `perfbench/` modules were compiled in advance into
+their own `__pycache__`, and adds a `precompiled` block: the same summary
+over those runs, and each workload's change-minus-parent `peak_rss_mb`
+median without and with the precompiled modules. Benchmark runs write no
+bytecode, so every plain run compiles every module of the repository; the
+block shows whether the peak follows that compilation or the code that
+runs. (A PYTHONPYCACHEPREFIX would not do: it moves the bytecode lookup of
+numpy and the standard library too, so they would be compiled from source
+in every run.) The plain runs alone are the claim's runs, since the
+benchmark itself is run plainly.
 """
 
 from __future__ import annotations
@@ -174,23 +177,27 @@ def _copy_working_tree(dest: str) -> dict:
             "benchmarked": "a copy of the working tree's tracked and untracked files"}
 
 
-def _precompile(root: str, prefix: str) -> None:
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+def _env() -> dict:
+    """This process's environment without a PYTHONPYCACHEPREFIX, which would
+    move where every module's bytecode is read and written."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+
+
+def _precompiled_copy(root: str, dest: str) -> None:
+    """root's files in dest, with src/ and perfbench/ compiled into __pycache__."""
+    shutil.copytree(root, dest)
     subprocess.run([sys.executable, "-m", "compileall", "-q",
-                    os.path.join(root, "src"), os.path.join(root, "perfbench")],
-                   check=True, env=env, stdout=subprocess.DEVNULL)
+                    os.path.join(dest, "src"), os.path.join(dest, "perfbench")],
+                   check=True, env=_env(), stdout=subprocess.DEVNULL)
 
 
-def _run(root: str, workload: str | None, prefix: str | None) -> tuple[dict, dict | None]:
+def _run(root: str, workload: str | None) -> tuple[dict, dict | None]:
     """One run.py in root: (its record, its parsed output or None)."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
-    if prefix:
-        env["PYTHONPYCACHEPREFIX"] = prefix
     cmd = [sys.executable, "perfbench/run.py", "--seed", "1"]
     if workload:
         cmd += ["--workload", workload]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+    proc = subprocess.run(cmd, cwd=root, env=_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     record = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - t0, 3)}
     parsed = None
@@ -237,21 +244,19 @@ def main(argv=None) -> int:
     modes = ("plain", "precompiled") if args.precompile else ("plain",)
     tmp = tempfile.mkdtemp(prefix="pairs-")
     try:
-        roots = {side: os.path.join(tmp, side) for side in SIDES}
-        _unpack_commit(parent, roots["parent"])
-        change = _copy_working_tree(roots["change"])
-        prefixes = {side: os.path.join(tmp, f"pycache-{side}") for side in SIDES}
+        roots = {(mode, side): os.path.join(tmp, mode, side) for mode in modes for side in SIDES}
+        _unpack_commit(parent, roots["plain", "parent"])
+        change = _copy_working_tree(roots["plain", "change"])
         if args.precompile:
             for side in SIDES:
-                _precompile(roots[side], prefixes[side])
+                _precompiled_copy(roots["plain", side], roots["precompiled", side])
         records = []
         parsed = {mode: {side: [] for side in SIDES} for mode in modes}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for mode in modes:
                 for side in order:
-                    rec, run = _run(roots[side], args.workload,
-                                    prefixes[side] if mode == "precompiled" else None)
+                    rec, run = _run(roots[mode, side], args.workload)
                     records.append({"pair": i, "side": side, "mode": mode, **rec})
                     parsed[mode][side].append(run)
                     print(f"pair {i} {mode} {side}: exit {rec['exit']} "
@@ -283,7 +288,7 @@ def main(argv=None) -> int:
         report["precompiled"] = {**pre, "peak_rss_mb_change_minus_parent":
                                  peak_rss_steps(plain, pre)}
     with open(args.out, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=False)
+        json.dump(report, f, indent=2)
         f.write("\n")
     return 0
 
