@@ -14,10 +14,12 @@ plain numpy value: evaluating without gradients is calling the same
 primitives on arrays, with no tape at all.
 
 The primitives: add and mul, the one elementwise product (sub and negation
-multiply by -1.0, and a constant factor is a mul by a scalar, both exact in
-IEEE arithmetic); square, sqrt, exp, sigmoid and softplus; matmul and the
-fused layer linear; sum_, concat, slice_ and reshape. The renderer adds the
-compositing node, composite_rays_tape.
+multiply by -1.0, a constant factor is a mul by a scalar and a square is
+mul(x, x), all exact in IEEE arithmetic); sqrt, exp, sigmoid and softplus;
+matmul and the fused layer linear; sum_, concat and reshape, a view. A Var
+cannot be indexed: a one-column matrix reshapes to its column, and a matmul
+by a basis vector picks any other column. The renderer adds the compositing
+node, composite_rays_tape.
 
 A tape holds what its reverse sweep reads: each node's forward value and the
 arrays its vector-Jacobian closure captures. Closures capture arrays, never
@@ -48,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError
+from .errors import NumericError, UsageError
 
 
 def _keep_freed_heap() -> None:
@@ -122,9 +124,6 @@ class Var:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
 
 def _f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -179,7 +178,7 @@ def add(a, b):
             gb = (g if bv.shape == g.shape else g.sum()) if nb else None
             return ga, gb
     else:
-        raise DimensionError(f"add: shapes {av.shape} vs {bv.shape}")
+        raise UsageError(f"add: shapes {av.shape} vs {bv.shape}")
     return _node("add", av + bv, (a, b), vjp)
 
 
@@ -192,7 +191,7 @@ def mul(a, b):
     av, bv = value(a), value(b)
     na, nb = isinstance(a, Var), isinstance(b, Var)
     if not (av.shape == bv.shape or av.shape == () or bv.shape == ()):
-        raise DimensionError(f"mul: shapes {av.shape} vs {bv.shape}")
+        raise UsageError(f"mul: shapes {av.shape} vs {bv.shape}")
 
     def vjp(g):
         ga = gb = None
@@ -207,11 +206,6 @@ def mul(a, b):
         return ga, gb
 
     return _node("mul", av * bv, (a, b), vjp)
-
-
-def square(a):
-    av = value(a)
-    return _node("square", av * av, (a,), lambda g: (2.0 * av * g,))
 
 
 def sqrt(a):
@@ -252,7 +246,7 @@ def matmul(A, B):
     Av, Bv = value(A), value(B)
     if Av.ndim not in (1, 2) or Bv.ndim not in (1, 2) or Av.ndim + Bv.ndim == 2 \
             or Av.shape[-1] != Bv.shape[0]:
-        raise DimensionError(f"matmul: {Av.shape} @ {Bv.shape}")
+        raise UsageError(f"matmul: {Av.shape} @ {Bv.shape}")
     nA, nB = isinstance(A, Var), isinstance(B, Var)
 
     def vjp(g):
@@ -283,7 +277,7 @@ def linear(parts: Sequence, W, bias, relu: bool = False):
     if not Pvs or Pvs[0].ndim != 2 or Wv.ndim != 2 or bv.shape != Wv.shape[1:] \
             or any(P.ndim not in (1, 2) or P.shape[:-1] not in ((), Pvs[0].shape[:1])
                    for P in Pvs[1:]) or sum(P.shape[-1] for P in Pvs) != Wv.shape[0]:
-        raise DimensionError(f"linear: {[P.shape for P in Pvs]} @ {Wv.shape} + {bv.shape}")
+        raise UsageError(f"linear: {[P.shape for P in Pvs]} @ {Wv.shape} + {bv.shape}")
     # arrays, not Vars, in the closure: a Var refers to its tape, and a
     # tape -> node -> closure -> Var -> tape cycle outlives the step
     keep = [0] + [j for j in range(1, len(Pvs)) if Pvs[j].shape[-1]]
@@ -334,7 +328,7 @@ def concat(parts: Sequence, axis: int = 0):
     ndim = vals[0].ndim
     for v in vals[1:]:
         if v.ndim != ndim:
-            raise DimensionError("concat: rank mismatch")
+            raise UsageError("concat: rank mismatch")
     sizes = [v.shape[axis] for v in vals]
     offs = np.cumsum([0] + sizes)
     needs = [isinstance(p, Var) for p in parts]
@@ -345,18 +339,6 @@ def concat(parts: Sequence, axis: int = 0):
             for j in range(len(vals)))
 
     return _node("concat", np.concatenate(vals, axis=axis), parts, vjp)
-
-
-def slice_(a, key):
-    av = value(a)
-    out = av[key]
-
-    def vjp(g):
-        ga = np.zeros_like(av)
-        ga[key] = g
-        return (ga,)
-
-    return _node("slice", np.array(out, dtype=np.float64, copy=True), (a,), vjp)
 
 
 def reshape(a, shape):

@@ -1,12 +1,9 @@
 """Shared exception types, mapped to CLI exit codes in cli.py."""
 
 
-class DimensionError(ValueError):
-    """Operands have incompatible shapes."""
-
-
 class UsageError(ValueError):
-    """An operation was called outside its contract (bad argument, wrong tape, ...)."""
+    """An operation was called outside its contract (bad argument, shapes that do
+    not fit, wrong tape, ...)."""
 
 
 class ConfigError(ValueError):

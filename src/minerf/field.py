@@ -10,7 +10,8 @@ Every layer, with its relu, is one ad.linear node over its whole weight
 matrix and its input parts, never a concatenation, and the weights' row
 blocks are numpy views: encoded points and activations are matrix parts, and
 the conditioning and latent vectors, shared by all samples, fold into the
-bias. trainer.model_fields runs it on leaf Vars of a recording tape for
+bias. The density head's one column is read as sigma with ad.reshape, a view.
+trainer.model_fields runs it on leaf Vars of a recording tape for
 training, and on the stored arrays for rendering, where every op returns a
 plain array; field_forward_np encodes raw points and directions and calls it.
 param_shapes names the learnable arrays and their shapes; trainer.init_arrays
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError
+from .errors import UsageError
 
 _SKIP_LAYER = 4  # input re-concatenated here when the backbone is deep enough
 _SKIP_MIN_DEPTH = 8
@@ -66,25 +67,22 @@ class FieldArch:
 
 
 def positional_encode(p, L: int) -> np.ndarray:
-    """Sinusoidal encoding: per component, (sin(2^j pi p), cos(2^j pi p)) for j < L.
+    """Sinusoidal encoding of a batch p (n, dim): per component,
+    (sin(2^j pi p), cos(2^j pi p)) for j < L, as an (n, dim * 2L) array.
 
-    p may be a single vector or a batch (n, dim); inputs are expected
-    pre-normalized to [-1, 1] per component. L = 0 returns an empty encoding.
+    Inputs are expected pre-normalized to [-1, 1] per component. L = 0
+    returns an empty (n, 0) encoding.
     """
     p = np.asarray(p, dtype=np.float64)
-    single = p.ndim == 1
-    if single:
-        p = p[None, :]
     n, dim = p.shape
     if L == 0:
-        return np.zeros((0,)) if single else np.zeros((n, 0))
+        return np.zeros((n, 0))
     freqs = (2.0 ** np.arange(L)) * np.pi
     ang = p[:, :, None] * freqs[None, None, :]          # (n, dim, L)
     out = np.empty((n, dim, L, 2))
     np.sin(ang, out=out[..., 0])
     np.cos(ang, out=out[..., 1])
-    out = out.reshape(n, dim * L * 2)
-    return out[0] if single else out
+    return out.reshape(n, dim * L * 2)
 
 
 def param_shapes(arch: FieldArch) -> dict[str, tuple]:
@@ -117,7 +115,7 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     for j in range(1, arch.layers):
         parts = [h, *x] if arch.has_skip and j == _SKIP_LAYER else [h]
         h = ad.linear(parts, w[f"W{j}"], w[f"b{j}"], relu=True)
-    sigma = ad.softplus(ad.linear([h], w["Wsig"], w["bsig"])[:, 0])
+    sigma = ad.softplus(ad.reshape(ad.linear([h], w["Wsig"], w["bsig"]), (-1,)))
     c = [h, enc_v]
     for j in range(arch.color_layers):
         c = [ad.linear(c, w[f"Wc{j}"], w[f"bc{j}"], relu=True)]
@@ -137,7 +135,7 @@ def field_forward(arch: FieldArch, weights, cond, latent, x, v):
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if x.shape != (3,) or v.shape != (3,):
-        raise DimensionError("field_forward expects 3-vectors for x and v")
+        raise UsageError("field_forward expects 3-vectors for x and v")
     nv = np.linalg.norm(v)
     if abs(nv - 1.0) > 1e-9:
         warnings.warn("view direction not unit length; normalizing", stacklevel=2)

@@ -18,8 +18,8 @@ from .errors import ConfigError, NumericError, UsageError
 LUMA = np.array([0.299, 0.587, 0.114])
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    """10 log10(max^2 / MSE) in dB; +inf for identical images."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10 log10(1 / MSE) in dB for images in [0, 1]; +inf for identical images."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -27,7 +27,7 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     mse = np.mean((a - b) ** 2)
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(max_val * max_val / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def to_gray(img: np.ndarray) -> np.ndarray:
@@ -37,16 +37,17 @@ def to_gray(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int, max_val: float = 1.0) -> float:
-    """Mean windowed SSIM over a uniform window x window kernel at stride 1."""
+def ssim(a: np.ndarray, b: np.ndarray, window: int) -> float:
+    """Mean windowed SSIM over a uniform window x window kernel at stride 1, for
+    images in [0, 1]."""
     ga, gb = to_gray(a), to_gray(b)
     if ga.shape != gb.shape:
         raise UsageError(f"ssim shapes differ: {ga.shape} vs {gb.shape}")
     H, W = ga.shape
     if H < window or W < window:
         raise UsageError(f"image {ga.shape} smaller than the {window}x{window} window")
-    c1 = (0.01 * max_val) ** 2
-    c2 = (0.03 * max_val) ** 2
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
     wa = np.lib.stride_tricks.sliding_window_view(ga, (window, window))
     wb = np.lib.stride_tricks.sliding_window_view(gb, (window, window))
     mu_a = wa.mean(axis=(2, 3))
@@ -59,11 +60,11 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int, max_val: float = 1.0) -> flo
     return float(s.mean())
 
 
-def singular_values(W: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60) -> np.ndarray:
+def singular_values(W: np.ndarray) -> np.ndarray:
     """Singular values by one-sided Jacobi column orthogonalization, descending.
 
-    Sweeps rotate column pairs until every pair satisfies
-    |<ci, cj>| <= tol * ||ci|| ||cj||; the values are the column norms.
+    Up to 60 sweeps rotate column pairs until every pair satisfies
+    |<ci, cj>| <= 1e-10 ||ci|| ||cj||; the values are the column norms.
     """
     W = np.asarray(W, dtype=np.float64)
     if not np.all(np.isfinite(W)):
@@ -71,7 +72,7 @@ def singular_values(W: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60) -> 
     m, n = W.shape
     A = W.T.copy() if m < n else W.copy()  # work tall: more rows than columns
     ncols = A.shape[1]
-    for _ in range(max_sweeps):
+    for _ in range(60):
         off = 0.0
         for p in range(ncols - 1):
             for q in range(p + 1, ncols):
@@ -79,7 +80,7 @@ def singular_values(W: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60) -> 
                 app = A[:, p] @ A[:, p]
                 aqq = A[:, q] @ A[:, q]
                 denom = np.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= tol * denom:
+                if denom == 0.0 or abs(apq) <= 1e-10 * denom:
                     continue
                 off = max(off, abs(apq) / denom)
                 theta = 0.5 * np.arctan2(2.0 * apq, app - aqq)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError, NumericError, UsageError
+from .errors import NumericError, UsageError
 
 _PIXEL_STREAM = 0x706978  # tags the per-pixel jitter stream
 _STEP_STREAM = 0x737470   # tags per-step choices (frame, ray subset)
@@ -177,7 +177,7 @@ def hierarchical_resample(coarse_t: np.ndarray, weights: np.ndarray, u: np.ndarr
     u = np.asarray(u, dtype=np.float64)
     if coarse_t.shape != weights.shape or weights.ndim != 2 or u.ndim != 2 \
             or u.shape[0] != weights.shape[0]:
-        raise DimensionError("coarse_t and weights must be (R, S) and u (R, n_fine)")
+        raise UsageError("coarse_t and weights must be (R, S) and u (R, n_fine)")
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite sample weights")
     if np.any(weights < 0):

@@ -222,8 +222,9 @@ def deformation_margin(spec: SceneSpec) -> float:
 
 
 def smooth_trajectory(n_frames: int, d: int, rng: np.random.Generator,
-                      smoothness: float, amplitude: float = 0.85) -> np.ndarray:
-    """Low-pass filtered Gaussian noise in [-1,1]^d (two cascaded one-pole filters)."""
+                      smoothness: float) -> np.ndarray:
+    """Low-pass filtered Gaussian noise (two cascaded one-pole filters), each
+    component scaled to peak at 0.85, inside [-1,1]^d."""
     burn = 32
     w = rng.standard_normal((n_frames + burn, d))
     for _ in range(2):
@@ -232,7 +233,7 @@ def smooth_trajectory(n_frames: int, d: int, rng: np.random.Generator,
     w = w[burn:]
     peak = np.abs(w).max(axis=0)
     peak[peak == 0] = 1.0
-    return np.clip(w / peak * amplitude, -1.0, 1.0)
+    return np.clip(w / peak * 0.85, -1.0, 1.0)
 
 
 def orbit_pose(frame: int, n_frames: int, radius: float, elevation: float,

@@ -42,8 +42,7 @@ from . import conditioning as cond_mod
 from . import metrics as metrics_mod
 from .autodiff import Tape
 from .config import check_leaf, check_number, materialize
-from .errors import (ConfigError, DimensionError, DivergenceError, NumericError,
-                     UsageError)
+from .errors import ConfigError, DivergenceError, NumericError, UsageError
 from .field import FieldArch, forward_encoded, param_shapes, positional_encode
 # composite_rays_tape stays bound here: perfbench traces it as trainer.composite_rays_tape
 from .renderer import (composite_rays_tape, philox_key, render_image,  # noqa: F401
@@ -82,7 +81,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
 def _code_penalty(total, code_var, lam: float):
     if code_var is None or lam == 0.0:
         return total
-    return total + ad.mul(ad.sqrt(ad.sum_(ad.square(code_var))), lam)
+    return total + ad.mul(ad.sqrt(ad.sum_(ad.mul(code_var, code_var))), lam)
 
 
 def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float):
@@ -96,8 +95,9 @@ def loss(preds, gt_colors, l, i, lam_l: float, lam_i: float):
     resid = None
     for pred in preds:
         if pred.shape != gt.shape:
-            raise DimensionError(f"ray count mismatch: {pred.shape} vs {gt.shape}")
-        term = ad.sum_(ad.square(ad.sub(pred, gt)))
+            raise UsageError(f"ray count mismatch: {pred.shape} vs {gt.shape}")
+        r = ad.sub(pred, gt)
+        term = ad.sum_(ad.mul(r, r))
         resid = term if resid is None else resid + term
     total = _code_penalty(resid, l, lam_l)
     total = _code_penalty(total, i, lam_i)

@@ -128,97 +128,88 @@ def suite_variants(cases: int = 50) -> dict:
 
 # ---------------------------------------------------------------------------
 
+def _dim(r, lo=2, hi=5):
+    return int(r.integers(lo, hi))
+
+
+def _matmul(r, shapes):
+    sa, sb = shapes(_dim(r), _dim(r), _dim(r))
+    return ad.matmul, [r.standard_normal(sa), r.standard_normal(sb)]
+
+
+def _linear(r):
+    """The fused layer node over a second matrix part or a vector part, without
+    or with relu, drawn again while a pre-activation comes near relu's kink."""
+    n, k1, k2, m = _dim(r), _dim(r), _dim(r), _dim(r)
+    vector, relu = (bool(b) for b in r.integers(0, 2, 2))
+    while True:
+        A1, A2 = r.standard_normal((n, k1)), r.standard_normal(k2 if vector else (n, k2))
+        W, b = r.standard_normal((k1 + k2, m)), r.standard_normal(m)
+        if np.min(np.abs(ad.linear([A1, A2], W, b))) > 1e-2:
+            return (lambda *v: ad.linear(v[:2], v[2], v[3], relu)), [A1, A2, W, b]
+
+
+def _composite(r):
+    """The compositing node, one sample per bin: no delta so small that its
+    gradient drowns in the finite difference's rounding."""
+    R, S = _dim(r, 1, 4), _dim(r, 1, 6)
+    ts = 1.0 + (np.arange(S) + r.uniform(0.1, 0.9, (R, S))) * (2.0 / S)
+    bg = r.uniform(0.0, 1.0, (R, 3))
+    return ((lambda s, c: renderer.composite_rays_tape(s, c, ts, 3.5, bg)[0]),
+            [r.uniform(0.2, 3.0, R * S), r.uniform(0.0, 1.0, (R * S, 3))])
+
+
+def _fan_out(r):
+    """Fan-out then fan-in, each adjoint written in place: add hands one adjoint
+    to two relu layers of one input, each masks what it receives, and their
+    input gradients sum into one slot; drawn again near relu's kink."""
+    n, k, m = _dim(r), _dim(r), _dim(r)
+    while True:
+        P, Wu, bu, Wv, bv = (r.standard_normal(shape)
+                             for shape in ((n, k), (k, m), m, (k, m), m))
+        if min(np.min(np.abs(ad.linear([P], W, b))) for W, b in ((Wu, bu), (Wv, bv))) > 1e-2:
+            return ((lambda P, Wu, bu, Wv, bv: ad.add(ad.linear([P], Wu, bu, True),
+                                                      ad.linear([P], Wv, bv, True))),
+                    [P, Wu, bu, Wv, bv])
+
+
+# check name -> draw of (f, params) from a generator: f maps one operand per
+# entry of params to an array output, which the suite weights and sums
+FD_CHECKS = {
+    "fd_exp": lambda r: (ad.exp, [r.standard_normal(_dim(r, 2, 6))]),
+    "fd_sqrt": lambda r: (ad.sqrt, [r.uniform(0.5, 3.0, _dim(r, 2, 6))]),
+    "fd_sigmoid": lambda r: (ad.sigmoid, [r.standard_normal(_dim(r, 2, 6))]),
+    "fd_softplus": lambda r: (ad.softplus, [r.standard_normal(_dim(r, 2, 6))]),
+    "fd_add": lambda r: (ad.add, list(r.standard_normal((2, _dim(r, 2, 6))))),
+    "fd_sub": lambda r: (ad.sub, list(r.standard_normal((2, _dim(r, 2, 6))))),
+    "fd_mul": lambda r: (ad.mul, list(r.standard_normal((2, _dim(r, 2, 6))))),
+    # matmul's three operand ranks: matrix @ matrix, matrix @ vector, vector @ matrix
+    "fd_matmul": lambda r: _matmul(r, lambda m, k, n: ((m, k), (k, n))),
+    "fd_matmul_mat_vec": lambda r: _matmul(r, lambda m, k, n: ((m, k), (k,))),
+    "fd_matmul_vec_mat": lambda r: _matmul(r, lambda m, k, n: ((k,), (k, n))),
+    "fd_linear": _linear,
+    "fd_sum": lambda r: (ad.sum_, [r.standard_normal(4)]),
+    "fd_reshape": lambda r: ((lambda x: ad.reshape(x, (2, -1))), [r.standard_normal(4)]),
+    "fd_concat": lambda r: ((lambda x: ad.concat([x, x])), [r.standard_normal(4)]),
+    "fd_composite": _composite,
+    "fan_out_in_place": _fan_out,
+}
+
+
 def suite_autodiff(per_primitive: int = 50) -> dict:
+    """Each FD_CHECKS row, per_primitive draws of sum(f(params) * w) for standard
+    normal weights w against ad.finite_diff_check; then backward linearity and
+    determinism."""
     rng = _rng(11)
     checks = []
-
-    unary = {
-        "square": (ad.square, lambda r, n: r.standard_normal(n)),
-        "exp": (ad.exp, lambda r, n: r.standard_normal(n)),
-        "sqrt": (ad.sqrt, lambda r, n: r.uniform(0.5, 3.0, n)),
-        "sigmoid": (ad.sigmoid, lambda r, n: r.standard_normal(n)),
-        "softplus": (ad.softplus, lambda r, n: r.standard_normal(n)),
-    }
-    for name, (op, sample) in unary.items():
+    for name, draw in FD_CHECKS.items():
         worst = 0.0
         for _ in range(per_primitive):
-            n = int(rng.integers(2, 6))
-            x = sample(rng, n)
-            w = rng.standard_normal(n)
-            rep = ad.finite_diff_check(
-                lambda xv: ad.sum_(ad.mul(op(xv), w)), [x])
+            f, params = draw(rng)
+            w = rng.standard_normal(np.shape(f(*params)))
+            rep = ad.finite_diff_check(lambda *v: ad.sum_(ad.mul(f(*v), w)), params)
             worst = max(worst, rep.max_rel_err)
-        checks.append(_check(f"fd_{name}", worst, 1e-5))
-
-    binary = {
-        "add": ad.add,
-        "sub": ad.sub,
-        "mul": ad.mul,
-    }
-    for name, op in binary.items():
-        worst = 0.0
-        for _ in range(per_primitive):
-            n = int(rng.integers(2, 6))
-            a, b = rng.standard_normal(n), rng.standard_normal(n)
-            w = rng.standard_normal(n)
-            rep = ad.finite_diff_check(
-                lambda av, bv: ad.sum_(ad.mul(op(av, bv), w)), [a, b])
-            worst = max(worst, rep.max_rel_err)
-        checks.append(_check(f"fd_{name}", worst, 1e-5))
-
-    # matmul's three operand ranks: matrix @ matrix, matrix @ vector, vector @ matrix
-    matmul_shapes = {
-        "matmul": lambda m, k, n: ((m, k), (k, n)),
-        "matmul_mat_vec": lambda m, k, n: ((m, k), (k,)),
-        "matmul_vec_mat": lambda m, k, n: ((k,), (k, n)),
-    }
-    for name, shapes in matmul_shapes.items():
-        worst = 0.0
-        for _ in range(per_primitive):
-            sa, sb = shapes(*(int(rng.integers(2, 5)) for _ in range(3)))
-            A, B = rng.standard_normal(sa), rng.standard_normal(sb)
-            w = rng.standard_normal((A @ B).shape)
-            rep = ad.finite_diff_check(
-                lambda Av, Bv: ad.sum_(ad.mul(ad.matmul(Av, Bv), w)), [A, B])
-            worst = max(worst, rep.max_rel_err)
-        checks.append(_check(f"fd_{name}", worst, 1e-5))
-
-    # the fused layer node over a second matrix part, then over a vector part
-    # (from its own generator, so every other check draws what it drew before),
-    # without and with relu; cases whose pre-activations come near relu's kink
-    # are drawn again
-    worst = 0.0
-    for r, ndim in ((rng, 2), (_rng(13), 1)):
-        for relu in (False, True):
-            for _ in range(per_primitive):
-                n, k1, k2, m = (int(r.integers(2, 5)) for _ in range(4))
-                while True:
-                    A1 = r.standard_normal((n, k1))
-                    A2 = r.standard_normal((n, k2) if ndim == 2 else k2)
-                    W1, W2 = r.standard_normal((k1, m)), r.standard_normal((k2, m))
-                    b = r.standard_normal(m)
-                    if np.min(np.abs(A1 @ W1 + A2 @ W2 + b)) > 1e-2:
-                        break
-                w = r.standard_normal((n, m))
-                rep = ad.finite_diff_check(
-                    lambda *v: ad.sum_(ad.mul(ad.linear(v[:2], v[2], v[3], relu), w)),
-                    [A1, A2, np.vstack([W1, W2]), b])
-                worst = max(worst, rep.max_rel_err)
-    checks.append(_check("fd_linear", worst, 1e-5))
-
-    shape_ops = {
-        "sum": lambda xv: ad.sum_(xv),
-        "slice": lambda xv: ad.sum_(xv[1:]),
-        "reshape": lambda xv: ad.sum_(ad.square(ad.reshape(xv, (2, -1)))),
-        "concat": lambda xv: ad.sum_(ad.square(ad.concat([xv, xv]))),
-    }
-    for name, f in shape_ops.items():
-        worst = 0.0
-        for _ in range(per_primitive):
-            x = rng.standard_normal(4)
-            rep = ad.finite_diff_check(f, [x])
-            worst = max(worst, rep.max_rel_err)
-        checks.append(_check(f"fd_{name}", worst, 1e-5))
+        checks.append(_check(name, worst, 1e-5))
 
     # backward linearity: grad of sum of independent subgraphs
     worst = 0.0
@@ -227,10 +218,10 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
         y = rng.standard_normal(5)
         t1 = ad.Tape()
         xv, yv = ad.leaf(t1, x), ad.leaf(t1, y)
-        both = ad.grad(t1, ad.sum_(ad.square(xv)) + ad.sum_(ad.exp(yv)), [xv, yv])
+        both = ad.grad(t1, ad.sum_(ad.mul(xv, xv)) + ad.sum_(ad.exp(yv)), [xv, yv])
         t2 = ad.Tape()
         xv2 = ad.leaf(t2, x)
-        gx = ad.grad(t2, ad.sum_(ad.square(xv2)), [xv2])[0]
+        gx = ad.grad(t2, ad.sum_(ad.mul(xv2, xv2)), [xv2])[0]
         t3 = ad.Tape()
         yv3 = ad.leaf(t3, y)
         gy = ad.grad(t3, ad.sum_(ad.exp(yv3)), [yv3])[0]
@@ -249,41 +240,6 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
     same = outs[0][0] == outs[1][0] and np.array_equal(outs[0][1], outs[1][1])
     checks.append({"name": "determinism_bit_identical", "passed": bool(same),
                    "max_err": 0.0 if same else 1.0, "tol": 0.0})
-
-    # the compositing node, one sample per bin: no delta so small that its
-    # gradient drowns in the finite difference's rounding
-    worst = 0.0
-    for _ in range(per_primitive):
-        R, S = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        ts = 1.0 + (np.arange(S) + rng.uniform(0.1, 0.9, (R, S))) * (2.0 / S)
-        bg = rng.uniform(0.0, 1.0, (R, 3))
-        w = rng.standard_normal((R, 3))
-        rep = ad.finite_diff_check(
-            lambda sv, cv: ad.sum_(ad.mul(
-                renderer.composite_rays_tape(sv, cv, ts, 3.5, bg)[0], w)),
-            [rng.uniform(0.2, 3.0, R * S), rng.uniform(0.0, 1.0, (R * S, 3))])
-        worst = max(worst, rep.max_rel_err)
-    checks.append(_check("fd_composite", worst, 1e-5))
-
-    # fan-out then fan-in, each adjoint written in place: add hands one adjoint
-    # to two relu layers of one input, each masks what it receives, and their
-    # input gradients sum into one slot (own generator, away from relu's kink)
-    worst = 0.0
-    r = _rng(17)
-    for _ in range(per_primitive):
-        n, k, m = (int(r.integers(2, 5)) for _ in range(3))
-        while True:
-            P, Wu, bu, Wv, bv = (r.standard_normal(shape)
-                                 for shape in ((n, k), (k, m), m, (k, m), m))
-            if min(np.min(np.abs(P @ Wu + bu)), np.min(np.abs(P @ Wv + bv))) > 1e-2:
-                break
-        w = r.standard_normal((n, m))
-        rep = ad.finite_diff_check(
-            lambda Pv, Wuv, buv, Wvv, bvv: ad.sum_(ad.mul(ad.add(
-                ad.linear([Pv], Wuv, buv, True), ad.linear([Pv], Wvv, bvv, True)), w)),
-            [P, Wu, bu, Wv, bv])
-        worst = max(worst, rep.max_rel_err)
-    checks.append(_check("fan_out_in_place", worst, 1e-5))
 
     return {"suite": "autodiff", "passed": all(c["passed"] for c in checks),
             "checks": checks}

@@ -10,18 +10,18 @@ from minerf.trainer import init_arrays
 
 
 def test_encoding_at_zero():
-    assert np.allclose(positional_encode(np.zeros(1), 2), [0, 1, 0, 1], atol=1e-15)
+    assert np.allclose(positional_encode(np.zeros((1, 1)), 2), [[0, 1, 0, 1]], atol=1e-15)
 
 
 def test_encoding_at_one():
-    out = positional_encode(np.ones(1), 1)
-    assert np.allclose(out, [np.sin(np.pi), -1.0], atol=1e-12)
-    assert abs(out[0]) < 1e-12
+    out = positional_encode(np.ones((1, 1)), 1)
+    assert np.allclose(out, [[np.sin(np.pi), -1.0]], atol=1e-12)
+    assert abs(out[0, 0]) < 1e-12
 
 
 def test_encoding_quarter_period():
-    out = positional_encode(np.array([0.5]), 2)
-    assert np.allclose(out, [1.0, 0.0, 0.0, -1.0], atol=1e-12)
+    out = positional_encode(np.array([[0.5]]), 2)
+    assert np.allclose(out, [[1.0, 0.0, 0.0, -1.0]], atol=1e-12)
 
 
 def test_encoding_zero_frequencies_empty():
@@ -187,8 +187,9 @@ def test_gradient_wrt_conditioning_through_pixel_loss():
         wgt = ad.mul(T, alpha)
         loss = None
         for ch in range(3):
-            pred = ad.sum_(ad.mul(wgt, rgb[:, ch]))
-            term = ad.square(ad.sub(pred, gt[ch]))
+            pred = ad.sum_(ad.mul(wgt, ad.matmul(rgb, np.eye(3)[ch])))
+            r = ad.sub(pred, gt[ch])
+            term = ad.mul(r, r)
             loss = term if loss is None else loss + term
         return loss
 

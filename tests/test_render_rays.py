@@ -158,8 +158,8 @@ def _batch_loss_ref(state, ds, frame, bound, id_name, lat_name, rngs_pixels, row
                        for r in range(rows.size)])
     rgb_f, sig_f = field_pass("fine", merged)
     pred_f, _ = rd.composite_rays_tape(sig_f, rgb_f, merged, t_far, bg)
-    resid = (ad.sum_(ad.square(ad.sub(pred_c, gt)))
-             + ad.sum_(ad.square(ad.sub(pred_f, gt))))
+    r_c, r_f = ad.sub(pred_c, gt), ad.sub(pred_f, gt)
+    resid = ad.sum_(ad.mul(r_c, r_c)) + ad.sum_(ad.mul(r_f, r_f))
     total = tr._code_penalty(resid, l_var, tcfg["lambda_latent"])
     total = tr._code_penalty(total, i_var, tcfg["lambda_identity"])
     return total, resid

@@ -192,7 +192,8 @@ def _exp_cumsum_composite(sigma, rgb, ts, t_far, bg):
     T = ad.exp(ad.mul(ad.matmul(sd, np.triu(np.ones((S, S)), k=1)), -1.0))
     w = ad.mul(T, ad.sub(np.ones((R, S)), ad.exp(ad.mul(sd, -1.0))))
     t_end = ad.exp(ad.mul(ad.sum_(sd, axis=1), -1.0))
-    return ad.concat([ad.reshape(ad.sum_(ad.mul(w, ad.reshape(rgb[:, ch], (R, S))), axis=1)
+    cols = [ad.reshape(ad.matmul(rgb, np.eye(3)[ch]), (R, S)) for ch in range(3)]
+    return ad.concat([ad.reshape(ad.sum_(ad.mul(w, cols[ch]), axis=1)
                                  + ad.mul(t_end, bg[:, ch]), (R, 1))
                       for ch in range(3)], axis=1)
 
@@ -249,9 +250,13 @@ def test_composite_node_is_one_tape_node_and_passes_finite_differences():
     assert np.array_equal(colors.value, rd.composite_batch(ts, sigma, c.value.reshape(2, 4, 3),
                                                            3.0, bg)[0])
     assert w.shape == (2, 4)
-    rep = ad.finite_diff_check(
-        lambda sv, cv: ad.sum_(ad.square(rd.composite_rays_tape(sv, cv, ts, 3.0, bg)[0])),
-        [sigma.reshape(-1), np.random.default_rng(4).uniform(0, 1, (8, 3))])
+
+    def f(sv, cv):
+        colors = rd.composite_rays_tape(sv, cv, ts, 3.0, bg)[0]
+        return ad.sum_(ad.mul(colors, colors))
+
+    rep = ad.finite_diff_check(f, [sigma.reshape(-1),
+                                   np.random.default_rng(4).uniform(0, 1, (8, 3))])
     assert rep.passed, rep.max_rel_err
 
 

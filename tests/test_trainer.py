@@ -242,12 +242,19 @@ def test_loss_decreases(tiny_ds):
     assert last < first
 
 
-def test_toy_training_tape_size(monkeypatch):
-    # the toy model and sample counts on a small scene: the tape's node count
-    # depends on the architecture, the variant and the passes, not on the rays
+def _train_toy_step(monkeypatch, grad_fn):
+    """One training step of the toy model and sample counts on a small scene,
+    with grad_fn(tape, *args) in place of ad.grad."""
     cfg = cfg_mod.load_config(sets=["scene.n_frames=2", "scene.resolution=12",
                                     "scene.gt_samples=32", "train.rays_per_step=24",
                                     "train.steps=1", "train.eval_every=0"])
+    monkeypatch.setattr(tr.ad, "grad", grad_fn)
+    tr.train(sc.dataset_from_config(cfg), cfg)
+
+
+def test_toy_training_tape_size(monkeypatch):
+    # the tape's node count depends on the architecture, the variant and the
+    # passes, not on the rays
     tapes = []
     grad = tr.ad.grad
 
@@ -255,14 +262,35 @@ def test_toy_training_tape_size(monkeypatch):
         tapes.append(Counter(node.op for node in tape.nodes))
         return grad(tape, *args)
 
-    monkeypatch.setattr(tr.ad, "grad", recording_grad)
-    tr.train(sc.dataset_from_config(cfg), cfg)
+    _train_toy_step(monkeypatch, recording_grad)
     (ops,) = tapes
     assert sum(ops.values()) == 88
     assert ops["linear"] == 16 and ops["matmul"] == 5 and ops["relu"] == 0
-    assert ops["slice"] == 2 and ops["add"] == 7  # no weight matrix is sliced on the tape
+    assert ops["mul"] == 7 and ops["square"] == 0  # a square is mul(x, x)
+    assert ops["add"] == 7 and ops["slice"] == 0  # no weight matrix is sliced on the tape
+    assert ops["reshape"] == 2  # each pass reads its density column as a view
     assert ops["const"] == 0  # arrays enter ops as parent -1, never as nodes
-    assert ops["reshape"] == 0 and ops["matvec"] == 0
+    assert ops["matvec"] == 0
+
+
+def test_toy_training_grad_keeps_the_tape_and_repeats_byte_for_byte(monkeypatch):
+    # every adjoint has one owner: no VJP writes into a tape value, the reshape
+    # views of the density columns included, so a second grad gives the same bytes
+    runs = []
+    grad = tr.ad.grad
+
+    def grad_twice(tape, *args):
+        before = [v.tobytes() for v in tape.values]
+        first, second = grad(tape, *args), grad(tape, *args)
+        views = sum(node.op == "reshape" and v.base is not None
+                    for node, v in zip(tape.nodes, tape.values))
+        runs.append((views,
+                     [v.tobytes() for v in tape.values] == before,
+                     [g.tobytes() for g in first] == [g.tobytes() for g in second]))
+        return first
+
+    _train_toy_step(monkeypatch, grad_twice)
+    assert runs == [(2, True, True)]
 
 
 def test_training_tapes_die_with_their_step(tiny_ds, monkeypatch):
