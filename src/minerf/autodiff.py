@@ -16,10 +16,16 @@ primitives on arrays, with no tape at all.
 The primitives: add and mul, the one elementwise product (sub and negation
 multiply by -1.0, a constant factor is a mul by a scalar and a square is
 mul(x, x), all exact in IEEE arithmetic); sqrt, exp, sigmoid and softplus;
-matmul and the fused layer linear; sum_, concat and reshape, a view. A Var
-cannot be indexed: a one-column matrix reshapes to its column, and a matmul
-by a basis vector picks any other column. The renderer adds the compositing
-node, composite_rays_tape.
+matmul and the fused layer linear; sum_ over every entry, and reshape, a
+view. A Var cannot be indexed: a one-column matrix reshapes to its column,
+and a matmul by a basis vector picks any other column. Nor is it
+concatenated: linear takes a layer's inputs as parts. The renderer adds the
+compositing node, composite_rays_tape.
+
+Operands take the forms the model runs, so no VJP reduces an adjoint to an
+operand's shape: add takes one shape, and mul one shape or a constant
+scalar (an array, never a Var) against a Var of any shape. Any other pair
+raises UsageError.
 
 A tape holds what its reverse sweep reads: each node's forward value and the
 arrays its vector-Jacobian closure captures. Closures capture arrays, never
@@ -167,19 +173,12 @@ def _node(op: str, val, operands: Sequence, vjp):
 # elementwise primitives
 
 def add(a, b):
+    """a + b for operands of one shape."""
     av, bv = value(a), value(b)
-    na, nb = isinstance(a, Var), isinstance(b, Var)
-    if av.shape == bv.shape:
-        def vjp(g):
-            return g if na else None, g if nb else None
-    elif av.shape == () or bv.shape == ():
-        def vjp(g):
-            ga = (g if av.shape == g.shape else g.sum()) if na else None
-            gb = (g if bv.shape == g.shape else g.sum()) if nb else None
-            return ga, gb
-    else:
+    if av.shape != bv.shape:
         raise UsageError(f"add: shapes {av.shape} vs {bv.shape}")
-    return _node("add", av + bv, (a, b), vjp)
+    na, nb = isinstance(a, Var), isinstance(b, Var)
+    return _node("add", av + bv, (a, b), lambda g: (g if na else None, g if nb else None))
 
 
 def sub(a, b):
@@ -187,25 +186,15 @@ def sub(a, b):
 
 
 def mul(a, b):
-    """Elementwise (Hadamard) product; scalars broadcast."""
+    """Elementwise (Hadamard) product of operands of one shape, or of an
+    operand and a constant scalar: an array of shape (), never a Var. Either
+    way each operand's gradient has the output's shape, with no reduction."""
     av, bv = value(a), value(b)
     na, nb = isinstance(a, Var), isinstance(b, Var)
-    if not (av.shape == bv.shape or av.shape == () or bv.shape == ()):
+    if av.shape != bv.shape and not (av.shape == () and not na or bv.shape == () and not nb):
         raise UsageError(f"mul: shapes {av.shape} vs {bv.shape}")
-
-    def vjp(g):
-        ga = gb = None
-        if na:
-            ga = g * bv
-            if av.shape != ga.shape:
-                ga = ga.sum()
-        if nb:
-            gb = g * av
-            if bv.shape != gb.shape:
-                gb = gb.sum()
-        return ga, gb
-
-    return _node("mul", av * bv, (a, b), vjp)
+    return _node("mul", av * bv, (a, b), lambda g: (g * bv if na else None,
+                                                    g * av if nb else None))
 
 
 def sqrt(a):
@@ -310,35 +299,10 @@ def linear(parts: Sequence, W, bias, relu: bool = False):
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
-def sum_(a, axis=None):
+def sum_(a):
+    """The sum of every entry of a, a scalar."""
     av = value(a)
-
-    # copied: broadcast_to is a read-only view that repeats g's values, and
-    # the adjoint's new owner may write into it (a relu mask, fan-in)
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, av.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
-
-    return _node("sum", av.sum(axis=axis), (a,), vjp)
-
-
-def concat(parts: Sequence, axis: int = 0):
-    vals = [value(p) for p in parts]
-    ndim = vals[0].ndim
-    for v in vals[1:]:
-        if v.ndim != ndim:
-            raise UsageError("concat: rank mismatch")
-    sizes = [v.shape[axis] for v in vals]
-    offs = np.cumsum([0] + sizes)
-    needs = [isinstance(p, Var) for p in parts]
-
-    def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offs[j], offs[j + 1]), axis=axis) if needs[j] else None
-            for j in range(len(vals)))
-
-    return _node("concat", np.concatenate(vals, axis=axis), parts, vjp)
+    return _node("sum", av.sum(), (a,), lambda g: (np.full(av.shape, g),))
 
 
 def reshape(a, shape):

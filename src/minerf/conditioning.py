@@ -7,10 +7,14 @@ three extras (higher output dim, learnable concatenation, latent code inside
 the module) are all dispatched through variant_forward.
 
 _TABLE declares each variant once, and param_shapes, check_variant_dims,
-variant_output_dim and variant_forward read its row. Each formula is built
-from autodiff primitives over a name->array mapping (U1, U2, C, W2, W3 for M;
-U{n}_e, U{n}_i per level n and C for H): given Vars of a training tape it
-returns a Var, and given numpy arrays alone the plain array.
+variant_output_dim, latent_inside and variant_forward read its row. Each
+formula is built from autodiff primitives over a name->array mapping (U1,
+U2, C, W2, W3 for M; U{n}_e, U{n}_i per level n and C for H) and returns the
+conditioning vector as a tuple of parts, whose widths sum to the output
+width: (e, i) for Baseline, (W2 e, W3 i) for LearnableConcat, one part for
+every other row. The field's first layer takes the parts as they are, so no
+row concatenates on the tape. Given Vars of a training tape the parts are
+Vars, and given numpy arrays alone they are plain arrays.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def h_forward(p: Mapping, e, i):
 
 def _a5(p, e, i, l):
     p2, p3 = ad.matmul(p["W2"], e), ad.matmul(p["W3"], i)
-    return ad.mul(p2, p3) + p2 + p3
+    return (ad.mul(p2, p3) + p2 + p3,)
 
 
 def _a7(p, e, i, l):
@@ -70,7 +74,7 @@ def _a7(p, e, i, l):
     o, d = W.shape[0], W.shape[1]
     # W x_2 e x_3 i: contract i over the flattened (o*d, d) tensor, then e
     Yi = ad.matmul(ad.reshape(W, (o * d, d)), i)
-    return ad.matmul(ad.reshape(Yi, (o, d)), e)
+    return (ad.matmul(ad.reshape(Yi, (o, d)), e),)
 
 
 def _latent_in_m(p, e, i, l):
@@ -80,7 +84,7 @@ def _latent_in_m(p, e, i, l):
     inner = (ad.mul(ad.mul(ue, ui), ul)
              + ad.mul(ue, ui) + ad.mul(ue, ul) + ad.mul(ui, ul)
              + ue + ui + ul)
-    return ad.matmul(p["C"], inner)
+    return (ad.matmul(p["C"], inner),)
 
 
 class _Variant(NamedTuple):
@@ -95,27 +99,28 @@ class _Variant(NamedTuple):
     latent: bool = False
 
 
-_M = _Variant("U1:kd U2:kd C:ok W2:od W3:od", "o", lambda p, e, i, l: m_forward(p, e, i))
+_M = _Variant("U1:kd U2:kd C:ok W2:od W3:od", "o", lambda p, e, i, l: (m_forward(p, e, i),))
 _TABLE = {
-    "Baseline": _Variant("", "2d", lambda p, e, i, l: ad.concat([e, i])),
+    "Baseline": _Variant("", "2d", lambda p, e, i, l: (e, i)),
     "A1": _Variant("W2:dd W3:dd", "d", lambda p, e, i, l: (
-        ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)), square=True),
+        ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i),), square=True),
     "A2": _Variant("W2:dd W3:dd", "d", lambda p, e, i, l: (
-        ad.mul(e, i) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)), square=True),
+        ad.mul(e, i) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i),), square=True),
     "A3": _Variant("W1:dd", "d", lambda p, e, i, l: (
-        ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W1"], e) + ad.matmul(p["W1"], i)),
+        ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W1"], e) + ad.matmul(p["W1"], i),),
         square=True),
-    "A4": _Variant("W1:dd", "d", lambda p, e, i, l: ad.matmul(p["W1"], ad.mul(e, i)), square=True),
+    "A4": _Variant("W1:dd", "d", lambda p, e, i, l: (ad.matmul(p["W1"], ad.mul(e, i)),),
+                   square=True),
     "A5": _Variant("W2:dd W3:dd", "d", _a5, square=True),
     "A6": _Variant("W1:dd W2:dd W3:dd", "d", lambda p, e, i, l: (
-        ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i)),
+        ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i),),
         square=True),
     "A7": _Variant("W_tensor:ddd", "d", _a7, square=True),
     "M": _M,
-    "H": _Variant("U{n}_e:kd U{n}_i:kd C:ok", "o", lambda p, e, i, l: h_forward(p, e, i)),
+    "H": _Variant("U{n}_e:kd U{n}_i:kd C:ok", "o", lambda p, e, i, l: (h_forward(p, e, i),)),
     "HigherOut_o256": _M,
-    "LearnableConcat": _Variant("W2:dd W3:dd", "2d", lambda p, e, i, l: ad.concat(
-        [ad.matmul(p["W2"], e), ad.matmul(p["W3"], i)]), square=True),
+    "LearnableConcat": _Variant("W2:dd W3:dd", "2d", lambda p, e, i, l: (
+        ad.matmul(p["W2"], e), ad.matmul(p["W3"], i)), square=True),
     "LatentInM": _Variant("U1:kd U2:kd U3:kd C:ok", "o", _latent_in_m, latent=True),
 }
 
@@ -124,7 +129,7 @@ VARIANTS = tuple(_TABLE)
 
 def _row(variant: str) -> _Variant:
     if variant not in _TABLE:
-        raise ConfigError(f"unknown variant {variant!r}")
+        raise ConfigError(f"unknown variant {variant!r} (choose from {VARIANTS})")
     return _TABLE[variant]
 
 
@@ -134,13 +139,11 @@ def variant_output_dim(variant: str, d: int, o: int) -> int:
 
 def latent_inside(variant: str) -> bool:
     """True when the per-frame latent code feeds the module instead of the field."""
-    return variant in _TABLE and _TABLE[variant].latent
+    return _row(variant).latent
 
 
 def check_variant_dims(variant: str, d: int, k: int, o: int, d_latent: int):
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r} (choose from {VARIANTS})")
-    row = _TABLE[variant]
+    row = _row(variant)
     if row.square and o != d:
         raise ConfigError(f"variant {variant} requires o == d, got o={o}, d={d}")
     if row.latent and not (o == k == d):
@@ -155,17 +158,17 @@ def param_shapes(variant: str, d: int, k: int, o: int, n_levels: int,
     arguments are the keys of the config's conditioning section."""
     check_variant_dims(variant, d, k, o, d_latent)
     dims = {"d": d, "k": k, "o": o}
-    entries = [e.split(":") for e in _TABLE[variant].params.split()]
+    entries = [e.split(":") for e in _row(variant).params.split()]
     named = [(n.format(n=j), s) for j in range(1, n_levels + 1) for n, s in entries if "{n}" in n]
     named += [(n, s) for n, s in entries if "{n}" not in n]
     return {n: tuple(dims[c] for c in s) for n, s in named}
 
 
-def variant_forward(variant: str, params: Mapping, e, i, l=None):
-    """Evaluate the selected conditioning variant: a Var, or an array given arrays alone."""
+def variant_forward(variant: str, params: Mapping, e, i, l=None) -> tuple:
+    """The selected conditioning variant's output parts: Vars, or arrays given arrays alone."""
     return _row(variant).forward(params, e, i, l)
 
 
 def variant_value(variant: str, params: Mapping, e, i, l=None) -> np.ndarray:
-    """variant_forward on arrays, which returns the plain conditioning vector."""
-    return variant_forward(variant, params, e, i, l)
+    """variant_forward on arrays, its parts joined into the plain conditioning vector."""
+    return np.concatenate(variant_forward(variant, params, e, i, l))

@@ -9,11 +9,13 @@ forward_encoded is the one forward, written against autodiff primitives.
 Every layer, with its relu, is one ad.linear node over its whole weight
 matrix and its input parts, never a concatenation, and the weights' row
 blocks are numpy views: encoded points and activations are matrix parts, and
-the conditioning and latent vectors, shared by all samples, fold into the
-bias. The density head's one column is read as sigma with ad.reshape, a view.
+the conditioning vector's parts (conditioning.variant_forward's tuple) and
+the latent vector, shared by all samples, fold into the bias. The density
+head's one column is read as sigma with ad.reshape, a view.
 trainer.model_fields runs it on leaf Vars of a recording tape for
 training, and on the stored arrays for rendering, where every op returns a
-plain array; field_forward_np encodes raw points and directions and calls it.
+plain array; field_forward_np encodes raw points and directions and calls it
+with one conditioning part.
 param_shapes names the learnable arrays and their shapes; trainer.init_arrays
 draws them.
 """
@@ -105,12 +107,13 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
     """(rgb (n, 3), sigma (n,)) from encoded points enc_x (n, d_enc_x) and
     directions enc_v (n, d_enc_v), on the tape of the Vars passed in.
 
-    cond and latent are vectors shared by every row (latent may be None when
-    d_latent is 0). Any of the inputs may be Vars of one tape or arrays; with
-    arrays alone the outputs are arrays.
+    cond is the conditioning vector as a tuple of parts, whose widths sum to
+    d_cond, and latent a (d_latent,) vector, zero-width when d_latent is 0;
+    all are shared by every row. Any of the inputs may be Vars of one tape
+    or arrays; with arrays alone the outputs are arrays.
     """
     w = weights
-    x = [enc_x, cond] if latent is None else [enc_x, cond, latent]
+    x = [enc_x, *cond, latent]
     h = ad.linear(x, w["W0"], w["b0"], relu=True)
     for j in range(1, arch.layers):
         parts = [h, *x] if arch.has_skip and j == _SKIP_LAYER else [h]
@@ -125,9 +128,10 @@ def forward_encoded(arch: FieldArch, weights, cond, latent, enc_x, enc_v):
 
 def field_forward_np(arch: FieldArch, weights, cond: np.ndarray, latent, X: np.ndarray,
                      V: np.ndarray):
-    """Batched numpy evaluation: X, V are (n, 3); returns (rgb (n,3), sigma (n,))."""
+    """Batched numpy evaluation under one conditioning vector cond: X, V are
+    (n, 3); returns (rgb (n,3), sigma (n,))."""
     enc_v = positional_encode(V / np.linalg.norm(V, axis=-1, keepdims=True), arch.Lv)
-    return forward_encoded(arch, weights, cond, latent, positional_encode(X, arch.Lx), enc_v)
+    return forward_encoded(arch, weights, (cond,), latent, positional_encode(X, arch.Lx), enc_v)
 
 
 def field_forward(arch: FieldArch, weights, cond, latent, x, v):

@@ -321,15 +321,16 @@ def model_fields(state: TrainState, params: dict, e, code, latent):
     """(coarse_fn, fine_fn) for render_rays: the model under expression e.
 
     params, code and latent are arrays or Vars of one tape. The conditioning
-    vector is computed once, the latent feeds the module or the field per
-    latent_inside, and each ray's direction is encoded once for all its samples.
+    parts are computed once, the latent feeds the module or the field per
+    latent_inside (the field then gets a zero-width latent), and each ray's
+    direction is encoded once for all its samples.
     """
     arch = state.arch()
     variant = state.cfg["conditioning"]["variant"]
     inside = cond_mod.latent_inside(variant)
     cond = cond_mod.variant_forward(variant, _group(params, "cond"), e, code,
                                     l=latent if inside else None)
-    lat_field = None if inside else latent
+    lat_field = np.zeros(0) if inside else latent
 
     def field_fn(prefix):
         w = _group(params, prefix)

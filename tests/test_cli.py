@@ -275,7 +275,7 @@ def test_verify_subcommand(tmp_path, capsys):
 def test_verify_detects_injected_fault(variant, monkeypatch, capsys):
     row = cond._TABLE[variant]
     monkeypatch.setitem(cond._TABLE, variant, row._replace(
-        forward=lambda *a: row.forward(*a) * (1 + 1e-6)))
+        forward=lambda *a: tuple(q * (1 + 1e-6) for q in row.forward(*a))))
     rc = cli.main(["verify", "--suite", "variants"])
     assert rc == 4
     report = json.loads(capsys.readouterr().out)

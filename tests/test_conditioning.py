@@ -196,6 +196,16 @@ def test_degree_property_multiplicative_branch_linear_in_e():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def _weighted_sum(parts, seed):
+    """sum(concatenate(parts) * seed), each part weighted by its own slice of seed."""
+    ends = np.cumsum([q.shape[0] for q in parts])
+    total = None
+    for q, end in zip(parts, ends):
+        term = ad.sum_(ad.mul(q, seed[end - q.shape[0]:end]))
+        total = term if total is None else total + term
+    return total
+
+
 @pytest.mark.parametrize("variant", cond.VARIANTS)
 def test_all_variant_gradients_pass_finite_differences(variant):
     rng = np.random.default_rng(11)
@@ -211,8 +221,7 @@ def test_all_variant_gradients_pass_finite_differences(variant):
 
     def f(i_var, *param_vars):
         p = dict(zip(names, param_vars))
-        out = cond.variant_forward(variant, p, e, i_var, l=l0)
-        return ad.sum_(ad.mul(out, seed))
+        return _weighted_sum(cond.variant_forward(variant, p, e, i_var, l=l0), seed)
 
     rep = ad.finite_diff_check(f, [i0] + [params[n] for n in names],
                                step=1e-5, tol=1e-4)
@@ -241,9 +250,10 @@ def test_each_row_declares_what_its_formula_reads(variant, n_levels):
     shapes = cond.param_shapes(variant, d, k, o, n_levels=n_levels, d_latent=d)
     params = _Reads(init_arrays(shapes, rng))
     e, i, l = rng.standard_normal((3, d))
-    out = cond.variant_forward(variant, params, e, i, l)
+    parts = cond.variant_forward(variant, params, e, i, l)
     assert params.read == set(shapes)
-    assert out.shape == (cond.variant_output_dim(variant, d, o),)
+    assert all(q.ndim == 1 for q in parts)
+    assert sum(q.shape[0] for q in parts) == cond.variant_output_dim(variant, d, o)
 
 
 def test_verify_has_an_oracle_for_every_row():
@@ -261,3 +271,14 @@ def test_variant_dim_rules():
         cond.check_variant_dims("NotAVariant", d=4, k=4, o=4, d_latent=4)
     cond.check_variant_dims("M", d=4, k=2, o=9, d_latent=4)  # M may widen o
 
+
+
+def test_every_reader_of_the_table_refuses_an_unknown_variant_with_the_choices():
+    one = np.ones(4)
+    for call in (lambda: cond.latent_inside("NotAVariant"),
+                 lambda: cond.check_variant_dims("NotAVariant", d=4, k=4, o=4, d_latent=4),
+                 lambda: cond.param_shapes("NotAVariant", 4, 4, 4, n_levels=1, d_latent=4),
+                 lambda: cond.variant_output_dim("NotAVariant", 4, 4),
+                 lambda: cond.variant_forward("NotAVariant", {}, one, one)):
+        with pytest.raises(ConfigError, match=r"unknown variant 'NotAVariant' \(choose from"):
+            call()

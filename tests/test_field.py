@@ -114,7 +114,7 @@ def test_tape_and_numpy_paths_agree():
         wv = {k: ad.leaf(tape, v) for k, v in w.items()}
         enc_x = positional_encode(X, arch.Lx)
         enc_v = positional_encode(V, arch.Lv)
-        rgb_t, sig_t = forward_encoded(arch, wv, ad.leaf(tape, cond),
+        rgb_t, sig_t = forward_encoded(arch, wv, (ad.leaf(tape, cond),),
                                        ad.leaf(tape, lat), enc_x, enc_v)
         assert np.allclose(rgb_np, rgb_t.value, atol=1e-14, rtol=0)
         assert np.allclose(sig_np, sig_t.value, atol=1e-14, rtol=0)
@@ -151,7 +151,7 @@ def test_forward_matches_concatenated_reference(kw):
     want = _mlp_reference(arch, w, cond, lat, X, V)
     tape = ad.Tape()
     rgb, sigma = forward_encoded(arch, {k: ad.leaf(tape, v) for k, v in w.items()},
-                                 ad.leaf(tape, cond), ad.leaf(tape, lat),
+                                 (ad.leaf(tape, cond),), ad.leaf(tape, lat),
                                  positional_encode(X, arch.Lx), positional_encode(V, arch.Lv))
     assert not any(node.op in ("concat", "tile_rows") for node in tape.nodes)
     for got in ((rgb.value, sigma.value), field_forward_np(arch, w, cond, lat, X, V)):
@@ -179,7 +179,7 @@ def test_gradient_wrt_conditioning_through_pixel_loss():
     lat = rng.standard_normal(3)
 
     def f(cond):
-        rgb, sigma = forward_encoded(arch, w, cond, lat, enc_x, enc_v)
+        rgb, sigma = forward_encoded(arch, w, (cond,), lat, enc_x, enc_v)
         sd = ad.mul(sigma, deltas)
         T = ad.exp(ad.mul(ad.reshape(
             ad.matmul(ad.reshape(sd, (1, 6)), np.triu(np.ones((6, 6)), k=1)), (6,)), -1.0))

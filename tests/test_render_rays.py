@@ -148,7 +148,7 @@ def _batch_loss_ref(state, ds, frame, bound, id_name, lat_name, rngs_pixels, row
         R, S = ts.shape
         X = origin[None, None, :] + ts[:, :, None] * dirs[:, None, :]
         return forward_encoded(arch, tr._group(params, prefix), cond_var,
-                               None if inside else l_var,
+                               np.zeros(0) if inside else l_var,
                                positional_encode(X.reshape(-1, 3), arch.Lx),
                                np.repeat(enc_v_ray, S, axis=0))
 
@@ -212,8 +212,8 @@ def test_model_render_matches_per_ray_loops(setup):
     frame = idn.frames[idn.test_idx[0]]
     fid = idn.test_idx[0]
     arch = state.arch()
-    cond_vec = cond_mod.variant_value("M", tr._group(state.params, "cond"), frame.e,
-                                      state.params["identity.id00"])
+    cond = cond_mod.variant_forward("M", tr._group(state.params, "cond"), frame.e,
+                                    state.params["identity.id00"])
     lat = np.zeros(cfg["conditioning"]["d_latent"])
     # each ray's unit direction encoded once, as _batch_loss_ref does, not per sample
     enc_v_ray = positional_encode(rd.pixel_dirs(frame.pose, *_all_pixels(frame.pose)), arch.Lv)
@@ -223,7 +223,7 @@ def test_model_render_matches_per_ray_loops(setup):
 
         def field(X, V):
             enc_v = np.repeat(enc_v_ray, X.shape[0] // len(enc_v_ray), axis=0)
-            return forward_encoded(arch, w, cond_vec, lat, positional_encode(X, arch.Lx), enc_v)
+            return forward_encoded(arch, w, cond, lat, positional_encode(X, arch.Lx), enc_v)
         return field
 
     img, depth, ts = _render_image_ref(

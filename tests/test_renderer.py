@@ -191,11 +191,14 @@ def _exp_cumsum_composite(sigma, rgb, ts, t_far, bg):
     sd = ad.mul(ad.reshape(sigma, (R, S)), deltas)
     T = ad.exp(ad.mul(ad.matmul(sd, np.triu(np.ones((S, S)), k=1)), -1.0))
     w = ad.mul(T, ad.sub(np.ones((R, S)), ad.exp(ad.mul(sd, -1.0))))
-    t_end = ad.exp(ad.mul(ad.sum_(sd, axis=1), -1.0))
+    # row sums are products with np.ones(S), and colour ch is an (R, 1) column
+    # times row ch of the identity, so the colours are a sum of three (R, 3)
+    t_end = ad.exp(ad.mul(ad.matmul(sd, np.ones(S)), -1.0))
     cols = [ad.reshape(ad.matmul(rgb, np.eye(3)[ch]), (R, S)) for ch in range(3)]
-    return ad.concat([ad.reshape(ad.sum_(ad.mul(w, cols[ch]), axis=1)
-                                 + ad.mul(t_end, bg[:, ch]), (R, 1))
-                      for ch in range(3)], axis=1)
+    out = [ad.matmul(ad.reshape(ad.matmul(ad.mul(w, cols[ch]), np.ones(S))
+                                + ad.mul(t_end, bg[:, ch]), (R, 1)), np.eye(3)[ch:ch + 1])
+           for ch in range(3)]
+    return out[0] + out[1] + out[2]
 
 
 def _composite_cases():
