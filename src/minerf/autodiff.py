@@ -191,7 +191,7 @@ def mul(a, b):
     way each operand's gradient has the output's shape, with no reduction."""
     av, bv = value(a), value(b)
     na, nb = isinstance(a, Var), isinstance(b, Var)
-    if av.shape != bv.shape and not (av.shape == () and not na or bv.shape == () and not nb):
+    if av.shape != bv.shape and not ((av.shape == () and not na) or (bv.shape == () and not nb)):
         raise UsageError(f"mul: shapes {av.shape} vs {bv.shape}")
     return _node("mul", av * bv, (a, b), lambda g: (g * bv if na else None,
                                                     g * av if nb else None))

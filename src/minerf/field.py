@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import UsageError
 
-_SKIP_LAYER = 4  # input re-concatenated here when the backbone is deep enough
+_SKIP_LAYER = 4  # the input parts feed this layer again when the backbone is deep enough
 _SKIP_MIN_DEPTH = 8
 
 

@@ -272,7 +272,6 @@ def test_variant_dim_rules():
     cond.check_variant_dims("M", d=4, k=2, o=9, d_latent=4)  # M may widen o
 
 
-
 def test_every_reader_of_the_table_refuses_an_unknown_variant_with_the_choices():
     one = np.ones(4)
     for call in (lambda: cond.latent_inside("NotAVariant"),

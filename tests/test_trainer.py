@@ -242,12 +242,12 @@ def test_loss_decreases(tiny_ds):
     assert last < first
 
 
-def _train_toy_step(monkeypatch, grad_fn):
+def _train_toy_step(monkeypatch, grad_fn, *sets):
     """One training step of the toy model and sample counts on a small scene,
-    with grad_fn(tape, *args) in place of ad.grad."""
+    with grad_fn(tape, *args) in place of ad.grad and any extra config sets."""
     cfg = cfg_mod.load_config(sets=["scene.n_frames=2", "scene.resolution=12",
                                     "scene.gt_samples=32", "train.rays_per_step=24",
-                                    "train.steps=1", "train.eval_every=0"])
+                                    "train.steps=1", "train.eval_every=0", *sets])
     monkeypatch.setattr(tr.ad, "grad", grad_fn)
     tr.train(sc.dataset_from_config(cfg), cfg)
 
@@ -271,6 +271,22 @@ def test_toy_training_tape_size(monkeypatch):
     assert ops["reshape"] == 2  # each pass reads its density column as a view
     assert ops["const"] == 0  # arrays enter ops as parent -1, never as nodes
     assert ops["matvec"] == 0
+
+
+@pytest.mark.parametrize("variant", ["Baseline", "LearnableConcat"])
+def test_two_part_rows_feed_the_first_layer_their_parts(monkeypatch, variant):
+    # (e, i) and (W2 e, W3 i) enter each pass's first linear node, the one whose
+    # first part is the encoded points (an array), as two vector parts
+    firsts = []
+    grad = tr.ad.grad
+
+    def recording_grad(tape, *args):
+        firsts.extend(len(node.parents) for node in tape.nodes
+                      if node.op == "linear" and node.parents[0] == -1)
+        return grad(tape, *args)
+
+    _train_toy_step(monkeypatch, recording_grad, f"conditioning.variant={variant}")
+    assert firsts == [6, 6]  # points, two parts, latent, W0 and b0; coarse and fine
 
 
 def test_toy_training_grad_keeps_the_tape_and_repeats_byte_for_byte(monkeypatch):

@@ -46,7 +46,7 @@ def tiny_config() -> dict:
     with open(os.path.join(ROOT, "tests", "test_cli.py")) as f:
         tree = ast.parse(f.read())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TINY"]:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TINY"]:
             return ast.literal_eval(node.value)
     raise LookupError("tests/test_cli.py defines no TINY")
 
@@ -183,8 +183,7 @@ def main(argv=None) -> int:
     print("\n".join(report_lines(summary)))
     if args.out:
         report = {"parent": {"rev": args.parent, "commit": parent}, "change": change,
-                  "config": cfg, "sets": SETS, "row_sets": ROW_SETS,
-                  "argv": {name: argv for name, argv in cmds}, **summary}
+                  "config": cfg, "argv": dict(cmds), **summary}
         with open(args.out, "w") as f:
             json.dump(report, f, indent=2)
             f.write("\n")
