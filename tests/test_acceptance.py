@@ -268,13 +268,14 @@ def test_criterion_7_personalization(toy_run):
 # ---------------------------------------------------------------------------
 # criterion 6: expression-transfer ordering across module variants
 
-def _ordering_run(variant, seed, ds_cache={}):
-    if seed not in ds_cache:
-        cfg = cfg_mod.load_config(sets=ORDERING_SETS + [f"seed={seed}"])
-        ds_cache[seed] = sc.dataset_from_config(cfg)
-    ds = ds_cache[seed]
-    cfg = cfg_mod.load_config(
-        sets=ORDERING_SETS + [f"seed={seed}", f"conditioning.variant={variant}"])
+def _ordering_run(variant, seed, sets=(), ds_cache={}):
+    """Mean transfer PSNR of variant trained at seed under ORDERING_SETS, then
+    sets (tools/margins.py's --set values; the gate passes none)."""
+    sets = [*ORDERING_SETS, *sets, f"seed={seed}"]
+    if tuple(sets) not in ds_cache:
+        ds_cache[tuple(sets)] = sc.dataset_from_config(cfg_mod.load_config(sets=sets))
+    ds = ds_cache[tuple(sets)]
+    cfg = cfg_mod.load_config(sets=sets + [f"conditioning.variant={variant}"])
     state, _ = tr.train(ds, cfg)
     vals = [mt.transfer_eval(state, ds, s, t)
             for s, t in itertools.permutations(ds.identity_names(), 2)]
