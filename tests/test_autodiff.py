@@ -180,6 +180,33 @@ def test_every_tape_primitive_has_a_verify_fd_check():
     assert not stray, stray
 
 
+@pytest.mark.parametrize("dropped", ["fd_exp", "fd_linear"])
+def test_dropping_an_fd_check_leaves_every_other_checks_draws_unchanged(monkeypatch, dropped):
+    rows = dict(verify.FD_CHECKS)
+
+    def run(names):
+        drawn = {}
+
+        def record(name):
+            def draw(r):
+                f, params = rows[name](r)
+                drawn.setdefault(name, []).append([np.array(p) for p in params])
+                return f, params
+            return draw
+
+        monkeypatch.setattr(verify, "FD_CHECKS", {n: record(n) for n in names})
+        errs = {c["name"]: c["max_err"] for c in verify.suite_autodiff(per_primitive=3)["checks"]}
+        return drawn, errs
+
+    all_drawn, all_errs = run(rows)
+    drawn, errs = run([n for n in rows if n != dropped])
+    assert dropped not in errs and set(errs) == set(all_errs) - {dropped}
+    for name in drawn:
+        assert all(np.array_equal(a, b) for d, e in zip(drawn[name], all_drawn[name])
+                   for a, b in zip(d, e)), name
+    assert errs == {n: e for n, e in all_errs.items() if n != dropped}
+
+
 def test_grad_of_scalar_leaf_is_one():
     t = ad.Tape()
     w = ad.leaf(t, np.asarray(3.5))
