@@ -16,6 +16,11 @@ trainer.model_fields runs it on leaf Vars of a recording tape for
 training, and on the stored arrays for rendering, where every op returns a
 plain array; field_forward_np encodes raw points and directions and calls it
 with one conditioning part.
+positional_encode calls sin and cos only on the anchor octaves, every
+_ANCHOR-th, and derives the others by angle doubling, sin 2a = 2 sin a cos a
+and cos 2a = (cos a - sin a)(cos a + sin a). Anchors equal np.sin and np.cos
+bit for bit; the worst error of the others is 5.8e-15 over 200,000 points
+in [-1, 1]^3 at L = 12, and the tests hold it under 1e-14.
 param_shapes names the learnable arrays and their shapes; trainer.init_arrays
 draws them.
 """
@@ -32,6 +37,8 @@ from .errors import UsageError
 
 _SKIP_LAYER = 4  # the input parts feed this layer again when the backbone is deep enough
 _SKIP_MIN_DEPTH = 8
+_ANCHOR = 6  # positional_encode calls sin and cos on every sixth octave, doubling between
+_BLOCK = 2048  # rows per positional_encode block
 
 
 @dataclass(frozen=True)
@@ -74,16 +81,37 @@ def positional_encode(p, L: int) -> np.ndarray:
 
     Inputs are expected pre-normalized to [-1, 1] per component. L = 0
     returns an empty (n, 0) encoding.
+
+    Only the anchor octaves, j a multiple of _ANCHOR, call np.sin and np.cos;
+    they equal them bit for bit. Each other octave doubles the angle of the
+    one below it, sin 2a = 2 sin a cos a and cos 2a = (cos a - sin a)(cos a +
+    sin a). The rounding error about doubles with each step, so the worst
+    error against direct sin and cos stays under 1e-14 for |p| <= 1 and L
+    up to 12. Rows go in blocks of _BLOCK through one (L, 2, block, dim)
+    scratch buffer, each octave contiguous, and every row's bits are the
+    same in any batch.
     """
     p = np.asarray(p, dtype=np.float64)
     n, dim = p.shape
-    if L == 0:
-        return np.zeros((n, 0))
-    freqs = (2.0 ** np.arange(L)) * np.pi
-    ang = p[:, :, None] * freqs[None, None, :]          # (n, dim, L)
     out = np.empty((n, dim, L, 2))
-    np.sin(ang, out=out[..., 0])
-    np.cos(ang, out=out[..., 1])
+    buf = np.empty((L, 2, min(n, _BLOCK), dim))
+    for a in range(0, n, _BLOCK):
+        rows = p[a:a + _BLOCK]
+        m = len(rows)
+        for j in range(L):
+            s, c = buf[j, 0, :m], buf[j, 1, :m]
+            if j % _ANCHOR == 0:
+                np.multiply(rows, 2.0 ** j * np.pi, out=c)
+                np.sin(c, out=s)
+                np.cos(c, out=c)
+            else:
+                s0, c0 = buf[j - 1, 0, :m], buf[j - 1, 1, :m]
+                np.add(c0, s0, out=s)
+                np.subtract(c0, s0, out=c)
+                c *= s
+                np.multiply(s0, c0, out=s)
+                s *= 2.0
+        out[a:a + m] = buf[:, :, :m].transpose(2, 3, 0, 1)
     return out.reshape(n, dim * L * 2)
 
 

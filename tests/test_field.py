@@ -35,6 +35,36 @@ def test_encoding_injective_on_grid():
     assert np.unique(enc, axis=0).shape[0] == xs.shape[0]
 
 
+def _direct(p, L):
+    """sin and cos of 2^j pi p for every octave j, as (n, dim, L, 2)."""
+    ang = p[:, :, None] * (2.0 ** np.arange(L) * np.pi)
+    return np.stack([np.sin(ang), np.cos(ang)], axis=-1)
+
+
+@pytest.mark.parametrize("L", [2, 6, 10, 12])
+def test_doubled_octaves_stay_within_1e_14_of_direct_sin_cos(L):
+    p = np.random.default_rng(L).uniform(-1.0, 1.0, (200_000, 3))
+    err = np.max(np.abs(positional_encode(p, L) - _direct(p, L).reshape(len(p), -1)))
+    assert err <= 1e-14
+
+
+def test_anchor_octaves_equal_numpy_sin_cos_bit_for_bit():
+    p = np.random.default_rng(1).uniform(-1.0, 1.0, (5000, 3))
+    enc = positional_encode(p, 8).reshape(len(p), 3, 8, 2)
+    for j in (0, 6):
+        ang = p * (2.0 ** j * np.pi)
+        assert np.array_equal(enc[:, :, j, 0], np.sin(ang))
+        assert np.array_equal(enc[:, :, j, 1], np.cos(ang))
+
+
+def test_every_row_encodes_in_any_batch_as_it_encodes_alone():
+    # field_forward encodes one row; the batched renderers encode it among many
+    p = np.random.default_rng(2).uniform(-1.0, 1.0, (12_288, 3))
+    alone = np.concatenate([positional_encode(p[i:i + 1], 8) for i in range(len(p))])
+    for n in (1, 2047, 2048, 2049, 12_288):
+        assert np.array_equal(positional_encode(p[:n], 8), alone[:n])
+
+
 def _arch(**kw):
     kw.setdefault("layers", 3)
     kw.setdefault("hidden", 16)
