@@ -34,18 +34,18 @@ linear fuses a network layer (products, bias and relu) into one node over
 the layer's whole weight matrix: each input part reads its row block as a
 numpy view, and the node keeps a single output array, also relu's mask.
 
-grad drops each node's adjoint once that node's VJP has run, keeping only
-those of the wrt nodes, so the sweep holds the adjoints that still await a
-consumer rather than one per node (Griewank & Walther, "Evaluating
-Derivatives", 2008). Freed memory stays in the process (_keep_freed_heap),
-so peak RSS is the largest transient: a step's tape plus its live adjoints.
+grad differentiates with respect to leaves, and drops every other node's
+adjoint once that node's VJP has run, so the sweep holds the adjoints that
+still await a consumer rather than one per node (Griewank & Walther,
+"Evaluating Derivatives", 2008). Freed memory stays in the process
+(_keep_freed_heap), so peak RSS is the largest transient: a step's tape plus
+its live adjoints.
 
 Every adjoint has one owner. A VJP owns the adjoint it receives and may
 overwrite it (linear masks relu in place); each array it returns is new or
-a view of that adjoint, never a tape value or a read-only broadcast. grad
-keeps the rule: it copies an output that shares memory with one the same
-VJP already returned (add's g, g), hands a wrt node's VJP a copy so the
-gradient it returns stays intact, and sums fan-in into the adjoint it holds.
+a view of that adjoint, never a tape value, a read-only broadcast or an
+array it also returns for another operand (add hands its second Var
+operand a copy). grad sums fan-in into the adjoint it holds.
 """
 
 from __future__ import annotations
@@ -121,15 +121,6 @@ class Var:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -178,7 +169,8 @@ def add(a, b):
     if av.shape != bv.shape:
         raise UsageError(f"add: shapes {av.shape} vs {bv.shape}")
     na, nb = isinstance(a, Var), isinstance(b, Var)
-    return _node("add", av + bv, (a, b), lambda g: (g if na else None, g if nb else None))
+    return _node("add", av + bv, (a, b), lambda g: (g if na else None,
+                                                    (g.copy() if na else g) if nb else None))
 
 
 def sub(a, b):
@@ -318,21 +310,20 @@ def reshape(a, shape):
 # backward
 
 def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
-    """d(output)/d(w) for each w in wrt; output must be a scalar Var of tape.
+    """d(output)/d(w) for each leaf w in wrt; output must be a scalar Var of tape.
 
     Fan-out accumulates by addition, in strictly reverse creation order;
     array operands (parent -1) receive nothing. A node's adjoint is dropped
-    once its VJP has run, unless the node is in wrt, so the sweep holds the
-    adjoints of the nodes between it and their consumers rather than one per
-    node. The tape itself is left as it was: it can be differentiated again.
+    once its VJP has run, so the sweep holds the adjoints of the nodes
+    between it and their consumers rather than one per node; a leaf has no
+    VJP, so its adjoint survives. The tape itself is left as it was: it can
+    be differentiated again.
 
     Each adjoint has one owner, so the sweep writes in place: a VJP may
-    overwrite the adjoint it is handed and returns new arrays or views of
-    it; an output sharing memory with an earlier output of the same VJP is
-    copied, a wrt node's VJP gets a copy of its adjoint, and fan-in adds
-    into the parent's adjoint (adj += pg, the same sum as adj + pg). The
-    gradients of distinct wrt nodes share no memory with each other or
-    with the tape.
+    overwrite the adjoint it is handed and returns arrays no one else holds,
+    and fan-in adds into the parent's adjoint (adj += pg, the same sum as
+    adj + pg). The gradients of distinct leaves share no memory with each
+    other or with the tape.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise UsageError("grad output must be a Var of this tape")
@@ -340,27 +331,19 @@ def grad(tape: Tape, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
         raise UsageError(f"grad output must be scalar, got shape {output.value.shape}")
     if any(w.tape is not tape for w in wrt):
         raise UsageError("wrt variable from a different tape")
-    keep = {w.idx for w in wrt}
+    if any(tape.nodes[w.idx].parents for w in wrt):
+        raise UsageError("grad differentiates with respect to leaves only")
     adj: list = [None] * len(tape.nodes)
     adj[output.idx] = np.ones(())
     for idx in range(output.idx, -1, -1):
         g = adj[idx]
-        if g is None:
-            continue
         node = tape.nodes[idx]
-        if not node.parents:
+        if g is None or not node.parents:
             continue
-        if idx in keep:
-            g = g.copy()
-        else:
-            adj[idx] = None
-        handed: list = []
+        adj[idx] = None
         for pidx, pg in zip(node.parents, node.vjp(g)):
             if pg is None or pidx < 0:
                 continue
-            if any(np.may_share_memory(pg, h) for h in handed):
-                pg = pg.copy()
-            handed.append(pg)
             if adj[pidx] is None:
                 adj[pidx] = pg
             else:
@@ -379,11 +362,8 @@ class FiniteDiffReport:
     passed: bool
 
 
-def value_of(f: Callable, params: Sequence[np.ndarray]) -> float:
-    """Evaluate f on a fresh tape and return the scalar forward value."""
-    tape = Tape()
-    out = f(*[leaf(tape, p) for p in params])
-    v = float(out.value)
+def _finite(v) -> float:
+    v = float(v)
     if not np.isfinite(v):
         raise NumericError("non-finite function value")
     return v
@@ -393,12 +373,14 @@ def finite_diff_check(f: Callable, params: Sequence[np.ndarray], step: float = 1
                       tol: float = 1e-5) -> FiniteDiffReport:
     """Compare tape gradients of f against central finite differences.
 
-    f maps leaf Vars (one per entry of params) to a scalar Var and must be a
-    pure function of its inputs. Relative error divides by max(|analytic|,
-    |numeric|, 1e-3 g, 1e-8), g the largest |analytic| entry: rounding f puts
-    ~eps |f| / step = 2.2e-11 |f| into each numeric entry, which reads
-    2.2e-8 |f| / g against 1e-3 g (under tol for |f| < 450 g) but would fail
-    a correct entry far below g. Errors above tol * 1e-3 g still fail.
+    f maps operands (one per entry of params) to a scalar and must be a pure
+    function of its inputs: on leaf Vars it records the one tape grad reads,
+    and on the arrays themselves it returns the plain value, with no tape.
+    Relative error divides by max(|analytic|, |numeric|, 1e-3 g, 1e-8), g the
+    largest |analytic| entry: rounding f puts ~eps |f| / step = 2.2e-11 |f|
+    into each numeric entry, which reads 2.2e-8 |f| / g against 1e-3 g (under
+    tol for |f| < 450 g) but would fail a correct entry far below g. Errors
+    above tol * 1e-3 g still fail.
     """
     if step <= 0:
         raise UsageError("step must be positive")
@@ -406,8 +388,7 @@ def finite_diff_check(f: Callable, params: Sequence[np.ndarray], step: float = 1
     tape = Tape()
     vs = [leaf(tape, p) for p in params]
     out = f(*vs)
-    if not np.isfinite(out.value):
-        raise NumericError("non-finite function value")
+    _finite(out.value)
     analytic = grad(tape, out, vs)
     floor = max(1e-3 * max(float(np.max(np.abs(a), initial=0.0)) for a in analytic), 1e-8)
 
@@ -417,9 +398,9 @@ def finite_diff_check(f: Callable, params: Sequence[np.ndarray], step: float = 1
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            fp = value_of(f, params)
+            fp = _finite(f(*params))
             flat[j] = orig - step
-            fm = value_of(f, params)
+            fm = _finite(f(*params))
             flat[j] = orig
             numeric = (fp - fm) / (2.0 * step)
             a = analytic[pi].reshape(-1)[j]

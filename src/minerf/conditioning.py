@@ -3,8 +3,9 @@
 The main module computes C[(U1 e) * (U2 i)] + W2 e + W3 i (a factored
 second-degree interaction); the high-degree module applies the recursion
 x_n = x_{n-1} + (U_n1 e + U_n2 i) * x_{n-1}. Ablation variants A1..A7 plus
-three extras (higher output dim, learnable concatenation, latent code inside
-the module) are all dispatched through variant_forward.
+two extras (learnable concatenation, latent code inside the module) are all
+dispatched through variant_forward. The higher-output ablation is M at a
+larger conditioning.o.
 
 _TABLE declares each variant once, and param_shapes, check_variant_dims,
 variant_output_dim, latent_inside and variant_forward read its row. Each
@@ -99,7 +100,6 @@ class _Variant(NamedTuple):
     latent: bool = False
 
 
-_M = _Variant("U1:kd U2:kd C:ok W2:od W3:od", "o", lambda p, e, i, l: (m_forward(p, e, i),))
 _TABLE = {
     "Baseline": _Variant("", "2d", lambda p, e, i, l: (e, i)),
     "A1": _Variant("W2:dd W3:dd", "d", lambda p, e, i, l: (
@@ -116,9 +116,8 @@ _TABLE = {
         ad.matmul(p["W1"], ad.mul(e, i)) + ad.matmul(p["W2"], e) + ad.matmul(p["W3"], i),),
         square=True),
     "A7": _Variant("W_tensor:ddd", "d", _a7, square=True),
-    "M": _M,
+    "M": _Variant("U1:kd U2:kd C:ok W2:od W3:od", "o", lambda p, e, i, l: (m_forward(p, e, i),)),
     "H": _Variant("U{n}_e:kd U{n}_i:kd C:ok", "o", lambda p, e, i, l: (h_forward(p, e, i),)),
-    "HigherOut_o256": _M,
     "LearnableConcat": _Variant("W2:dd W3:dd", "2d", lambda p, e, i, l: (
         ad.matmul(p["W2"], e), ad.matmul(p["W3"], i)), square=True),
     "LatentInM": _Variant("U1:kd U2:kd U3:kd C:ok", "o", _latent_in_m, latent=True),

@@ -43,16 +43,17 @@ _BLOCK = 2048  # rows per positional_encode block
 
 @dataclass(frozen=True)
 class FieldArch:
-    """Architecture constants; param_shapes derives the learnable arrays from them."""
+    """Architecture constants, each one given (config.SCHEMA holds the
+    defaults); param_shapes derives the learnable arrays from them."""
 
-    layers: int = 4
-    hidden: int = 64
-    Lx: int = 6
-    Lv: int = 2
-    color_layers: int = 2
-    color_hidden: int = 32
-    d_cond: int = 8
-    d_latent: int = 8
+    layers: int
+    hidden: int
+    Lx: int
+    Lv: int
+    color_layers: int
+    color_hidden: int
+    d_cond: int
+    d_latent: int
 
     @property
     def d_enc_x(self) -> int:

@@ -106,7 +106,6 @@ ORACLES = {
     "A7": lambda p, e, i, l: _contract(p["W_tensor"], e, i),
     "M": _m_loop,
     "H": _h_loop,
-    "HigherOut_o256": _m_loop,
     "LearnableConcat": lambda p, e, i, l: np.array([*_mv(p["W2"], e), *_mv(p["W3"], i)]),
     "LatentInM": _latent_in_m_loop,
 }
@@ -115,11 +114,10 @@ ORACLES = {
 def suite_variants(cases: int = 50) -> dict:
     """One check per conditioning row: cond.variant_forward's parts, joined,
     against ORACLES on random shapes drawn through cond.param_shapes (H draws
-    its level count too)."""
-    rng = _rng(7)
+    its level count too), each row from its own _row_rng."""
     checks = []
     for variant in cond.VARIANTS:
-        row = cond._TABLE[variant]
+        rng, row = _row_rng(variant), cond._TABLE[variant]
         err = 0.0
         for _ in range(cases):
             d, k, o = (int(rng.integers(1, 7)) for _ in range(3))

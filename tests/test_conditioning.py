@@ -211,7 +211,7 @@ def test_all_variant_gradients_pass_finite_differences(variant):
     rng = np.random.default_rng(11)
     d = 4
     k = d if variant == "LatentInM" else 3
-    o = 6 if variant in ("M", "H", "HigherOut_o256") else d
+    o = 6 if variant in ("M", "H") else d
     params = init_arrays(cond.param_shapes(variant, d, k, o, d_latent=d, n_levels=2), rng)
     names = sorted(params)
     e = rng.standard_normal(d)
@@ -246,7 +246,7 @@ def test_each_row_declares_what_its_formula_reads(variant, n_levels):
     rng = np.random.default_rng(12)
     d = 4
     k = d if variant == "LatentInM" else 3
-    o = 6 if variant in ("M", "H", "HigherOut_o256") else d
+    o = 6 if variant in ("M", "H") else d
     shapes = cond.param_shapes(variant, d, k, o, n_levels=n_levels, d_latent=d)
     params = _Reads(init_arrays(shapes, rng))
     e, i, l = rng.standard_normal((3, d))
@@ -258,6 +258,33 @@ def test_each_row_declares_what_its_formula_reads(variant, n_levels):
 
 def test_verify_has_an_oracle_for_every_row():
     assert set(verify.ORACLES) == set(cond.VARIANTS)
+
+
+@pytest.mark.parametrize("dropped", ["A1", "M"])
+def test_dropping_a_variant_row_leaves_every_other_rows_draws_unchanged(monkeypatch, dropped):
+    oracles, rows = dict(verify.ORACLES), list(cond.VARIANTS)
+
+    def run(names):
+        drawn = {}
+
+        def record(name):
+            def oracle(p, e, i, l):
+                drawn.setdefault(name, []).append([*(np.array(p[k]) for k in sorted(p)), e, i, l])
+                return oracles[name](p, e, i, l)
+            return oracle
+
+        monkeypatch.setattr(cond, "VARIANTS", tuple(names))
+        monkeypatch.setattr(verify, "ORACLES", {n: record(n) for n in names})
+        errs = {c["name"]: c["max_err"] for c in verify.suite_variants(cases=3)["checks"]}
+        return drawn, errs
+
+    all_drawn, all_errs = run(rows)
+    drawn, errs = run([n for n in rows if n != dropped])
+    assert set(drawn) == set(rows) - {dropped}
+    for name in drawn:
+        assert all(np.array_equal(a, b) for d, e in zip(drawn[name], all_drawn[name])
+                   for a, b in zip(d, e)), name
+    assert errs == {n: e for n, e in all_errs.items() if n != f"{dropped}_vs_loop"}
 
 
 def test_variant_dim_rules():

@@ -144,8 +144,6 @@ MODEL_PARAMS_SHA256 = {
           "ceea218e5f9e94fd4596ffe56ef4d3a80c252e70026e835caa8469b8e488bdb9"),
     "H": ("de683c899035efac6effa8aaa5e7e0a227ec4ee6ad67f4a354c5b5158266ad5a",
           "78bad9cef8a3ba1393306cbfd3810baa5b0d32df6342f030ff34967235286985"),
-    "HigherOut_o256": ("45c6e0a55b80a696a61e8089b084e3de8dae9d58ec44a8177ae0208a0c08da46",
-                       "ceea218e5f9e94fd4596ffe56ef4d3a80c252e70026e835caa8469b8e488bdb9"),
     "LearnableConcat": ("115c9352e0c8bfddbafc584ca490ca3765c25e5e15fa0e14114c9d33508ccf0e",
                         "8d4997978e5a6bf0d39ef16b1b67273d471549088e84dd0f5d49c95f87c8a06b"),
     "LatentInM": ("7a8d84a5504834e770365fa47dc92ada9e5e1ef424f1cf554af7abccc4c3e588",
