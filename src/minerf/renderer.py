@@ -6,6 +6,13 @@ frames, model frames and training; the callers differ only in the field
 functions they pass: Vars on a training tape, or plain arrays for rendering.
 Every call draws its sample positions from the pixel streams below.
 
+Ground truth skips empty space exactly. render_image with a support box
+renders only the rays that cross it, and render_rays sends the field and the
+compositor only each such ray's window of samples around its segment inside
+the box (_window). Every other sample has density +0.0, hence alpha +0.0,
+weight +0.0 and transmittance factor 1, so the image and depth are the dense
+render's bit for bit.
+
 Compositing uses the standard alpha estimator for the ray integral:
 alpha_i = 1 - exp(-sigma_i * delta_i), T_i = prod_{j<i} (1 - alpha_j),
 C = sum_i T_i alpha_i c_i + T_end * background. delta_i is the gap to the
@@ -249,7 +256,7 @@ def composite_rays_tape(sigma, rgb, ts: np.ndarray, t_far: float, bg: np.ndarray
 
 def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
                 t_near: float, t_far: float, n_coarse: int, n_fine: int, coarse_fn, fine_fn,
-                background):
+                background, span=None):
     """Hierarchical volume rendering of the rays through pixels (rows, cols) of pose.
 
     Pixel p = row * width + col draws its coarse jitter, then its fine
@@ -260,6 +267,12 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     fine pass over the coarse t-values merged with importance samples of the
     coarse weights. Returns (colors (R, 3), ts (R, S), weights (R, S)) per
     pass, coarse first.
+
+    span, a pair (lo, hi) of (R,) arrays, promises that the fields' density is
+    exactly +0.0, and their rgb >= 0, at every sample of ray r with t outside
+    [lo_r, hi_r]. Each pass then sends to the fields and the compositor only a
+    window of each row's samples (see _window); the weights of the samples
+    outside it are +0.0, and ts and weights still cover every sample.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     dirs = pixel_dirs(pose, rows, cols)
@@ -267,9 +280,14 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     bg = np.broadcast_to(np.asarray(background, dtype=np.float64), (dirs.shape[0], 3))
 
     def run(fn, t):
-        X = origin[None, None, :] + t[:, :, None] * dirs[:, None, :]
+        idx = None if span is None else _window(t, *span)
+        win = t if idx is None else np.take_along_axis(t, idx, axis=1)
+        X = origin[None, None, :] + win[:, :, None] * dirs[:, None, :]
         rgb, sigma = fn(X.reshape(-1, 3), dirs)
-        colors, w = composite_rays_tape(sigma, rgb, t, t_far, bg)
+        colors, w = composite_rays_tape(sigma, rgb, win, t_far, bg)
+        if idx is not None:
+            w, w_win = np.zeros(t.shape), w
+            np.put_along_axis(w, idx, w_win, axis=1)
         return colors, t, w
 
     u = pixel_rng(key, step, frame, rows * pose.width + cols, n_coarse + n_fine)
@@ -280,18 +298,36 @@ def render_rays(pose: CameraPose, rows, cols, *, key, step: int, frame: int,
     return passes
 
 
-def _crosses_box(origin, dirs: np.ndarray, half_extent, t_near: float,
-                 t_far: float) -> np.ndarray:
-    """Whether each ray's segment [t_near, t_far] meets the box |x_j| <= half_extent_j.
+def _window(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Column indices (R, L) of each sorted row of ts (R, S) around its span [lo, hi].
 
-    Slab test. A ray in the plane of a face divides 0 by 0 and reads as a miss.
+    Row r's window runs from its last sample before lo to its first after hi
+    (each clamped to the row), so every sample left out lies a whole sample
+    gap outside the span. The trailing sample keeps the last sample inside the
+    span's delta exact, since a window's last delta runs to t_far. All rows
+    take the widest row's length L, starting where the row's window starts or
+    at S - L, whichever is less; the samples this adds lie outside the span.
+    """
+    S = ts.shape[1]
+    first = np.maximum((ts < lo[:, None]).sum(axis=1) - 1, 0)
+    last = np.minimum((ts <= hi[:, None]).sum(axis=1), S - 1)
+    L = int((last - first).max(initial=0)) + 1
+    return np.minimum(first, S - L)[:, None] + np.arange(L)
+
+
+def _crosses_box(origin, dirs: np.ndarray, half_extent, t_near: float,
+                 t_far: float):
+    """Each ray's segment (lo, hi) of [t_near, t_far] inside the box |x_j| <= half_extent_j.
+
+    Slab test; a ray that misses the box has lo > hi. A ray in the plane of a
+    face divides 0 by 0 and reads as a miss.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (-half_extent - origin) / dirs
         b = (half_extent - origin) / dirs
     lo = np.maximum(np.minimum(a, b).max(axis=1), t_near)
     hi = np.minimum(np.maximum(a, b).min(axis=1), t_far)
-    return lo <= hi
+    return lo, hi
 
 
 def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
@@ -320,27 +356,35 @@ def render_image(field_fn, pose: CameraPose, *, t_near: float, t_far: float,
     support, a half-extent h (3,), promises that the fields' density is
     exactly +0.0 outside the box |x_j| <= h_j, with slack enough that every
     point holding density lies well inside it (as synthscene's
-    support_half_extent gives). Rays whose segment [t_near, t_far] misses
-    the box then read exactly background + 0.0, what compositing zero
-    weights gives, with depth 0.0, and neither draw from their pixel stream
-    nor reach the fields. Pixel streams are per pixel, so the other rays
-    render as they would in the full frame.
+    support_half_extent gives), and that their rgb is >= 0. Rays whose
+    segment [t_near, t_far] misses the box then read exactly background +
+    0.0, what compositing zero weights gives, with depth 0.0, and neither
+    draw from their pixel stream nor reach the fields. Pixel streams are per
+    pixel, so the other rays render as they would in the full frame. Each
+    kept ray passes its segment inside the box to render_rays as its span,
+    so the fields and the compositor see only the window of its samples
+    around that segment. A culled sample composites to weight +0.0 and
+    transmittance factor 1 and adds +0.0 to the color sum, which numpy
+    accumulates sample by sample; the weights go back into full rows, so
+    resampling reads and depth sums (pairwise over a row) exactly the arrays
+    of the dense render.
     """
     H, W = pose.height, pose.width
     rows, cols = np.divmod(np.arange(H * W), W)
     img, depth = np.empty((H * W, 3)), np.zeros(H * W)
     kept = np.arange(H * W)
     if support is not None:
-        hit = _crosses_box(np.asarray(pose.t, dtype=np.float64), pixel_dirs(pose, rows, cols),
-                           np.asarray(support, dtype=np.float64), t_near, t_far)
+        lo, hi = _crosses_box(np.asarray(pose.t, dtype=np.float64), pixel_dirs(pose, rows, cols),
+                              np.asarray(support, dtype=np.float64), t_near, t_far)
         img[:] = np.asarray(background, dtype=np.float64) + 0.0
-        kept = kept[hit]
+        kept = kept[lo <= hi]
     key = philox_key(seed)
     for chunk in np.array_split(kept, max(1, len(kept) // _CHUNK_RAYS)):
         colors, ts, w = render_rays(
             pose, rows[chunk], cols[chunk], key=key, step=0, frame=frame_index,
             t_near=t_near, t_far=t_far, n_coarse=n_coarse, n_fine=n_fine, coarse_fn=field_fn,
-            fine_fn=fine_field_fn or field_fn, background=background)[-1]
+            fine_fn=fine_field_fn or field_fn, background=background,
+            span=None if support is None else (lo[chunk], hi[chunk]))[-1]
         img[chunk] = colors
         if return_depth:
             depth[chunk] = (w * ts).sum(axis=1)

@@ -15,7 +15,8 @@ The density is exactly +0.0 outside the box |x_j| <= h_j of
 support_half_extent, h_j = (a_j + sum_m |e_m amp_m dir_mj|)(1 + 1e-6) for
 semi-axes a, mode amplitudes amp and mode directions dir.
 So analytic_field evaluates the formula only at points inside the box, and
-render_gt_frame renders only the rays that cross it. Culled samples have
+render_gt_frame renders only the rays that cross it, each only on a window of
+its samples around its segment inside the box. Culled samples have
 alpha = -expm1(-0.0) = +0.0, weight +0.0 and transmittance factor 1, and
 w * rgb = +0.0 for any rgb >= 0. A missed ray composites to 0.0 + 1.0 * bg.
 Every render_gt_frame image is therefore bit-identical to the dense render,

@@ -4,6 +4,8 @@ Each suite returns {"suite", "passed", "checks": [{name, passed, max_err}]}.
 The checks deliberately go through module attributes (cond.variant_forward,
 not a from-import) so fault-injection tests can monkeypatch the code that runs
 and watch the suite fail. The oracles are written here, apart from that code.
+Every check draws from its own generator, seeded by its name (_row_rng), so
+adding or dropping a check leaves every other check's draws as they were.
 """
 
 from __future__ import annotations
@@ -34,9 +36,24 @@ def _row_rng(name):
     return _rng(zlib.crc32(name.encode()))
 
 
+def _within(max_err, tol):
+    return {"passed": bool(max_err < tol), "max_err": float(max_err), "tol": tol}
+
+
+def _exact(differ):
+    """A count of differing values, which passes only at 0."""
+    return {"passed": differ == 0, "max_err": float(differ), "tol": 0.0}
+
+
 def _check(name, max_err, tol):
-    return {"name": name, "passed": bool(max_err < tol), "max_err": float(max_err),
-            "tol": tol}
+    return {"name": name, **_within(max_err, tol)}
+
+
+def _table_suite(suite, table, cases):
+    """One check per row of table, name -> check(rng, cases) giving the check's
+    passed, max_err and tol, each row from its own _row_rng(name)."""
+    checks = [{"name": name, **check(_row_rng(name), cases)} for name, check in table.items()]
+    return {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def _params(rng, variant, d, k, o, n_levels=1):
@@ -246,8 +263,7 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
         out = ad.sum_(ad.mul(ad.sigmoid(xv), ad.exp(ad.mul(xv, 0.3))))
         outs.append((float(out.value), ad.grad(t, out, [xv])[0]))
     same = outs[0][0] == outs[1][0] and np.array_equal(outs[0][1], outs[1][1])
-    checks.append({"name": "determinism_bit_identical", "passed": bool(same),
-                   "max_err": 0.0 if same else 1.0, "tol": 0.0})
+    checks.append({"name": "determinism_bit_identical", **_exact(0 if same else 1)})
 
     return {"suite": "autodiff", "passed": all(c["passed"] for c in checks),
             "checks": checks}
@@ -255,12 +271,9 @@ def suite_autodiff(per_primitive: int = 50) -> dict:
 
 # ---------------------------------------------------------------------------
 
-def suite_render(cases: int = 100) -> dict:
-    rng = _rng(23)
-    checks = []
-
-    # partition of unity on arbitrary sorted samples, from the compositor's own
-    # transmittances and weights (the arrays resampling and the VJP read)
+def _partition_of_unity(rng, cases):
+    """T_end + sum w = 1 on arbitrary sorted samples, from the compositor's own
+    transmittances and weights (the arrays resampling and the VJP read)."""
     err = 0.0
     for _ in range(cases):
         n = int(rng.integers(1, 40))
@@ -270,33 +283,42 @@ def suite_render(cases: int = 100) -> dict:
         _, trans, w = renderer.composite_batch(t[None, :], sigma[None, :], colors[None],
                                                4.0, np.zeros((1, 3)))
         err = max(err, abs(trans[0, -1] + float(w.sum()) - 1.0))
-    checks.append(_check("transmittance_partition_of_unity", err, 1e-12))
+    return _within(err, 1e-12)
 
-    # homogeneous medium vs closed form at 256 samples
+
+def _homogeneous_errs():
+    """A homogeneous medium's color error against its closed form at 64 and 256
+    samples, placed at bin midpoints."""
     sigma0, color = 2.0, np.array([0.7, 0.2, 0.5])
     t_near, t_far = 1e-9, 1.0
     errs = {}
     for n in (64, 256):
         width = (t_far - t_near) / n
-        t = t_near + width * np.arange(n) + 0.5 * width  # bin midpoints
+        t = t_near + width * np.arange(n) + 0.5 * width
         got = renderer.composite_batch(t[None, :], np.full((1, n), sigma0),
                                        np.tile(color, (1, n, 1)), t_far, np.zeros((1, 3)))[0][0]
         want = color * (1.0 - np.exp(-sigma0 * (t_far - t_near)))
         errs[n] = float(np.max(np.abs(got - want)))
-    checks.append(_check("homogeneous_closed_form_256", errs[256], 1e-3))
-    halved = errs[256] < 0.5 * errs[64] + 1e-12
-    checks.append({"name": "quadrature_error_halves_64_to_256", "passed": bool(halved),
-                   "max_err": errs[256] / max(errs[64], 1e-300), "tol": 0.5})
+    return errs
 
-    # opaque first sample returns its color
+
+def _quadrature_halves(rng, cases):
+    errs = _homogeneous_errs()
+    return {"passed": bool(errs[256] < 0.5 * errs[64] + 1e-12),
+            "max_err": errs[256] / max(errs[64], 1e-300), "tol": 0.5}
+
+
+def _opaque_saturation(rng, cases):
+    """An opaque first sample returns its color."""
     t = np.array([0.5, 0.7])
     got = renderer.composite_batch(t[None, :], np.array([[40.0 / 0.2, 0.0]]),
                                    np.array([[[0.9, 0.1, 0.3], [0.2, 0.2, 0.2]]]), 1.0,
                                    np.ones((1, 3)))[0][0]
-    err = float(np.max(np.abs(got - [0.9, 0.1, 0.3])))
-    checks.append(_check("opaque_saturation", err, 1e-12))
+    return _within(float(np.max(np.abs(got - [0.9, 0.1, 0.3]))), 1e-12)
 
-    # monotone transmittance, from 1 before the first sample to T_end
+
+def _transmittance_monotone(rng, cases):
+    """Transmittance falls, from 1 before the first sample to T_end."""
     err = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 30))
@@ -305,10 +327,12 @@ def suite_render(cases: int = 100) -> dict:
         trans = renderer.composite_batch(t[None, :], sigma[None, :], np.zeros((1, n, 3)),
                                          4.0, np.zeros((1, 3)))[1]
         err = max(err, float(np.max(np.diff(trans[0], prepend=1.0))))
-    checks.append(_check("transmittance_monotone", max(err, 0.0), 1e-15))
+    return _within(max(err, 0.0), 1e-15)
 
-    # the batched pixel streams against numpy's own Philox generator, exactly:
-    # a numpy release that changed Philox buffering would change every dataset
+
+def _pixel_streams(rng, cases):
+    """The batched pixel streams against numpy's own Philox generator, exactly:
+    a numpy release that changed Philox buffering would change every dataset."""
     mismatches = 0
     for seed, step, frame, n in ((0, 0, 3, 1), (1, 5, 0, 7), (7, 2**64 - 2, 9, 13),
                                  (3, 12, 2**40, 48)):
@@ -317,40 +341,46 @@ def suite_render(cases: int = 100) -> dict:
             [step, frame, p, renderer._PIXEL_STREAM], dtype=np.uint64))).random(n)
             for p in pixels])
         mismatches += int(np.sum(renderer.pixel_rng(key, step, frame, pixels, n) != want))
-    checks.append({"name": "pixel_streams_match_numpy_philox", "passed": mismatches == 0,
-                   "max_err": float(mismatches), "tol": 0.0})
+    return _exact(mismatches)
 
-    # render_gt_frame's float64 image, culled to the support box, against the
-    # dense formula on every sample, exactly: they agree only where the BLAS
-    # products give a row the same bits whatever the other rows are, so a host
-    # where they do not fails here instead of writing datasets that differ
-    # (from its own generator, so the checks above draw what they drew before)
-    r = _rng(29)
-    spec = synthscene.sample_scene(1, 8, r, [0.08, 0.10, 0.14], deform_budget=0.5,
+
+def _support_culling(rng, cases):
+    """render_gt_frame's float64 image and depth, culled to the support box's
+    rays and samples, against the dense formula on every sample, exactly: they
+    agree only where the BLAS products give a row the same bits whatever the
+    other rows are, so a host where they do not fails here instead of writing
+    datasets that differ."""
+    spec = synthscene.sample_scene(1, 8, rng, [0.08, 0.10, 0.14], deform_budget=0.5,
                                    tint_strength=0.35)
-    e = r.uniform(-1.7, 1.7, 8)
+    e = rng.uniform(-1.7, 1.7, 8)
     pose = synthscene.orbit_pose(1, 8, 2.8, 0.35, 24, focal_factor=1.2)
-    culled = synthscene.render_gt_frame(spec, 0, e, pose, 1.4, 4.2, 64, 0, 0)
+    kw = {"t_near": 1.4, "t_far": 4.2, "n_coarse": 64, "background": spec.background,
+          "seed": 0, "frame_index": 0, "return_depth": True}
+    culled = renderer.render_image(lambda X, dirs: synthscene.analytic_field(spec, 0, e, X),
+                                   pose, support=synthscene.support_half_extent(spec, 0, e),
+                                   **kw)
     dense = renderer.render_image(lambda X, dirs: synthscene._analytic_kernel(spec, 0, e, X),
-                                  pose, t_near=1.4, t_far=4.2, n_coarse=64,
-                                  background=spec.background, seed=0, frame_index=0)
-    differ = int(np.sum(culled.view(np.uint64) != dense.view(np.uint64)))
-    checks.append({"name": "support_culling_exact", "passed": differ == 0,
-                   "max_err": float(differ), "tol": 0.0})
+                                  pose, **kw)
+    return _exact(sum(int(np.sum(c.view(np.uint64) != d.view(np.uint64)))
+                      for c, d in zip(culled, dense)))
 
-    # a model frame through render_image's ray chunks against one render_rays
-    # call over every pixel, colors and depth exactly: 40x40 = 1600 rays split
-    # unevenly into 6 chunks, so a host whose BLAS gives a row other bits at
-    # another row count fails here instead of rendering frames that depend on
-    # the chunking
+
+def _chunked_model_frame(rng, cases):
+    """A model frame through render_image's ray chunks against one render_rays
+    call over every pixel, colors and depth exactly: 40x40 = 1600 rays split
+    unevenly into 6 chunks, so a host whose BLAS gives a row other bits at
+    another row count fails here instead of rendering frames that depend on
+    the chunking."""
     cfg = config.materialize({})
-    state = trainer.TrainState(cfg=cfg, params=trainer.model_params(cfg, r))
+    state = trainer.TrainState(cfg=cfg, params=trainer.model_params(cfg, rng))
     cc = cfg["conditioning"]
-    coarse_fn, fine_fn = trainer.model_fields(state, state.params, e, r.standard_normal(cc["d"]),
+    coarse_fn, fine_fn = trainer.model_fields(state, state.params,
+                                              rng.uniform(-1.7, 1.7, cc["d"]),
+                                              rng.standard_normal(cc["d"]),
                                               np.zeros(cc["d_latent"]))
     pose = synthscene.orbit_pose(1, 8, 2.8, 0.35, 40, focal_factor=1.2)
     kw = {"t_near": 1.4, "t_far": 4.2, "n_coarse": cfg["render"]["n_coarse"],
-          "n_fine": cfg["render"]["n_fine"], "background": spec.background}
+          "n_fine": cfg["render"]["n_fine"], "background": np.array([0.08, 0.10, 0.14])}
     img, depth = renderer.render_image(coarse_fn, pose, fine_field_fn=fine_fn, seed=0,
                                        frame_index=0, return_depth=True, **kw)
     rows, cols = np.divmod(np.arange(40 * 40), 40)
@@ -359,12 +389,24 @@ def suite_render(cases: int = 100) -> dict:
                                          **kw)[-1]
     want = np.concatenate([colors, (w * ts).sum(axis=1)[:, None]], axis=1)
     got = np.concatenate([img.reshape(-1, 3), depth.reshape(-1, 1)], axis=1)
-    differ = int(np.sum(got.view(np.uint64) != want.view(np.uint64)))
-    checks.append({"name": "chunked_model_frame_exact", "passed": differ == 0,
-                   "max_err": float(differ), "tol": 0.0})
+    return _exact(int(np.sum(got.view(np.uint64) != want.view(np.uint64))))
 
-    return {"suite": "render", "passed": all(c["passed"] for c in checks),
-            "checks": checks}
+
+# check name -> check(rng, cases); rows without random draws ignore rng
+RENDER_CHECKS = {
+    "transmittance_partition_of_unity": _partition_of_unity,
+    "homogeneous_closed_form_256": lambda rng, cases: _within(_homogeneous_errs()[256], 1e-3),
+    "quadrature_error_halves_64_to_256": _quadrature_halves,
+    "opaque_saturation": _opaque_saturation,
+    "transmittance_monotone": _transmittance_monotone,
+    "pixel_streams_match_numpy_philox": _pixel_streams,
+    "support_culling_exact": _support_culling,
+    "chunked_model_frame_exact": _chunked_model_frame,
+}
+
+
+def suite_render(cases: int = 100) -> dict:
+    return _table_suite("render", RENDER_CHECKS, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +445,32 @@ def _triplet_expansion(p, e, i):
     return np.sum(terms, axis=0)
 
 
-def suite_props(cases: int = 200) -> dict:
-    rng = _rng(31)
-    checks = []
-
-    # Prop 1: factored module equals the dense-tensor interaction
+def _prop1(rng, cases):
+    """Prop 1: the factored module equals the dense-tensor interaction."""
     err = 0.0
     for _ in range(cases):
         d, k, o = (int(rng.integers(1, 9)) for _ in range(3))
         p = _params(rng, "M", d, k, o)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = cond.m_forward(p, e, i)
-        want = m_full_tensor(p, e, i)
-        err = max(err, float(np.max(np.abs(got - want))))
-    checks.append(_check("prop1_factored_equals_full_tensor", err, 1e-10))
+        err = max(err, float(np.max(np.abs(cond.m_forward(p, e, i) - m_full_tensor(p, e, i)))))
+    return _within(err, 1e-10)
 
-    # Prop 2: N=2 recursion equals its six-term expansion
+
+def _prop2(rng, cases):
+    """Prop 2: the N=2 recursion equals its six-term expansion."""
     err = 0.0
     for _ in range(cases):
         d, k, o = (int(rng.integers(1, 9)) for _ in range(3))
         p = _params(rng, "H", d, k, o, n_levels=2)
         e, i = rng.standard_normal(d), rng.standard_normal(d)
-        got = cond.h_forward(p, e, i)
-        want = h_expand_oracle(p, e, i)
-        err = max(err, float(np.max(np.abs(got - want))))
-    checks.append(_check("prop2_recursion_equals_six_terms", err, 1e-10))
+        err = max(err, float(np.max(np.abs(cond.h_forward(p, e, i) - h_expand_oracle(p, e, i)))))
+    return _within(err, 1e-10)
 
-    # Prop 3 spot check: the degree-3 part of the N=3 recursion equals the
-    # 8-triplet expansion. f(t) = h_forward(t e, t i) is a cubic in t, so its
-    # third difference over t = 0..3 is 6 times that part.
+
+def _prop3(rng, cases):
+    """Prop 3 spot check: the degree-3 part of the N=3 recursion equals the
+    8-triplet expansion. f(t) = h_forward(t e, t i) is a cubic in t, so its
+    third difference over t = 0..3 is 6 times that part."""
     err = 0.0
     for _ in range(max(20, cases // 10)):
         d, k, o = (int(rng.integers(1, 7)) for _ in range(3))
@@ -439,11 +478,12 @@ def suite_props(cases: int = 200) -> dict:
         e, i = rng.standard_normal(d), rng.standard_normal(d)
         f = [cond.h_forward(p, t * e, t * i) for t in range(4)]
         got = (f[3] - 3 * f[2] + 3 * f[1] - f[0]) / 6
-        want = _triplet_expansion(p, e, i)
-        err = max(err, float(np.max(np.abs(got - want))))
-    checks.append(_check("prop3_multiplicative_branch_triplets", err, 1e-10))
+        err = max(err, float(np.max(np.abs(got - _triplet_expansion(p, e, i)))))
+    return _within(err, 1e-10)
 
-    # pure multiplicative branch of M is linear in e
+
+def _degree_linearity(rng, cases):
+    """M's pure multiplicative branch is linear in e."""
     err = 0.0
     for _ in range(50):
         d, k = int(rng.integers(1, 8)), int(rng.integers(1, 8))
@@ -455,10 +495,20 @@ def suite_props(cases: int = 200) -> dict:
         lhs = cond.m_forward(p, a * e, i)
         rhs = a * cond.m_forward(p, e, i)
         err = max(err, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("degree_linearity_in_e", err, 1e-12))
+    return _within(err, 1e-12)
 
-    return {"suite": "props", "passed": all(c["passed"] for c in checks),
-            "checks": checks}
+
+# check name -> check(rng, cases)
+PROPS_CHECKS = {
+    "prop1_factored_equals_full_tensor": _prop1,
+    "prop2_recursion_equals_six_terms": _prop2,
+    "prop3_multiplicative_branch_triplets": _prop3,
+    "degree_linearity_in_e": _degree_linearity,
+}
+
+
+def suite_props(cases: int = 200) -> dict:
+    return _table_suite("props", PROPS_CHECKS, cases)
 
 
 def run_suites(names) -> dict:

@@ -30,6 +30,26 @@ def test_sigmoid_at_zero():
     assert ad.grad(t, y, [x])[0] == pytest.approx(0.25)
 
 
+def test_stable_sigmoid_keeps_the_bits_of_the_split_formula():
+    """The branch-free form against 1 / (1 + exp(-x)) on x >= 0 and
+    exp(x) / (1 + exp(x)) below, written with boolean masks."""
+    def split(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ev = np.exp(x[~pos])
+        out[~pos] = ev / (1.0 + ev)
+        return out
+
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, np.inf, 745.0, 800.0, 5e-324, tiny / 2, tiny, 1.0, 36.0, 710.0])
+    x = np.concatenate([edges, -edges, np.random.default_rng(11).standard_normal(10**6) * 30.0])
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = ad._stable_sigmoid(x), split(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
 def test_matvec_gradient_transpose_rule():
     rng = np.random.default_rng(0)
     W = rng.standard_normal((3, 2))

@@ -328,6 +328,54 @@ def test_render_suite_detects_ground_truth_rows_that_depend_on_the_other_rows(mo
     assert report["passed"] is False
 
 
+def test_render_suite_compares_ground_truth_depth(monkeypatch):
+    """Sample positions that move only the culled render's depth, not its colors."""
+    import minerf.renderer as rd
+    real = rd.render_rays
+
+    def shifted_ts(*args, span=None, **kwargs):
+        passes = real(*args, span=span, **kwargs)
+        if span is None:
+            return passes
+        colors, ts, w = passes[-1]
+        return passes[:-1] + [(colors, ts + 1e-9, w)]
+
+    monkeypatch.setattr(rd, "render_rays", shifted_ts)
+    report = verify.suite_render(cases=5)
+    check = next(c for c in report["checks"] if c["name"] == "support_culling_exact")
+    assert not check["passed"] and check["max_err"] > 0
+
+
+@pytest.mark.parametrize("suite,table,dropped", [
+    ("props", "PROPS_CHECKS", "prop1_factored_equals_full_tensor"),
+    ("props", "PROPS_CHECKS", "prop2_recursion_equals_six_terms"),
+    ("render", "RENDER_CHECKS", "transmittance_partition_of_unity"),
+    ("render", "RENDER_CHECKS", "support_culling_exact"),
+])
+def test_dropping_a_check_leaves_every_other_checks_draws_unchanged(monkeypatch, suite, table,
+                                                                     dropped):
+    rows = dict(getattr(verify, table))
+
+    def run(names):
+        start = {}
+
+        def record(name):
+            def check(rng, cases):
+                start[name] = rng.bit_generator.state
+                return rows[name](rng, cases)
+            return check
+
+        monkeypatch.setattr(verify, table, {n: record(n) for n in names})
+        report = getattr(verify, f"suite_{suite}")(cases=5)
+        return start, {c["name"]: c["max_err"] for c in report["checks"]}
+
+    all_start, all_errs = run(rows)
+    start, errs = run([n for n in rows if n != dropped])
+    assert dropped not in errs and set(errs) == set(all_errs) - {dropped}
+    assert start == {n: s for n, s in all_start.items() if n != dropped}
+    assert errs == {n: e for n, e in all_errs.items() if n != dropped}
+
+
 def test_render_suite_detects_model_rows_that_depend_on_the_other_rows(monkeypatch):
     """A field whose rows change with the row count makes chunked frames differ."""
     report = verify.suite_render(cases=5)
@@ -356,7 +404,9 @@ def test_render_suite_reads_the_compositor_arrays(check, fault, monkeypatch):
     import minerf.renderer as rd
     real = rd.composite_batch
     monkeypatch.setattr(rd, "composite_batch", lambda *a: fault(*real(*a)))
-    report = verify.suite_render(cases=5)
+    # the late read shows only on a row whose last sample keeps some weight;
+    # the partition check's own generator first draws one at its 10th case
+    report = verify.suite_render(cases=20)
     assert not next(c for c in report["checks"] if c["name"] == check)["passed"]
 
 

@@ -317,12 +317,23 @@ def toy_model():
     return ds, kw, fields, synthscene.support_half_extent(ds.scene, 0, e)
 
 
+def _boxed(fn, h):
+    """fn with its density set to +0.0 outside the box |x_j| <= h_j."""
+    def boxed(X, dirs):
+        rgb, sigma = fn(X, dirs)
+        return rgb, np.where(np.all(np.abs(X) <= h, axis=1), sigma, 0.0)
+    return boxed
+
+
 @pytest.mark.parametrize("res", [12, 20, 24, 32, 40, 48])
 @pytest.mark.parametrize("culled", [False, True])
 def test_chunked_render_image_matches_one_render_rays_call(toy_model, res, culled):
     # render_image splits its rays into near-equal chunks; every byte of colors and depth
     # must be what one render_rays call over all the frame's kept rays gives
     ds, kw, (coarse_fn, fine_fn), support = toy_model
+    if culled:
+        # the support promise: no density outside the box
+        coarse_fn, fine_fn = (_boxed(fn, support) for fn in (coarse_fn, fine_fn))
     pose = synthscene.orbit_pose(0, 2, 2.8, 0.35, res, focal_factor=1.2)
     img, depth = rd.render_image(coarse_fn, pose, fine_field_fn=fine_fn, seed=3, frame_index=5,
                                  return_depth=True, support=support if culled else None, **kw)
@@ -330,8 +341,9 @@ def test_chunked_render_image_matches_one_render_rays_call(toy_model, res, culle
     want_img, want_depth = np.empty((res * res, 3)), np.zeros(res * res)
     hit = np.ones(res * res, dtype=bool)
     if culled:
-        hit = rd._crosses_box(pose.t, rd.pixel_dirs(pose, rows, cols), support,
-                              ds.t_near, ds.t_far)
+        lo, hi = rd._crosses_box(pose.t, rd.pixel_dirs(pose, rows, cols), support,
+                                 ds.t_near, ds.t_far)
+        hit = lo <= hi
         want_img[:] = ds.scene.background
     colors, ts, w = rd.render_rays(pose, rows[hit], cols[hit], key=rd.philox_key(3), step=0,
                                    frame=5, coarse_fn=coarse_fn, fine_fn=fine_fn, **kw)[-1]

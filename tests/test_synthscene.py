@@ -291,7 +291,8 @@ def test_culled_ground_truth_equals_the_dense_render_on_grazing_rays(seed, res):
                 assert np.array_equal(_bits(img), _bits(dense))
                 assert np.array_equal(_bits(depth), _bits(dense_depth))
                 dirs = rd.pixel_dirs(pose, *np.divmod(np.arange(res * res), res))
-                hit_share.append(rd._crosses_box(eye, dirs, h, ds.t_near, ds.t_far).mean())
+                lo, hi = rd._crosses_box(eye, dirs, h, ds.t_near, ds.t_far)
+                hit_share.append((lo <= hi).mean())
     assert min(hit_share) == 0.0 and 0.0 < max(hit_share) < 1.0
 
 
@@ -318,6 +319,83 @@ def test_render_image_support_is_exact_for_a_density_that_fills_the_box(res):
         dense, dense_depth = rd.render_image(field, pose, return_depth=True, **kw)
         assert np.array_equal(_bits(img), _bits(dense))
         assert np.array_equal(_bits(depth), _bits(dense_depth))
+
+
+def _toy(seed, *sets):
+    """The toy-default scene at seed, without its ground-truth frames."""
+    return sc.dataset_from_config(config.load_config(sets=[f"seed={seed}", *sets], env={}),
+                                  render_images=False)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 256])
+@pytest.mark.parametrize("n_fine", [0, 16])
+def test_windowed_render_equals_the_dense_render(samples, n_fine):
+    """render_image's sample windows against every sample through the formula, colors and
+    depth bit for bit, at each identity's own and the other identity's expression."""
+    ds = _toy(1, "scene.resolution=16", f"scene.gt_samples={samples}")
+    for k in range(2):
+        for other in range(2):
+            fr = ds.identities[k].frames[7 * other + 3]
+            e = ds.identities[other].frames[11].e
+            kw = dict(t_near=ds.t_near, t_far=ds.t_far, n_coarse=samples, n_fine=n_fine,
+                      background=ds.scene.background, seed=ds.seed, frame_index=fr.index,
+                      return_depth=True)
+            img, depth = rd.render_image(lambda X, d: sc.analytic_field(ds.scene, k, e, X),
+                                         fr.pose, support=sc.support_half_extent(ds.scene, k, e),
+                                         **kw)
+            dense, dense_depth = rd.render_image(
+                lambda X, d: sc._analytic_kernel(ds.scene, k, e, X), fr.pose, **kw)
+            assert np.array_equal(_bits(img), _bits(dense))
+            assert np.array_equal(_bits(depth), _bits(dense_depth))
+            assert np.any(depth > 0.0) or samples == 1
+
+
+@pytest.mark.parametrize("target,kept", [((0.0, 0.0, 0.0), 1), ((5.6, 0.0, 0.0), 0)])
+def test_windowed_render_of_one_kept_ray_and_of_none(target, kept):
+    """A box small enough for the centre ray alone, looked at and looked away from."""
+    core = np.full(3, 0.009)
+    h = core * (1.0 + 1e-6)
+
+    def field(X, dirs):
+        sigma = np.where(np.all(np.abs(X) <= core, axis=1), 400.0, 0.0)
+        return np.clip(0.5 + 20.0 * X, 0.0, 1.0), sigma
+
+    eye = np.array([2.8, 0.1, 0.05])
+    pose = _look_at(eye, np.asarray(target), 9)
+    kw = dict(t_near=1.4, t_far=4.2, n_coarse=256, n_fine=8, background=np.array(BG),
+              seed=0, frame_index=0, return_depth=True)
+    lo, hi = rd._crosses_box(eye, rd.pixel_dirs(pose, *np.divmod(np.arange(81), 9)), h,
+                             kw["t_near"], kw["t_far"])
+    assert np.sum(lo <= hi) == kept
+    img, depth = rd.render_image(field, pose, support=h, **kw)
+    dense, dense_depth = rd.render_image(field, pose, **kw)
+    assert np.array_equal(_bits(img), _bits(dense))
+    assert np.array_equal(_bits(depth), _bits(dense_depth))
+    assert np.sum(depth > 0.0) == kept
+
+
+def test_ground_truth_fields_see_under_half_the_kept_rays_samples(monkeypatch):
+    """Seed 1's toy ground truth: the windows send the field under half the samples of
+    the rays that cross the support box."""
+    ds = _toy(1)
+    seen = []
+    real = sc.analytic_field
+
+    def counted(spec, k, e, X):
+        seen.append(len(X))
+        return real(spec, k, e, X)
+
+    monkeypatch.setattr(sc, "analytic_field", counted)
+    kept = 0
+    for idn in ds.identities:
+        for fr in idn.frames:
+            h = sc.support_half_extent(ds.scene, idn.index, fr.e)
+            lo, hi = rd._crosses_box(fr.pose.t, rd.pixel_dirs(
+                fr.pose, *np.divmod(np.arange(ds.resolution ** 2), ds.resolution)), h,
+                ds.t_near, ds.t_far)
+            kept += int(np.sum(lo <= hi)) * ds.gt_samples
+            ds.gt_image(idn.name, fr.e, fr.index)
+    assert kept > 0 and sum(seen) < 0.5 * kept, (sum(seen), kept)
 
 
 def _leaf_paths(tree, prefix=""):
